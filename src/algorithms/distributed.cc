@@ -61,7 +61,7 @@ AlgorithmResult GreedyVertexOnCandidates(
       ++result.steps;
     }
   } else {
-    const IncrementalEvaluator eval(&state, config.eval);
+    const IncrementalEvaluator eval(&state);
     while (state.size() < target) {
       const ScoredCandidate best = eval.BestPrimeAddOver(candidates);
       DIVERSE_CHECK(best.valid());

@@ -37,18 +37,17 @@
 
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
+#include "metric/pruning_index.h"
 #include "util/random.h"
 
 namespace diverse {
 
-// Scan tuning shared by the candidate-restricted greedy entry points:
-// evaluator thread options plus an optional pivot pruning index. When the
-// index is usable, greedy rounds run through the pruned scanner
+// Scan configuration shared by the candidate-restricted greedy entry
+// points: an optional pivot pruning index. When the index is usable,
+// greedy rounds run through the pruned scanner
 // (core/incremental_evaluator.h) — results stay bit-equal to the full
 // scan, so config choices never change answers.
 struct CandidateScanConfig {
-  IncrementalEvaluator::Options eval{};
   const PruningIndex* pruning = nullptr;
 };
 

@@ -4,9 +4,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/argmax_scan.h"
 #include "core/distance_cache.h"
 #include "core/incremental_evaluator.h"
-#include "core/parallel_scan.h"
 #include "core/solution_state.h"
 #include "metric/dense_metric.h"
 #include "util/check.h"
@@ -50,8 +50,10 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
   std::vector<int> selected;
 
   if (p >= 2) {
-    // Edge greedy over d': each round scans all unchosen pairs in
-    // parallel.
+    // Edge greedy over d': each round scans all unchosen pairs.
+    const auto reduced = [&](int u, int v) {
+      return ReducedDistance(weights, metric, lambda, p, u, v);
+    };
     std::vector<int> unchosen;
     unchosen.reserve(n);
     while (static_cast<int>(selected.size()) + 2 <= p) {
@@ -59,11 +61,7 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
       for (int u = 0; u < n; ++u) {
         if (!chosen[u]) unchosen.push_back(u);
       }
-      const ScoredPair best = ParallelArgmaxPairs(
-          std::span<const int>(unchosen), /*num_threads=*/0,
-          /*grain=*/2048, scored, [&](int u, int v) {
-            return ReducedDistance(weights, metric, lambda, p, u, v);
-          });
+      const ScoredPair best = ArgmaxOverPairs(unchosen, scored, reduced);
       DIVERSE_CHECK(best.valid());
       chosen[best.first] = chosen[best.second] = true;
       selected.push_back(best.first);

@@ -16,7 +16,7 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
   DIVERSE_CHECK_MSG(options.p >= 0, "p must be non-negative");
   WallTimer timer;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state, options.eval);
+  const IncrementalEvaluator eval(&state);
   AlgorithmResult result;
 
   if (options.best_first_pair && p >= 2) {

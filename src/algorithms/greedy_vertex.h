@@ -16,7 +16,6 @@
 
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
 
 namespace diverse {
 
@@ -26,8 +25,6 @@ struct GreedyVertexOptions {
   // Paper §7.1 "improved Greedy B": seed with the pair {x,y} maximizing
   // phi({x,y}) instead of starting from the best singleton. Costs O(n^2).
   bool best_first_pair = false;
-  // Batched-scan tuning; never changes results.
-  IncrementalEvaluator::Options eval{};
 };
 
 AlgorithmResult GreedyVertex(const DiversificationProblem& problem,

@@ -69,7 +69,7 @@ AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,
   AlgorithmResult best;
   best.objective = -1.0;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state, options.eval);
+  const IncrementalEvaluator eval(&state);
 
   auto try_seed = [&](const std::vector<int>& seed) {
     if (TotalCost(options.costs, seed) > options.budget + 1e-12) return;

@@ -13,7 +13,6 @@
 
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
 
 namespace diverse {
 
@@ -24,8 +23,6 @@ struct KnapsackOptions {
   // Enumerate all seed sets of size <= seed_size (0, 1 or 2), complete each
   // greedily, return the best. seed_size 2 costs O(n^2) greedy runs.
   int seed_size = 1;
-  // Batched-scan tuning; never changes results.
-  IncrementalEvaluator::Options eval{};
 };
 
 AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,

@@ -89,7 +89,7 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
   WallTimer timer;
   AlgorithmResult result;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state, options.eval);
+  const IncrementalEvaluator eval(&state);
   const bool prune =
       options.pruning != nullptr && options.pruning->usable();
 

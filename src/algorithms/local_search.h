@@ -15,8 +15,8 @@
 
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
 #include "matroid/matroid.h"
+#include "metric/pruning_index.h"
 
 namespace diverse {
 
@@ -36,9 +36,6 @@ struct LocalSearchOptions {
   // objective gain (true) or by lowest index (false, the paper's
   // "arbitrary" completion).
   bool greedy_completion = true;
-  // Batched-scan tuning for the incremental evaluator; never changes
-  // results (scans are deterministic regardless of thread count).
-  IncrementalEvaluator::Options eval{};
   // Optional pivot index over the problem's metric: each round first runs
   // the pruned best-swap scan (bit-equal to the full scan, see
   // core/incremental_evaluator.h) and only falls back to full swap

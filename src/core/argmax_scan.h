@@ -1,0 +1,94 @@
+// Argmax scans over candidate lists.
+//
+// The batched candidate-scoring hot loops (greedy steps, swap scans, edge
+// scans) all reduce to "score every candidate, keep the best". These
+// helpers are plain sequential loops with a strictly-greater test, so ties
+// keep the earliest candidate position. Parallelism comes from running
+// whole queries side by side (the engine's worker pool), never from inside
+// one scan.
+#ifndef DIVERSE_CORE_ARGMAX_SCAN_H_
+#define DIVERSE_CORE_ARGMAX_SCAN_H_
+
+#include <cstddef>
+#include <limits>
+#include <span>
+
+#include "obs/metrics.h"
+
+namespace diverse {
+
+// Result of an argmax scan over single candidates.
+struct ScoredCandidate {
+  int element = -1;
+  double gain = 0.0;
+  bool valid() const { return element >= 0; }
+};
+
+// Result of an argmax scan over ordered candidate pairs.
+struct ScoredPair {
+  int first = -1;
+  int second = -1;
+  double gain = 0.0;
+  bool valid() const { return first >= 0; }
+};
+
+// Argmax of score(e) over `candidates`. `score(e, &gain)` returns false to
+// skip a candidate (members, over-budget elements). Ties keep the earliest
+// candidate position. `scored` accumulates the number of scored candidates.
+template <typename Score>
+ScoredCandidate ArgmaxOver(std::span<const int> candidates,
+                           obs::Counter& scored, Score&& score) {
+  ScoredCandidate best;
+  long long count = 0;
+  for (int e : candidates) {
+    double gain = 0.0;
+    if (!score(e, &gain)) continue;
+    ++count;
+    if (!best.valid() || gain > best.gain) best = {e, gain};
+  }
+  scored.Inc(count);
+  return best;
+}
+
+// Fills out[i] with score(candidates[i]) or -infinity for skipped
+// candidates.
+template <typename Score>
+void ScoreAll(std::span<const int> candidates, obs::Counter& scored,
+              std::span<double> out, Score&& score) {
+  constexpr double kSkipped = -std::numeric_limits<double>::infinity();
+  long long count = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    double gain = 0.0;
+    if (score(candidates[i], &gain)) {
+      out[i] = gain;
+      ++count;
+    } else {
+      out[i] = kSkipped;
+    }
+  }
+  scored.Inc(count);
+}
+
+// Argmax of score(a, b) over all ordered pairs (items[i], items[j]), i < j.
+// Ties keep the lexicographically earliest (i, j).
+template <typename Score>
+ScoredPair ArgmaxOverPairs(std::span<const int> items, obs::Counter& scored,
+                           Score&& score) {
+  ScoredPair best;
+  long long count = 0;
+  for (std::size_t i = 0; i + 1 < items.size(); ++i) {
+    for (std::size_t j = i + 1; j < items.size(); ++j) {
+      const double gain = score(items[i], items[j]);
+      ++count;
+      if (!best.valid() || gain > best.gain) {
+        best = {items[i], items[j], gain};
+      }
+    }
+  }
+  scored.Inc(count);
+  return best;
+}
+
+}  // namespace diverse
+
+#endif  // DIVERSE_CORE_ARGMAX_SCAN_H_

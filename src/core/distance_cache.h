@@ -11,9 +11,8 @@
 //     queried once, then mirrored);
 //   * lazy mode (larger n): rows are materialized on first touch, so a
 //     scan that only ever visits a working set pays only for the rows it
-//     uses. Row materialization is guarded for concurrent readers — the
-//     parallel scans in IncrementalEvaluator may fault rows from worker
-//     threads.
+//     uses. Row materialization is guarded for concurrent readers, so
+//     queries running side by side may share one cache.
 //   * delegate mode (options.delegate = true; base must itself be a
 //     MetricBackend): nothing is materialized — every scalar and batched
 //     query forwards to the base backend's own kernels. This is the

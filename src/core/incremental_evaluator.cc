@@ -13,7 +13,7 @@ namespace {
 // Row d(out, .) for a swap scan: a resident backend row when available,
 // else `scratch` filled by one batched kernel call, else nullptr (the
 // scan falls back to one scalar Distance() per candidate). Hoisting the
-// row out of the parallel scan replaces per-candidate virtual dispatch
+// row out of the scan replaces per-candidate virtual dispatch
 // with contiguous reads — and is what feature-vector backends need to
 // amortize their O(d) per-distance kernels.
 const double* SwapRowFor(const MetricSpace& metric, int out,
@@ -29,11 +29,7 @@ const double* SwapRowFor(const MetricSpace& metric, int out,
 }  // namespace
 
 IncrementalEvaluator::IncrementalEvaluator(SolutionState* state)
-    : IncrementalEvaluator(state, Options()) {}
-
-IncrementalEvaluator::IncrementalEvaluator(SolutionState* state,
-                                           Options options)
-    : state_(state), options_(options) {
+    : state_(state) {
   DIVERSE_CHECK(state != nullptr);
   // Built eagerly: the universe size is fixed per problem, and an eager
   // build keeps Universe() a pure read that concurrent const scans can
@@ -65,39 +61,33 @@ double IncrementalEvaluator::GainOfSwap(int out, int in) const {
 ScoredCandidate IncrementalEvaluator::BestAddOver(
     std::span<const int> candidates) const {
   batch_scans_.Inc();
-  return ParallelArgmax(candidates, options_.num_threads,
-                        options_.parallel_grain, candidates_scored_,
-                        [this](int e, double* gain) {
-                          if (state_->Contains(e)) return false;
-                          *gain = state_->AddGain(e);
-                          return true;
-                        });
+  return ArgmaxOver(candidates, candidates_scored_, [&](int e, double* gain) {
+    if (state_->Contains(e)) return false;
+    *gain = state_->AddGain(e);
+    return true;
+  });
 }
 
 ScoredCandidate IncrementalEvaluator::BestPrimeAddOver(
     std::span<const int> candidates) const {
   batch_scans_.Inc();
-  return ParallelArgmax(candidates, options_.num_threads,
-                        options_.parallel_grain, candidates_scored_,
-                        [this](int e, double* gain) {
-                          if (state_->Contains(e)) return false;
-                          *gain = state_->PrimeGain(e);
-                          return true;
-                        });
+  return ArgmaxOver(candidates, candidates_scored_, [&](int e, double* gain) {
+    if (state_->Contains(e)) return false;
+    *gain = state_->PrimeGain(e);
+    return true;
+  });
 }
 
 ScoredCandidate IncrementalEvaluator::BestDensityAddOver(
     std::span<const int> candidates, std::span<const double> costs,
     double budget_left, double cost_floor) const {
   batch_scans_.Inc();
-  return ParallelArgmax(
-      candidates, options_.num_threads, options_.parallel_grain,
-      candidates_scored_, [&](int e, double* gain) {
-        if (state_->Contains(e)) return false;
-        if (costs[e] > budget_left + 1e-12) return false;
-        *gain = state_->PrimeGain(e) / std::max(costs[e], cost_floor);
-        return true;
-      });
+  return ArgmaxOver(candidates, candidates_scored_, [&](int e, double* gain) {
+    if (state_->Contains(e)) return false;
+    if (costs[e] > budget_left + 1e-12) return false;
+    *gain = state_->PrimeGain(e) / std::max(costs[e], cost_floor);
+    return true;
+  });
 }
 
 template <typename Fn>
@@ -120,16 +110,14 @@ ScoredCandidate IncrementalEvaluator::BestSwapInFor(
   const double dist_out = state_->DistanceToSet(out);
   return WithQualityRemoved(out, [&](const SetFunctionEvaluator& eval) {
     const double f_out = eval.Gain(out);  // f(S) - f(S - out)
-    return ParallelArgmax(
-        ins, options_.num_threads, options_.parallel_grain,
-        candidates_scored_, [&](int in, double* gain) {
-          if (in == out || state_->Contains(in)) return false;
-          const double d_in_out =
-              row_out != nullptr ? row_out[in] : metric.Distance(in, out);
-          *gain = (eval.Gain(in) - f_out) +
-                  lambda * (state_->DistanceToSet(in) - d_in_out - dist_out);
-          return true;
-        });
+    return ArgmaxOver(ins, candidates_scored_, [&](int in, double* gain) {
+      if (in == out || state_->Contains(in)) return false;
+      const double d_in_out =
+          row_out != nullptr ? row_out[in] : metric.Distance(in, out);
+      *gain = (eval.Gain(in) - f_out) +
+              lambda * (state_->DistanceToSet(in) - d_in_out - dist_out);
+      return true;
+    });
   });
 }
 
@@ -249,17 +237,14 @@ void IncrementalEvaluator::ScoreSwapsFor(int out, std::span<const int> ins,
   const double dist_out = state_->DistanceToSet(out);
   WithQualityRemoved(out, [&](const SetFunctionEvaluator& eval) {
     const double f_out = eval.Gain(out);
-    ParallelScore(ins, options_.num_threads, options_.parallel_grain,
-                  candidates_scored_, gains, [&](int in, double* gain) {
-                    if (in == out || state_->Contains(in)) return false;
-                    const double d_in_out = row_out != nullptr
-                                                ? row_out[in]
-                                                : metric.Distance(in, out);
-                    *gain = (eval.Gain(in) - f_out) +
-                            lambda * (state_->DistanceToSet(in) - d_in_out -
-                                      dist_out);
-                    return true;
-                  });
+    ScoreAll(ins, candidates_scored_, gains, [&](int in, double* gain) {
+      if (in == out || state_->Contains(in)) return false;
+      const double d_in_out =
+          row_out != nullptr ? row_out[in] : metric.Distance(in, out);
+      *gain = (eval.Gain(in) - f_out) +
+              lambda * (state_->DistanceToSet(in) - d_in_out - dist_out);
+      return true;
+    });
     return 0;
   });
 }

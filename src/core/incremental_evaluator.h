@@ -8,10 +8,10 @@
 //   * O(1) cached Objective() and O(1)/O(|S|) single gains
 //     (GainOfAdd / GainOfRemove / GainOfSwap), with always-on profiling
 //     counters;
-//   * thread-parallel argmax scans over candidate lists — BestAddOver,
+//   * sequential argmax scans over candidate lists — BestAddOver,
 //     BestPrimeAddOver (Greedy B's potential), BestDensityAddOver
 //     (knapsack), BestSwapInFor / BestSwapOver (local search, streaming,
-//     dynamic updates) — deterministic regardless of thread count;
+//     dynamic updates) — ties keep the earliest candidate position;
 //   * ScoreSwapsFor, which batch-fills swap gains so callers can apply
 //     their own feasibility filters (matroid exchange oracles) in
 //     descending-gain order;
@@ -20,13 +20,9 @@
 //     f(S + block) calls.
 //
 // Swap scans hoist the quality-evaluator Remove(out) so the per-candidate
-// work is a const Gain() query plus contiguous reads — which is also what
-// makes the scan safe to parallelize. The evaluator never outlives or
-// invalidates its state; mutations still go through SolutionState.
-//
-// This is the extension point for future scaling work: sharded candidate
-// ranges, async scoring, and accelerator backends all slot in behind the
-// same batched queries.
+// work is a const Gain() query plus contiguous reads. The evaluator never
+// outlives or invalidates its state; mutations still go through
+// SolutionState.
 #ifndef DIVERSE_CORE_INCREMENTAL_EVALUATOR_H_
 #define DIVERSE_CORE_INCREMENTAL_EVALUATOR_H_
 
@@ -35,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_scan.h"
+#include "core/argmax_scan.h"
 #include "core/solution_state.h"
 #include "metric/pruning_index.h"
 #include "obs/metric_registry.h"
@@ -53,13 +49,9 @@ struct BestSwapResult {
 
 class IncrementalEvaluator {
  public:
-  struct Options {
-    // Worker threads for batched scans; 0 = hardware concurrency.
-    int num_threads = 0;
-    // Minimum scored candidates per worker before threads are spawned;
-    // scans smaller than this run inline.
-    std::size_t parallel_grain = 2048;
-  };
+  // Empty; kept only as the type of engine::Options::eval and
+  // engine::PlanDefaults::eval, which servebench/serving.cc assigns.
+  struct Options {};
 
   // Profiling counters (cheap, always on).
   struct Stats {
@@ -76,7 +68,6 @@ class IncrementalEvaluator {
   // `state` must outlive the evaluator. The evaluator holds no copies of
   // solution data; it reads the state on every query.
   explicit IncrementalEvaluator(SolutionState* state);
-  IncrementalEvaluator(SolutionState* state, Options options);
 
   const SolutionState& state() const { return *state_; }
 
@@ -108,9 +99,8 @@ class IncrementalEvaluator {
   // skipped): argmax of GainOfSwap(out, in).
   ScoredCandidate BestSwapInFor(int out, std::span<const int> ins) const;
 
-  // Best swap over outs x ins; `outs` must all be members. Outer loop over
-  // outs is sequential (it repositions the quality evaluator), inner scans
-  // parallel. Ties keep the earliest (out position, in position).
+  // Best swap over outs x ins; `outs` must all be members. Ties keep the
+  // earliest (out position, in position).
   BestSwapResult BestSwapOver(std::span<const int> outs,
                               std::span<const int> ins) const;
 
@@ -176,7 +166,6 @@ class IncrementalEvaluator {
                          BestSwapResult* best) const;
 
   SolutionState* state_;
-  Options options_;
   std::vector<int> universe_;  // built eagerly at construction
 
   mutable obs::Counter add_gain_queries_;

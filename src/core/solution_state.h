@@ -103,7 +103,7 @@ class SolutionState {
 
  private:
   // The batched oracle hoists quality-evaluator repositioning out of its
-  // parallel swap scans (core/incremental_evaluator.h). The pruned greedy
+  // swap scans (core/incremental_evaluator.h). The pruned greedy
   // scanner maintains dist_to_set lazily on its own and applies adds
   // through AddPrescored.
   friend class IncrementalEvaluator;

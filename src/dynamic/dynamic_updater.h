@@ -45,8 +45,8 @@ class DynamicUpdater {
 
   // One application of the oblivious update rule. Returns true when a swap
   // was performed. O(p * n) swap-gain evaluations, batched through the
-  // incremental evaluator (thread-parallel for large n), or bound-pruned
-  // when SetPruning installed an index.
+  // incremental evaluator, or bound-pruned when SetPruning installed an
+  // index.
   bool ObliviousUpdate();
 
   // Installs (or clears, with nullptr) a pivot index over the updater's

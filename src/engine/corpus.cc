@@ -110,14 +110,6 @@ bool ValidUpdate(const CorpusUpdate& update, UpdateContext* ctx) {
   return false;
 }
 
-bool ValidUpdate(const CorpusUpdate& update, int* n) {
-  UpdateContext ctx;
-  ctx.n = *n;
-  const bool ok = ValidUpdate(update, &ctx);
-  if (ok) *n = ctx.n;
-  return ok;
-}
-
 bool ValidState(const CorpusState& state) {
   const std::size_t n = state.weights.size();
   if (state.alive.size() != n) return false;

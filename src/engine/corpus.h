@@ -142,9 +142,6 @@ struct UpdateContext {
 // kSetDistance/kInsert are only valid under kDense, kInsertVector only
 // under kVector (with exactly ctx->dim valid components).
 bool ValidUpdate(const CorpusUpdate& update, UpdateContext* ctx);
-// Dense-only convenience (legacy signature): kInsert increments *n on
-// success so a batch validates as a whole.
-bool ValidUpdate(const CorpusUpdate& update, int* n);
 // Structural validity of a state image: sizes agree with `repr`, the
 // unused payload is empty, lambda/weights/vector components valid,
 // liveness is 0/1. (Individual dense distances are validated where the

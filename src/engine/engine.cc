@@ -104,7 +104,6 @@ void DiversificationEngine::Start() {
   DIVERSE_CHECK(options_.default_num_shards >= 1);
   plan_defaults_.num_shards = options_.default_num_shards;
   plan_defaults_.remote = options_.remote;
-  plan_defaults_.eval = options_.eval;
   if (options_.pruning != PruningMode::kOff) {
     corpus_.EnablePruning(options_.pruning_config);
   }

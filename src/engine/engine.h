@@ -81,8 +81,7 @@ class DiversificationEngine {
     // trades index maintenance cost against scan speed, never answers.
     PruningMode pruning = PruningMode::kAuto;
     PruningIndex::Options pruning_config{};
-    // Batched-scan tuning (threads / grain) applied to every query's
-    // evaluator runs; never changes answers.
+    // Unused; kept so code assigning it to PlanDefaults::eval still compiles.
     IncrementalEvaluator::Options eval{};
   };
 

@@ -147,10 +147,9 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
       MakeProblemView(snapshot, query.relevance, query.lambda);
   const DiversificationProblem& problem = view.problem;
 
-  // Scan tuning + optional pruning index, shared by every kernel this
-  // query runs. Neither changes answers.
+  // Optional pruning index, shared by every kernel this query runs; it
+  // never changes answers.
   CandidateScanConfig scan;
-  scan.eval = defaults.eval;
   scan.pruning = ResolvePruning(snapshot, query.pruning);
 
   AlgorithmResult algo;
@@ -184,14 +183,12 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
           constraint = &*live;
         }
         LocalSearchOptions options;
-        options.eval = scan.eval;
         options.pruning = scan.pruning;
         algo = LocalSearch(problem, *constraint, options);
         break;
       }
       case QueryAlgorithm::kKnapsack: {
         KnapsackOptions options;
-        options.eval = scan.eval;
         options.costs = FitToUniverse(query.costs, n, 0.0);
         options.budget = query.budget;
         // Retired ids are masked by an infinite cost: infeasible both as

@@ -66,8 +66,7 @@ struct PlanDefaults {
   int num_shards = 4;  // used when query.num_shards == 0
   // Required for PlanKind::kRemoteSharded queries; unused otherwise.
   RemoteExecutor* remote = nullptr;
-  // Batched-scan tuning applied to every algorithm run; never changes
-  // answers.
+  // Unused; kept so code assigning engine::Options::eval still compiles.
   IncrementalEvaluator::Options eval{};
 };
 

@@ -20,9 +20,9 @@ class MetricSpace {
   // Distance between elements u and v; symmetric, non-negative, zero iff
   // conceptually identical. Both indices must be in [0, size()).
   // Must be safe for concurrent calls while the metric is not being
-  // mutated (the parallel scans in core/ read distances from worker
-  // threads); core/distance_cache.h wraps expensive implementations in
-  // contiguous storage under the same interface.
+  // mutated (queries running side by side on the engine's worker pool
+  // read distances concurrently); core/distance_cache.h wraps expensive
+  // implementations in contiguous storage under the same interface.
   virtual double Distance(int u, int v) const = 0;
 };
 

@@ -1,7 +1,7 @@
 // Randomized equivalence suite for the incremental evaluation subsystem:
 // every batched gain the IncrementalEvaluator reports must equal the
 // corresponding brute-force DiversificationProblem::Objective delta to
-// 1e-9, with the parallel scan paths forced on.
+// 1e-9.
 #include "core/incremental_evaluator.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "core/diversification_problem.h"
 #include "core/solution_state.h"
 #include "data/synthetic.h"
+#include "metric/dense_metric.h"
 #include "dynamic/dynamic_updater.h"
 #include "dynamic/perturbation.h"
 #include "matroid/uniform_matroid.h"
@@ -31,14 +32,6 @@
 
 namespace diverse {
 namespace {
-
-// Forces the thread-parallel scan paths even at test-sized n.
-IncrementalEvaluator::Options ForcedThreads() {
-  IncrementalEvaluator::Options options;
-  options.num_threads = 4;
-  options.parallel_grain = 1;
-  return options;
-}
 
 // phi(S + v) - phi(S) via two from-scratch evaluations.
 double BruteAddDelta(const DiversificationProblem& problem,
@@ -88,7 +81,7 @@ TEST_P(EvaluatorFuzz, GainsMatchBruteForceDeltasUnderRandomMutations) {
   Rng rng(GetParam());
   Instance inst(14, 0.3, GetParam() * 7 + 1);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int step = 0; step < 120; ++step) {
     const int v = rng.UniformInt(0, 13);
     if (state.Contains(v) && state.size() > 1 && state.size() < 14 &&
@@ -120,7 +113,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorFuzz, ::testing::Range(1, 11));
 TEST(IncrementalEvaluatorTest, BestAddOverMatchesSequentialArgmax) {
   Instance inst(40, 0.25, 21);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int v : {3, 11, 27}) state.Add(v);
   const ScoredCandidate best = eval.BestAddOver(eval.Universe());
   int expected = -1;
@@ -140,7 +133,7 @@ TEST(IncrementalEvaluatorTest, BestAddOverMatchesSequentialArgmax) {
 TEST(IncrementalEvaluatorTest, BestPrimeAddOverMatchesStatePrimeGain) {
   Instance inst(30, 0.4, 22);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int v : {1, 5}) state.Add(v);
   const ScoredCandidate best = eval.BestPrimeAddOver(eval.Universe());
   int expected = -1;
@@ -160,7 +153,7 @@ TEST(IncrementalEvaluatorTest, BestPrimeAddOverMatchesStatePrimeGain) {
 TEST(IncrementalEvaluatorTest, SwapScansMatchBruteForceDeltas) {
   Instance inst(25, 0.35, 23);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int v : {2, 9, 17, 21}) state.Add(v);
   std::vector<double> gains(25);
   for (int out : {2, 9, 17, 21}) {
@@ -205,7 +198,7 @@ TEST(IncrementalEvaluatorTest, SwapScansWorkWithSubmodularQuality) {
   const CoverageFunction coverage(covers, std::vector<double>(8, 1.0));
   const DiversificationProblem problem(&data.metric, &coverage, 0.3);
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int v : {0, 4, 8}) state.Add(v);
   const double objective_before = state.objective();
   std::vector<double> gains(12);
@@ -228,7 +221,7 @@ TEST(IncrementalEvaluatorTest, BestDensityAddOverRespectsBudgetAndCosts) {
   std::vector<double> costs(20);
   for (double& c : costs) c = rng.Uniform(0.5, 2.0);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   state.Add(4);
   const double budget_left = 1.4;
   const ScoredCandidate best =
@@ -255,7 +248,7 @@ TEST(IncrementalEvaluatorTest, BestDensityAddOverRespectsBudgetAndCosts) {
 TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
   Instance inst(15, 0.3, 27);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   for (int v : {0, 7}) state.Add(v);
   const std::vector<int> block = {2, 5, 11};
   std::vector<int> extended = state.members();
@@ -276,29 +269,37 @@ TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
               1e-9);
 }
 
-TEST(IncrementalEvaluatorTest, ScanResultsIndependentOfThreadCount) {
-  Instance inst(60, 0.3, 28);
-  SolutionState seq_state(&inst.problem);
-  SolutionState par_state(&inst.problem);
-  IncrementalEvaluator::Options sequential;
-  sequential.num_threads = 1;
-  const IncrementalEvaluator seq(&seq_state, sequential);
-  const IncrementalEvaluator par(&par_state, ForcedThreads());
-  for (int v : {10, 20, 30}) {
-    seq_state.Add(v);
-    par_state.Add(v);
-  }
-  const ScoredCandidate a = seq.BestAddOver(seq.Universe());
-  const ScoredCandidate b = par.BestAddOver(par.Universe());
-  EXPECT_EQ(a.element, b.element);
-  EXPECT_EQ(a.gain, b.gain);  // bit-identical, not just close
-  const BestSwapResult sa = seq.BestSwapOver(seq_state.members(),
-                                             seq.Universe());
-  const BestSwapResult sb = par.BestSwapOver(par_state.members(),
-                                             par.Universe());
-  EXPECT_EQ(sa.out, sb.out);
-  EXPECT_EQ(sa.in, sb.in);
-  EXPECT_EQ(sa.gain, sb.gain);
+// Equal gains go to the earliest candidate *position*, not the smallest
+// id: every algorithm's determinism (and the bit-equality of pruned and
+// full scans) rests on this rule.
+TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
+  const int n = 6;
+  std::vector<double> matrix(n * n, 1.0);
+  for (int i = 0; i < n; ++i) matrix[i * n + i] = 0.0;
+  const DenseMetric metric = DenseMetric::FromMatrix(n, std::move(matrix));
+  const ModularFunction weights(std::vector<double>(n, 0.5));
+  const DiversificationProblem problem(&metric, &weights, 0.3);
+  SolutionState state(&problem);
+  state.Add(0);
+  const IncrementalEvaluator eval(&state);
+
+  // Every non-member has the same gain; the member 0 is skipped.
+  const std::vector<int> reversed = {5, 4, 3, 2, 1, 0};
+  EXPECT_EQ(eval.BestAddOver(reversed).element, 5);
+  EXPECT_EQ(eval.BestPrimeAddOver(reversed).element, 5);
+  EXPECT_EQ(eval.BestSwapInFor(0, reversed).element, 5);
+
+  // Pair scan: every pair with a == 2 or b == 4 ties at the top. The
+  // lexicographically earliest positions (0, 3) hold (7, 4); a column-first
+  // order would pick (2, 9) and a smallest-id rule (2, 4).
+  const std::vector<int> items = {7, 2, 9, 4};
+  const auto score = [](int a, int b) { return a == 2 || b == 4 ? 1.0 : 0.0; };
+  obs::Counter scored;
+  const ScoredPair best = ArgmaxOverPairs(items, scored, score);
+  EXPECT_EQ(best.first, 7);
+  EXPECT_EQ(best.second, 4);
+  EXPECT_EQ(best.gain, 1.0);
+  EXPECT_EQ(scored.value(), 6);
 }
 
 // Regression for a lazy-rebuild race: Universe() used to resize a mutable
@@ -314,7 +315,7 @@ TEST(IncrementalEvaluatorTest, UniverseIsSafeUnderConcurrentScans) {
   Instance inst(80, 0.3, 91);
   SolutionState state(&inst.problem);
   for (int v : {3, 17, 42, 61}) state.Add(v);
-  const IncrementalEvaluator eval(&state, ForcedThreads());
+  const IncrementalEvaluator eval(&state);
   const ScoredCandidate expected_add = eval.BestAddOver(eval.Universe());
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {

@@ -34,8 +34,7 @@ namespace {
 
 int RunCli(const std::string& input, int generate, const std::string& save,
            const std::string& algorithm, int p, double lambda, double mu,
-           int num_shards, int per_shard, std::uint64_t seed,
-           int eval_threads, int eval_grain) {
+           int num_shards, int per_shard, std::uint64_t seed) {
   // ---- Data ---------------------------------------------------------------
   Rng rng(seed);
   Dataset data(0);
@@ -60,26 +59,17 @@ int RunCli(const std::string& input, int generate, const std::string& save,
   const DiversificationProblem problem(&data.metric, &weights, lambda);
   p = std::min(p, data.size());
 
-  // Batched-scan tuning, shared by every evaluator-backed algorithm.
-  // Never changes the selection.
-  IncrementalEvaluator::Options eval;
-  eval.num_threads = eval_threads;
-  if (eval_grain > 0) eval.parallel_grain = eval_grain;
-
   // ---- Algorithm ----------------------------------------------------------
   AlgorithmResult result;
   if (algorithm == "greedy") {
-    result = GreedyVertex(problem, {.p = p, .eval = eval});
+    result = GreedyVertex(problem, {.p = p});
   } else if (algorithm == "greedy_pair") {
-    result = GreedyVertex(problem,
-                          {.p = p, .best_first_pair = true, .eval = eval});
+    result = GreedyVertex(problem, {.p = p, .best_first_pair = true});
   } else if (algorithm == "greedy_edge") {
     result = GreedyEdge(problem, weights, {.p = p});
   } else if (algorithm == "local_search") {
     const UniformMatroid matroid(data.size(), p);
-    LocalSearchOptions options;
-    options.eval = eval;
-    result = LocalSearch(problem, matroid, options);
+    result = LocalSearch(problem, matroid, LocalSearchOptions{});
   } else if (algorithm == "partial_enum") {
     result = PartialEnumerationGreedy(problem, {.p = p, .seed_size = 2});
   } else if (algorithm == "mmr") {
@@ -93,7 +83,6 @@ int RunCli(const std::string& input, int generate, const std::string& save,
     options.p = p;
     options.num_shards = num_shards;
     options.per_shard = per_shard;
-    options.scan.eval = eval;
     result = DistributedGreedy(problem, options, rng);
   } else if (algorithm == "random") {
     result = RandomSubset(problem, p, rng);
@@ -141,8 +130,6 @@ int main(int argc, char** argv) {
   int num_shards = 4;
   int per_shard = 0;
   std::int64_t seed = 1;
-  int eval_threads = 0;
-  int eval_grain = 0;
   diverse::FlagSet flags(
       "diverse_cli — max-sum diversification from the command line");
   flags.AddString("input", &input, "dataset CSV to load");
@@ -159,13 +146,8 @@ int main(int argc, char** argv) {
   flags.AddInt("per_shard", &per_shard,
                "elements per shard, 0 = p (only --algorithm=distributed)");
   flags.AddInt64("seed", &seed, "random seed");
-  flags.AddInt("eval_threads", &eval_threads,
-               "scan worker threads, 0 = hardware concurrency");
-  flags.AddInt("eval_grain", &eval_grain,
-               "min scored candidates per scan worker, 0 = default");
   if (!flags.Parse(argc, argv)) return 1;
   return diverse::RunCli(input, generate, save, algorithm, p, lambda, mu,
                          num_shards, per_shard,
-                         static_cast<std::uint64_t>(seed), eval_threads,
-                         eval_grain);
+                         static_cast<std::uint64_t>(seed));
 }

@@ -143,7 +143,7 @@ int RunServer(const std::string& input, int generate, int queries, int p,
               int checkpoint_every, int compact_every, int stats_every,
               int trace_first, int http_port, int linger_ms,
               int trace_sample_every, const std::string& pruning,
-              int eval_threads, int eval_grain, std::uint64_t seed) {
+              std::uint64_t seed) {
   Rng rng(seed);
   obs::MetricRegistry registry;
   obs::TraceBuffer trace_buffer;
@@ -312,10 +312,6 @@ int RunServer(const std::string& input, int generate, int queries, int p,
   } else {
     std::cerr << "error: --pruning must be off | auto | force\n";
     return 1;
-  }
-  options.eval.num_threads = eval_threads;
-  if (eval_grain > 0) {
-    options.eval.parallel_grain = static_cast<std::size_t>(eval_grain);
   }
   options.num_workers = workers;
   options.max_batch = batch;
@@ -574,8 +570,6 @@ int main(int argc, char** argv) {
   int linger_ms = 0;
   int trace_sample_every = 64;
   std::string pruning = "auto";
-  int eval_threads = 0;
-  int eval_grain = 0;
   std::string scrape;
   std::string format = "prometheus";
   std::int64_t seed = 1;
@@ -642,10 +636,6 @@ int main(int argc, char** argv) {
   flags.AddString("pruning", &pruning,
                   "candidate pruning: off | auto (lazy snapshots only) | "
                   "force; answers are bit-equal either way");
-  flags.AddInt("eval_threads", &eval_threads,
-               "scan worker threads per query (0 = hardware concurrency)");
-  flags.AddInt("eval_grain", &eval_grain,
-               "min scored candidates per scan worker, 0 = default");
   flags.AddString("scrape", &scrape,
                   "client mode: scrape metrics from these nodes "
                   "(host:port[,...]) over the wire protocol and exit");
@@ -659,6 +649,6 @@ int main(int argc, char** argv) {
                             batch, update_every, churn, sync, verify,
                             checkpoint_dir, checkpoint_every, compact_every,
                             stats_every, trace_first, http_port, linger_ms,
-                            trace_sample_every, pruning, eval_threads,
-                            eval_grain, static_cast<std::uint64_t>(seed));
+                            trace_sample_every, pruning,
+                            static_cast<std::uint64_t>(seed));
 }
