@@ -1,6 +1,6 @@
 // Pivot-index candidate pruning bench — emits BENCH_pruning.json.
 //
-// Four record families, each at n = 2000 and n = 4000 on clustered
+// Three record families, each at n = 2000 and n = 4000 on clustered
 // Euclidean data (clusters are what give triangle bounds their teeth —
 // most candidates sit far from the running best and prune away):
 //
@@ -13,8 +13,6 @@
 //     floor is >= 2x at n = 4000); `certified_fraction` must stay a
 //     majority (Euclidean data is a true metric, so fallbacks mean the
 //     bounds are broken, not the data).
-//   * greedy_vector_<n> — GreedyVertexOnCandidates full vs pruned
-//     (PrunedGreedyScanner underneath), elements and objective bit-equal.
 //   * publish_<n> — epoch-publish latency with index maintenance on vs
 //     off (same insert/erase stream). `publish_overhead_x` is advisory:
 //     the index column append is O(P*d) per insert against the O(n)
@@ -31,8 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "algorithms/distributed.h"
-#include "algorithms/greedy_vertex.h"
 #include "bench_json.h"
 #include "core/diversification_problem.h"
 #include "core/incremental_evaluator.h"
@@ -180,9 +176,7 @@ int Run(int dim, int p, int rounds, std::uint64_t seed) {
 
     PruningIndex::Options options;
     options.num_pivots = 8;
-    WallTimer build_wall;
     const auto index = PruningIndex::Build(vectors, AllIds(n), options);
-    const double index_build_seconds = build_wall.Seconds();
 
     // Swap scans, lazy vector backend. Three repeats of the identical
     // deterministic trajectory; the gated ratio comes from the median
@@ -213,36 +207,6 @@ int Run(int dim, int p, int rounds, std::uint64_t seed) {
         RunSwapArm(dense_problem, *dense_index, p, rounds, seed + 1);
     EmitSwapRecord(json, "swap_dense_" + std::to_string(n), n, dense_arm,
                    gates_ok, /*gate_ratio=*/n == 4000, /*gated=*/false);
-
-    // Greedy build, full vs pruned, bit-equal.
-    {
-      const std::vector<int> candidates = AllIds(n);
-      WallTimer full_wall;
-      const AlgorithmResult full =
-          GreedyVertexOnCandidates(problem, candidates, p);
-      const double full_seconds = full_wall.Seconds();
-      CandidateScanConfig config;
-      config.pruning = index.get();
-      WallTimer pruned_wall;
-      const AlgorithmResult pruned =
-          GreedyVertexOnCandidates(problem, candidates, p, config);
-      const double pruned_seconds = pruned_wall.Seconds();
-      const bool equal = full.elements == pruned.elements &&
-                         full.objective == pruned.objective;
-      json.NewRecord("greedy_vector_" + std::to_string(n))
-          .Add("n", static_cast<long long>(n))
-          .Add("p", static_cast<long long>(p))
-          .Add("full_seconds", full_seconds)
-          .Add("pruned_seconds", pruned_seconds)
-          .Add("greedy_speedup",
-               pruned_seconds > 0.0 ? full_seconds / pruned_seconds : 0.0)
-          .Add("index_build_seconds", index_build_seconds)
-          .Add("bit_equal", static_cast<long long>(equal ? 1 : 0));
-      if (!equal) {
-        std::cerr << "greedy_" << n << ": pruned answer diverged\n";
-        gates_ok = false;
-      }
-    }
 
     // Epoch publish latency: the same insert/erase stream through a
     // corpus with index maintenance on vs off.
@@ -301,7 +265,7 @@ int main(int argc, char** argv) {
   std::int64_t seed = 1;
   diverse::FlagSet flags(
       "candidate_pruning — pivot-index pruned scans vs full scans "
-      "(best-swap local search + greedy, vector and dense backends) and "
+      "(best-swap local search, vector and dense backends) and "
       "epoch-publish overhead of index maintenance; writes "
       "BENCH_pruning.json");
   flags.AddInt("dim", &dim, "feature-vector dimension");

@@ -40,34 +40,16 @@ std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
 AlgorithmResult GreedyVertexOnCandidates(
     const DiversificationProblem& problem, const std::vector<int>& candidates,
     int p) {
-  return GreedyVertexOnCandidates(problem, candidates, p,
-                                  CandidateScanConfig());
-}
-
-AlgorithmResult GreedyVertexOnCandidates(
-    const DiversificationProblem& problem, const std::vector<int>& candidates,
-    int p, const CandidateScanConfig& config) {
   WallTimer timer;
   SolutionState state(&problem);
   AlgorithmResult result;
   const int target = std::min<int>(p, static_cast<int>(candidates.size()));
-  if (config.pruning != nullptr && config.pruning->usable()) {
-    // Pruned rounds: bit-equal to BestPrimeAddOver + Add by construction
-    // (core/incremental_evaluator.h).
-    PrunedGreedyScanner scanner(&state, *config.pruning);
-    while (state.size() < target) {
-      const ScoredCandidate best = scanner.AddBest(candidates);
-      DIVERSE_CHECK(best.valid());
-      ++result.steps;
-    }
-  } else {
-    const IncrementalEvaluator eval(&state);
-    while (state.size() < target) {
-      const ScoredCandidate best = eval.BestPrimeAddOver(candidates);
-      DIVERSE_CHECK(best.valid());
-      state.Add(best.element);
-      ++result.steps;
-    }
+  const IncrementalEvaluator eval(&state);
+  while (state.size() < target) {
+    const ScoredCandidate best = eval.BestPrimeAddOver(candidates);
+    DIVERSE_CHECK(best.valid());
+    state.Add(best.element);
+    ++result.steps;
   }
   result.elements = state.members();
   result.objective = state.objective();
@@ -77,8 +59,7 @@ AlgorithmResult GreedyVertexOnCandidates(
 
 AlgorithmResult MergeShardSolutions(
     const DiversificationProblem& problem,
-    const std::vector<std::vector<int>>& local_solutions, int p,
-    const CandidateScanConfig& config) {
+    const std::vector<std::vector<int>>& local_solutions, int p) {
   std::vector<int> kernel;
   std::vector<int> best_local;
   // -infinity, not -1: per-query relevance can drive objectives negative,
@@ -102,7 +83,7 @@ AlgorithmResult MergeShardSolutions(
   // safeguard: the better of the two rounds.
   std::sort(kernel.begin(), kernel.end());
   kernel.erase(std::unique(kernel.begin(), kernel.end()), kernel.end());
-  AlgorithmResult merged = GreedyVertexOnCandidates(problem, kernel, p, config);
+  AlgorithmResult merged = GreedyVertexOnCandidates(problem, kernel, p);
   if (best_local_objective > merged.objective) {
     merged.elements = std::move(best_local);
     merged.objective = best_local_objective;
@@ -114,14 +95,6 @@ AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
                               std::span<const int> candidates, int p,
                               int num_shards, int per_shard,
                               std::uint64_t salt) {
-  return ShardedGreedy(problem, candidates, p, num_shards, per_shard, salt,
-                       CandidateScanConfig());
-}
-
-AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
-                              std::span<const int> candidates, int p,
-                              int num_shards, int per_shard, std::uint64_t salt,
-                              const CandidateScanConfig& config) {
   DIVERSE_CHECK(p >= 0);
   if (per_shard <= 0) per_shard = p;
   WallTimer timer;
@@ -135,14 +108,14 @@ AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
   for (const std::vector<int>& shard : shards) {
     if (shard.empty()) continue;
     AlgorithmResult local =
-        GreedyVertexOnCandidates(problem, shard, per_shard, config);
+        GreedyVertexOnCandidates(problem, shard, per_shard);
     result.steps += local.steps;
     local_solutions.push_back(std::move(local.elements));
   }
 
   // Round 2 + safeguard (shared with the RPC coordinator).
   AlgorithmResult merged =
-      MergeShardSolutions(problem, local_solutions, p, config);
+      MergeShardSolutions(problem, local_solutions, p);
   result.steps += merged.steps;
   result.elements = std::move(merged.elements);
   result.objective = merged.objective;
@@ -161,7 +134,7 @@ AlgorithmResult DistributedGreedy(const DiversificationProblem& problem,
   // pure function of it.
   const std::uint64_t salt = rng.NextSeed();
   return ShardedGreedy(problem, universe, options.p, options.num_shards,
-                       options.per_shard, salt, options.scan);
+                       options.per_shard, salt);
 }
 
 }  // namespace diverse

@@ -25,6 +25,10 @@
 // wire-protocol-level break: coordinator and shard nodes must be
 // upgraded together (bump rpc::kWireVersion to force it).
 //
+// Every greedy run here, per shard and on the kernel, is the plain
+// BestPrimeAddOver + SolutionState::Add scan; pivot pruning serves swap
+// scans only (engine::ResolvePruning).
+//
 // No worst-case guarantee is claimed here (that is the cited follow-up
 // work); tests and bench/ablation_distributed measure empirical quality
 // against the sequential algorithm.
@@ -37,19 +41,9 @@
 
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
-#include "metric/pruning_index.h"
 #include "util/random.h"
 
 namespace diverse {
-
-// Scan configuration shared by the candidate-restricted greedy entry
-// points: an optional pivot pruning index. When the index is usable,
-// greedy rounds run through the pruned scanner
-// (core/incremental_evaluator.h) — results stay bit-equal to the full
-// scan, so config choices never change answers.
-struct CandidateScanConfig {
-  const PruningIndex* pruning = nullptr;
-};
 
 struct DistributedOptions {
   int p = 0;
@@ -58,8 +52,6 @@ struct DistributedOptions {
   int num_shards = 4;
   // Elements each shard returns; defaults to p when <= 0.
   int per_shard = 0;
-  // Scan tuning for the per-shard and kernel greedy runs.
-  CandidateScanConfig scan{};
 };
 
 // Shard id in [0, num_shards) for `element` under `salt` — a pure function
@@ -77,10 +69,6 @@ std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
 AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
                                          const std::vector<int>& candidates,
                                          int p);
-AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
-                                         const std::vector<int>& candidates,
-                                         int p,
-                                         const CandidateScanConfig& config);
 
 // Round 2 of the two-round scheme, shared verbatim by ShardedGreedy and
 // the RPC coordinator (src/rpc/coordinator.cc) so the two paths cannot
@@ -93,8 +81,7 @@ AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
 // steps counts the kernel run only; callers add the per-shard steps.
 AlgorithmResult MergeShardSolutions(
     const DiversificationProblem& problem,
-    const std::vector<std::vector<int>>& local_solutions, int p,
-    const CandidateScanConfig& config = CandidateScanConfig());
+    const std::vector<std::vector<int>>& local_solutions, int p);
 
 // The two-round scheme over an explicit candidate pool: hash-partition with
 // `salt`, Greedy B per shard (per_shard <= 0 defaults to p), union the
@@ -105,10 +92,6 @@ AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
                               std::span<const int> candidates, int p,
                               int num_shards, int per_shard,
                               std::uint64_t salt);
-AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
-                              std::span<const int> candidates, int p,
-                              int num_shards, int per_shard, std::uint64_t salt,
-                              const CandidateScanConfig& config);
 
 AlgorithmResult DistributedGreedy(const DiversificationProblem& problem,
                                   const DistributedOptions& options,

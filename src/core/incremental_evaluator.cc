@@ -309,127 +309,4 @@ void IncrementalEvaluator::RegisterMetrics(obs::MetricRegistry* registry,
       prefix + "_fallback_scans_total", &fallback_scans_));
 }
 
-PrunedGreedyScanner::PrunedGreedyScanner(SolutionState* state,
-                                         const PruningIndex& index)
-    : state_(state), bounds_(index, state->problem().metric()) {
-  DIVERSE_CHECK(state != nullptr);
-  DIVERSE_CHECK_MSG(state->size() == 0,
-                    "PrunedGreedyScanner requires an empty starting state");
-  use_bounds_ = bounds_.active();
-  const std::size_t n = static_cast<std::size_t>(state->universe_size());
-  dts_.assign(n, 0.0);
-  dts_ub_.assign(n, 0.0);
-  exact_upto_.assign(n, 0);
-  ub_upto_.assign(n, 0);
-}
-
-double PrunedGreedyScanner::QualityGain(int c) const {
-  return state_->eval_->Gain(c);
-}
-
-double PrunedGreedyScanner::Refresh(int c, bool check) {
-  const int k = static_cast<int>(added_.size());
-  if (exact_upto_[c] == k) return dts_[c];
-  const int from = exact_upto_[c];
-  ids_scratch_.assign(added_.begin() + from, added_.end());
-  scratch_.resize(ids_scratch_.size());
-  const MetricSpace& metric = state_->problem().metric();
-  if (const MetricBackend* backend = AsBackend(&metric)) {
-    backend->DistancesTo(c, ids_scratch_, scratch_);
-  } else {
-    for (std::size_t i = 0; i < ids_scratch_.size(); ++i) {
-      scratch_[i] = metric.Distance(c, ids_scratch_[i]);
-    }
-  }
-  for (std::size_t i = 0; i < ids_scratch_.size(); ++i) {
-    // Same accumulation order as SolutionState::Add's per-round row
-    // refresh, so the partial sums — and hence PrimeGain — match it
-    // bit-wise.
-    dts_[c] += scratch_[i];
-    if (check && use_bounds_ &&
-        !bounds_.Consistent(profiles_[static_cast<std::size_t>(from) + i], c,
-                            scratch_[i])) {
-      round_violation_ = true;
-    }
-  }
-  exact_upto_[c] = k;
-  dts_ub_[c] = dts_[c];
-  ub_upto_[c] = k;
-  return dts_[c];
-}
-
-ScoredCandidate PrunedGreedyScanner::AddBest(std::span<const int> candidates) {
-  ++stats_.batch_scans;
-  const double lambda = state_->lambda();
-  const int k = static_cast<int>(added_.size());
-  round_violation_ = false;
-  ScoredCandidate best;
-  long long pruned = 0;
-  for (int c : candidates) {
-    if (state_->Contains(c)) continue;
-    const double f_gain = QualityGain(c);
-    if (use_bounds_) {
-      // Fold the missed rounds' pivot upper bounds into dts_ub in add
-      // order — the same accumulation shape as the exact refresh, so
-      // rounding monotonicity keeps dts <= dts_ub bit-wise.
-      for (int j = ub_upto_[c]; j < k; ++j) {
-        dts_ub_[c] =
-            dts_ub_[c] + bounds_.Upper(profiles_[static_cast<std::size_t>(j)],
-                                       c);
-      }
-      ub_upto_[c] = k;
-      if (best.valid()) {
-        // PrimeGain's exact expression shape with the upper accumulation
-        // substituted for dist_to_set.
-        const double gain_ub = 0.5 * f_gain + lambda * dts_ub_[c];
-        if (gain_ub <= best.gain) {
-          ++pruned;
-          continue;
-        }
-      }
-    }
-    const double dts = Refresh(c, /*check=*/true);
-    if (round_violation_) break;
-    const double gain = 0.5 * f_gain + lambda * dts;
-    ++stats_.candidates_scored;
-    if (!best.valid() || gain > best.gain) {
-      best.element = c;
-      best.gain = gain;
-    }
-  }
-  if (round_violation_) {
-    // Non-metric data: every pruning decision this round is unsound.
-    // Rescore the whole round exactly.
-    ++stats_.fallback_scans;
-    GlobalPruningCounters().fallback_scans.Inc();
-    best = ScoredCandidate();
-    for (int c : candidates) {
-      if (state_->Contains(c)) continue;
-      const double gain =
-          0.5 * QualityGain(c) + lambda * Refresh(c, /*check=*/false);
-      ++stats_.candidates_scored;
-      if (!best.valid() || gain > best.gain) {
-        best.element = c;
-        best.gain = gain;
-      }
-    }
-  } else if (use_bounds_) {
-    stats_.candidates_pruned += pruned;
-    ++stats_.certified_scans;
-    GlobalPruningCounters().candidates_pruned.Inc(pruned);
-    GlobalPruningCounters().certified_scans.Inc();
-  }
-  if (!best.valid()) return best;
-  state_->AddPrescored(best.element, dts_[best.element]);
-  if (use_bounds_) {
-    profiles_.emplace_back(static_cast<std::size_t>(bounds_.num_pivots()));
-    if (!bounds_.Profile(best.element, profiles_.back())) {
-      // Member outside the index's coverage: stop pruning, stay exact.
-      use_bounds_ = false;
-    }
-  }
-  added_.push_back(best.element);
-  return best;
-}
-
 }  // namespace diverse

@@ -180,65 +180,6 @@ class IncrementalEvaluator {
   std::vector<obs::MetricRegistry::Registration> registrations_;
 };
 
-// Pruned greedy-add driver: runs Greedy B rounds over a fixed candidate
-// list, bit-equal to `BestPrimeAddOver + SolutionState::Add` per round,
-// while avoiding the O(n) dist-to-set row refresh per add that dominates
-// greedy on lazy (vector) backends.
-//
-// Per candidate c it maintains
-//   dts[c]    — d_c(S') exact through the first `exact_upto[c]` adds,
-//   dts_ub[c] — an upper accumulation extended with pivot UpperBound
-//               terms per missed round, in add order, so IEEE rounding
-//               monotonicity gives dts[c] <= dts_ub[c] bit-wise.
-// A round scans candidates in position order: the prime-gain upper bound
-// (0.5 f_gain + lambda * dts_ub, the exact PrimeGain expression shape)
-// prunes candidates that cannot strictly beat the running best; survivors
-// refresh dts exactly via one batched DistancesTo over the missed members
-// (same accumulation order as SolutionState::Add, hence bit-equal) with
-// the per-distance bound cross-check, and the winner is applied through
-// SolutionState::AddPrescored. A detected bound violation rescores the
-// whole round exactly (fallback).
-//
-// The scanner owns `state` exclusively for the duration of the greedy run
-// (state must start empty); the state's dist_to_set_ cache is left stale
-// and must not be consulted afterwards — callers read members() and
-// objective(), which stay exact.
-class PrunedGreedyScanner {
- public:
-  PrunedGreedyScanner(SolutionState* state, const PruningIndex& index);
-
-  // Scores `candidates` (members skipped), applies the best prime-gain
-  // add, and returns it; invalid result (and no mutation) when no
-  // candidate qualifies. Bit-equal to
-  // `eval.BestPrimeAddOver(candidates); state.Add(best)`.
-  ScoredCandidate AddBest(std::span<const int> candidates);
-
-  IncrementalEvaluator::Stats stats() const { return stats_; }
-
- private:
-  // Brings dts_[c] exact through all current members (one batched
-  // DistancesTo over the missed adds, accumulated in add order); when
-  // `check` is set, each fresh distance is cross-checked against the
-  // member's bound interval, flagging round_violation_ on failure.
-  double Refresh(int c, bool check);
-  double QualityGain(int c) const;
-
-  SolutionState* state_;
-  PruningBounds bounds_;
-  bool use_bounds_ = false;
-  bool round_violation_ = false;
-  std::vector<int> added_;  // members in add order
-  // Pivot-distance profile of added_[j], cached at apply time.
-  std::vector<std::vector<double>> profiles_;
-  std::vector<double> dts_;
-  std::vector<double> dts_ub_;
-  std::vector<int> exact_upto_;
-  std::vector<int> ub_upto_;
-  std::vector<double> scratch_;
-  std::vector<int> ids_scratch_;
-  IncrementalEvaluator::Stats stats_;
-};
-
 }  // namespace diverse
 
 #endif  // DIVERSE_CORE_INCREMENTAL_EVALUATOR_H_

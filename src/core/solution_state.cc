@@ -99,18 +99,6 @@ void SolutionState::Add(int v) {
   }
 }
 
-void SolutionState::AddPrescored(int v, double dist_to_set_v) {
-  DIVERSE_CHECK(0 <= v && v < universe_size());
-  DIVERSE_CHECK_MSG(!in_set_[v], "Add of an element already in S");
-  // Mirrors Add() exactly — same expression shapes, `dist_to_set_v`
-  // substituting for dist_to_set_[v] — minus the O(n) row refresh.
-  objective_ += eval_->Gain(v) + lambda() * dist_to_set_v;
-  dispersion_sum_ += dist_to_set_v;
-  eval_->Add(v);
-  members_.push_back(v);
-  in_set_[v] = true;
-}
-
 void SolutionState::Remove(int v) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(in_set_[v], "Remove of an element not in S");

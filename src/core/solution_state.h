@@ -103,19 +103,8 @@ class SolutionState {
 
  private:
   // The batched oracle hoists quality-evaluator repositioning out of its
-  // swap scans (core/incremental_evaluator.h). The pruned greedy
-  // scanner maintains dist_to_set lazily on its own and applies adds
-  // through AddPrescored.
+  // swap scans (core/incremental_evaluator.h).
   friend class IncrementalEvaluator;
-  friend class PrunedGreedyScanner;
-
-  // Add(v) with the caller supplying d_v(S) and taking over dist_to_set
-  // maintenance: performs the exact objective/evaluator/membership
-  // bookkeeping of Add() (bit-identically, `dist_to_set_v` standing in for
-  // dist_to_set_[v]) but skips the O(n) row refresh, leaving dist_to_set_
-  // stale for every other element. Only PrunedGreedyScanner may call this;
-  // it owns the state exclusively and never reads the stale entries.
-  void AddPrescored(int v, double dist_to_set_v);
 
   void RebuildFrom(const std::vector<int>& members);
   // Row d(v, .) for the Add/Remove refresh: a resident backend row when

@@ -58,10 +58,7 @@ void DynamicUpdater::Apply(const Perturbation& perturbation) {
 
 bool DynamicUpdater::ObliviousUpdate() {
   const BestSwapResult best =
-      pruning_ != nullptr && pruning_->usable()
-          ? eval_.BestSwapOverPruned(state_.members(), eval_.Universe(),
-                                     *pruning_)
-          : eval_.BestSwapOver(state_.members(), eval_.Universe());
+      eval_.BestSwapOver(state_.members(), eval_.Universe());
   if (!best.valid() || best.gain <= 1e-12) return false;
   state_.Swap(best.out, best.in);
   ++total_swaps_;

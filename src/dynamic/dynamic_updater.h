@@ -45,17 +45,9 @@ class DynamicUpdater {
 
   // One application of the oblivious update rule. Returns true when a swap
   // was performed. O(p * n) swap-gain evaluations, batched through the
-  // incremental evaluator, or bound-pruned when SetPruning installed an
-  // index.
+  // incremental evaluator. The metric is dense, so the scan is never
+  // pruned: resident rows make a full scan cheaper than pivot bounds.
   bool ObliviousUpdate();
-
-  // Installs (or clears, with nullptr) a pivot index over the updater's
-  // metric: ObliviousUpdate switches to the pruned best-swap scan, which
-  // is bit-equal to the full scan. A resident (dense) index reads pivot
-  // rows live, so the in-place SetDistance perturbations this updater
-  // applies never stale it. The index must outlive the updater or the
-  // next SetPruning call.
-  void SetPruning(const PruningIndex* index) { pruning_ = index; }
 
   // The paper's full reaction to a perturbation: Apply() followed by the
   // prescribed number of oblivious updates for its type (1 for types I,
@@ -70,7 +62,6 @@ class DynamicUpdater {
   IncrementalEvaluator eval_;
   ModularFunction* weights_;
   DenseMetric* metric_;
-  const PruningIndex* pruning_ = nullptr;
   long long total_swaps_ = 0;
 };
 

@@ -44,6 +44,13 @@
 namespace diverse {
 namespace engine {
 
+// Whether the engine's corpus maintains a pivot pruning index
+// (metric/pruning_index.h) for the swap scans ResolvePruning admits.
+enum class PruningMode {
+  kOff,   // no index; every scan is a full scan
+  kAuto,  // maintain an index (the default)
+};
+
 class DiversificationEngine {
  public:
   struct Options {
@@ -74,11 +81,11 @@ class DiversificationEngine {
     // Sampling denominator (~1/N of untraced queries); <= 1 samples
     // every query (what the integration tests use).
     std::uint32_t trace_sample_every = 64;
-    // Candidate pruning: when != kOff the corpus builds and maintains a
-    // pivot index (metric/pruning_index.h) under `pruning_config`, and
-    // queries choose per-request via Query::pruning whether their scans
-    // use it. Pruned scans are bit-equal to full scans — this knob only
-    // trades index maintenance cost against scan speed, never answers.
+    // Candidate pruning: unless kOff, the corpus builds and maintains a
+    // pivot index under `pruning_config`. Which scans use it is not an
+    // option: see ResolvePruning (engine/execution_plan.h). Pruned scans
+    // are bit-equal to full scans, so neither field changes answers.
+    // Kept as options only because servebench/serving.cc reads them.
     PruningMode pruning = PruningMode::kAuto;
     PruningIndex::Options pruning_config{};
     // Unused; kept so code assigning it to PlanDefaults::eval still compiles.

@@ -100,15 +100,10 @@ std::vector<double> FitToUniverse(const std::vector<double>& values, int n,
 
 }  // namespace
 
-const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot,
-                                   PruningMode mode) {
+const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot) {
   const PruningIndex* index = snapshot.pruning();
-  if (index == nullptr || !index->usable() || mode == PruningMode::kOff) {
-    return nullptr;
-  }
-  if (mode == PruningMode::kForce) return index;
-  // kAuto: only lazy representations pay a per-candidate distance kernel
-  // worth avoiding; dense snapshots serve resident rows for free.
+  if (index == nullptr || !index->usable()) return nullptr;
+  // Dense snapshots serve resident rows for free; pruning them loses.
   return snapshot.repr() == MetricRepr::kVector ? index : nullptr;
 }
 
@@ -147,11 +142,6 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
       MakeProblemView(snapshot, query.relevance, query.lambda);
   const DiversificationProblem& problem = view.problem;
 
-  // Optional pruning index, shared by every kernel this query runs; it
-  // never changes answers.
-  CandidateScanConfig scan;
-  scan.pruning = ResolvePruning(snapshot, query.pruning);
-
   AlgorithmResult algo;
   if (query.plan == PlanKind::kSharded) {
     DIVERSE_CHECK_MSG(query.algorithm == QueryAlgorithm::kGreedy,
@@ -159,11 +149,11 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
     const int shards =
         query.num_shards > 0 ? query.num_shards : defaults.num_shards;
     algo = ShardedGreedy(problem, candidates, p, shards, query.per_shard,
-                         query.shard_salt, scan);
+                         query.shard_salt);
   } else {
     switch (query.algorithm) {
       case QueryAlgorithm::kGreedy:
-        algo = GreedyVertexOnCandidates(problem, candidates, p, scan);
+        algo = GreedyVertexOnCandidates(problem, candidates, p);
         break;
       case QueryAlgorithm::kLocalSearch: {
         std::optional<UniformMatroid> uniform;
@@ -183,7 +173,7 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
           constraint = &*live;
         }
         LocalSearchOptions options;
-        options.pruning = scan.pruning;
+        options.pruning = ResolvePruning(snapshot);
         algo = LocalSearch(problem, *constraint, options);
         break;
       }

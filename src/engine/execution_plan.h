@@ -7,6 +7,8 @@
 //
 //   * kSingleNode — one batched incremental-evaluator run (Greedy B over
 //     candidates, matroid local search, or density knapsack greedy);
+//     only local search's swap scans use the pivot pruning index, and
+//     only as ResolvePruning below allows;
 //   * kSharded — the deterministic hash-partitioned two-round plan
 //     (algorithms/distributed.h), reusing GreedyVertexOnCandidates as the
 //     per-shard kernel and the composable-core-set safeguard as merge;
@@ -70,11 +72,12 @@ struct PlanDefaults {
   IncrementalEvaluator::Options eval{};
 };
 
-// Resolves the index scans should use for (snapshot, mode): the
-// snapshot's index under kForce, the index only on lazy (vector)
-// snapshots under kAuto, nullptr otherwise. Never changes answers.
-const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot,
-                                   PruningMode mode);
+// The one pruning policy: swap scans prune when the snapshot is
+// MetricRepr::kVector and carries a usable index, where a full scan pays
+// an O(d) kernel per candidate; nothing else prunes. Returns that index,
+// else nullptr. Never changes answers: pruned scans are bit-equal to
+// full scans.
+const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot);
 
 // Answers `query` on `snapshot`. latency_seconds is the execution time
 // only; the engine overwrites it with queue-inclusive latency.

@@ -6,7 +6,8 @@
 // user's personalized scores over the shared corpus), an optional lambda
 // override, an algorithm choice, an optional matroid or knapsack
 // constraint, and an execution-plan choice (single-node incremental path
-// vs. the sharded two-round plan).
+// vs. the sharded two-round plan). A query has no pruning knob: which
+// scans prune follows from the snapshot (engine::ResolvePruning).
 #ifndef DIVERSE_ENGINE_QUERY_H_
 #define DIVERSE_ENGINE_QUERY_H_
 
@@ -36,17 +37,6 @@ enum class PlanKind {
                    // bit-equal to kSharded at the same snapshot version
 };
 
-// Whether scans may use the snapshot's pivot pruning index
-// (metric/pruning_index.h). Purely a performance knob: pruned scans are
-// bit-equal to full scans, so the answer never depends on it.
-enum class PruningMode {
-  kOff,    // always full scans
-  kAuto,   // prune on lazy (vector) snapshots, where full scans pay an
-           // O(d) kernel per candidate; dense snapshots keep their free
-           // resident rows
-  kForce,  // prune whenever the snapshot carries an index
-};
-
 struct Query {
   int p = 0;
   // Trade-off override; negative means "use the corpus default".
@@ -72,10 +62,6 @@ struct Query {
   // kKnapsack: per-id costs and budget (ids beyond costs.size() cost 0).
   std::vector<double> costs;
   double budget = 0.0;
-
-  // Candidate pruning for this query's scans; effective only when the
-  // engine's corpus maintains an index (engine::Options::pruning != kOff).
-  PruningMode pruning = PruningMode::kAuto;
 
   // Optional span recorder (obs/query_trace.h); must outlive the query's
   // future. Observation-only: a traced query returns bit-identical

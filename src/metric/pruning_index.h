@@ -132,8 +132,8 @@ class PruningBounds {
 };
 
 // Process-wide pruning counters. Scans are run by ephemeral per-query
-// evaluators, so the durable totals live here; engine and ShardNode
-// register them as diverse_eval_candidates_pruned_total,
+// evaluators, so the durable totals live here; the engine registers
+// them as diverse_eval_candidates_pruned_total,
 // diverse_pruning_certified_scans_total,
 // diverse_pruning_fallback_scans_total and
 // diverse_pruning_rebuilds_total.

@@ -22,29 +22,18 @@ ShardNode::ShardNode(std::vector<double> weights, DenseMetric metric,
     : replica_(std::move(weights), std::move(metric), lambda),
       options_(std::move(options)) {
   pending_from_ = replica_.version();
-  if (options_.pruning != engine::PruningMode::kOff) {
-    replica_.EnablePruning(options_.pruning_config);
-  }
   RegisterMetrics();
 }
 
 ShardNode::ShardNode(engine::CorpusState state, Options options)
     : replica_(std::move(state)), options_(std::move(options)) {
   pending_from_ = replica_.version();
-  if (options_.pruning != engine::PruningMode::kOff) {
-    replica_.EnablePruning(options_.pruning_config);
-  }
   RegisterMetrics();
 }
 
 ShardNode::ShardNode(Options options)
     : replica_({}, DenseMetric(0), 0.0), options_(std::move(options)) {
   awaiting_bootstrap_.store(true, std::memory_order_release);
-  // Pruning (if enabled) attaches once a snapshot installs: Restore
-  // rebuilds the index over the installed payload.
-  if (options_.pruning != engine::PruningMode::kOff) {
-    replica_.EnablePruning(options_.pruning_config);
-  }
   RegisterMetrics();
 }
 
@@ -82,17 +71,6 @@ void ShardNode::RegisterMetrics() {
       [this] { return static_cast<double>(replica_.version()); }));
   registrations_.push_back(registry_.RegisterHistogram(
       "diverse_node_kernel_latency_seconds", &kernel_latency_hist_));
-  // Process-wide pruning counters, scrapeable from the node like every
-  // other node metric.
-  PruningCounters& pruning = GlobalPruningCounters();
-  registrations_.push_back(registry_.RegisterCounter(
-      "diverse_eval_candidates_pruned_total", &pruning.candidates_pruned));
-  registrations_.push_back(registry_.RegisterCounter(
-      "diverse_pruning_certified_scans_total", &pruning.certified_scans));
-  registrations_.push_back(registry_.RegisterCounter(
-      "diverse_pruning_fallback_scans_total", &pruning.fallback_scans));
-  registrations_.push_back(registry_.RegisterCounter(
-      "diverse_pruning_rebuilds_total", &pruning.rebuilds));
 }
 
 std::vector<std::uint8_t> ShardNode::Handle(
@@ -187,10 +165,8 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
   const auto kernel_start = std::chrono::steady_clock::now();
   const engine::ProblemView view =
       engine::MakeProblemView(*snapshot, request.relevance, request.lambda);
-  CandidateScanConfig scan;
-  scan.pruning = engine::ResolvePruning(*snapshot, options_.pruning);
   const AlgorithmResult local =
-      GreedyVertexOnCandidates(view.problem, shard, request.per_shard, scan);
+      GreedyVertexOnCandidates(view.problem, shard, request.per_shard);
   const auto kernel_end = std::chrono::steady_clock::now();
   const double kernel_seconds =
       std::chrono::duration<double>(kernel_end - kernel_start).count();

@@ -9,7 +9,9 @@
 // or below the replica's version are skipped, making replayed batches
 // idempotent. Kernel queries run only when the replica is exactly at the
 // requested snapshot version, which is what makes the coordinator's merged
-// answer bit-equal to the in-process ShardedGreedy plan.
+// answer bit-equal to the in-process ShardedGreedy plan. Kernels are
+// greedy-only and run the plain full scan, so the replica keeps no pivot
+// pruning index (only swap scans prune, see engine::ResolvePruning).
 //
 // Durability & bootstrap (src/snapshot): a node can also cold-start from a
 // decoded checkpoint (engine::CorpusState) at any version, or completely
@@ -43,7 +45,6 @@
 #include "engine/corpus.h"
 #include "engine/query.h"
 #include "metric/dense_metric.h"
-#include "metric/pruning_index.h"
 #include "obs/metric_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
@@ -85,13 +86,6 @@ class ShardNode : public Handler {
     // kernel never sees the trace.
     obs::TraceBuffer* trace_buffer = nullptr;
     std::uint32_t trace_sample_every = 64;  // <= 1 samples every query
-    // Candidate pruning on the replica's kernels (engine/query.h
-    // semantics): != kOff makes the replica maintain a pivot index and
-    // kernel scans use it per the mode. Pruned kernels are bit-equal to
-    // full ones, so coordinator merges stay bit-equal regardless of how
-    // each node sets this.
-    engine::PruningMode pruning = engine::PruningMode::kAuto;
-    PruningIndex::Options pruning_config{};
   };
 
   struct Stats {

@@ -1,24 +1,22 @@
-// Bit-equality suite for pruned candidate scans: every pruned variant must
+// Bit-equality suite for pruned swap scans: every pruned variant must
 // return EXACTLY what the full scan returns — same elements, same IEEE
-// bits of gain/objective — across randomized churned corpora, thread
-// counts, algorithms (greedy, local search, dynamic updater), engine
-// plans (single-node, sharded, wire-level shard kernels), and across the
-// certify/fallback split (non-metric data demotes to a full rescan, never
-// to a wrong answer).
+// bits of gain/objective — across randomized corpora, local search, the
+// engine's answers across churn, and the certify/fallback split
+// (non-metric data demotes to a full rescan, never to a wrong answer).
+// Also pins the engine's one pruning policy: only swap scans on vector
+// snapshots prune.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <vector>
 
-#include "algorithms/distributed.h"
 #include "algorithms/local_search.h"
 #include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "data/synthetic.h"
-#include "dynamic/dynamic_updater.h"
-#include "dynamic/perturbation.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/execution_plan.h"
@@ -27,8 +25,9 @@
 #include "metric/dense_metric.h"
 #include "metric/pruning_index.h"
 #include "metric/vector_metric.h"
+#include "rpc/coordinator.h"
 #include "rpc/shard_node.h"
-#include "rpc/wire.h"
+#include "rpc/transport.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
 
@@ -160,90 +159,6 @@ TEST(PrunedSwapScanTest, TriangleViolationFallsBackBitEqual) {
   EXPECT_EQ(a.gain, b.gain);
 }
 
-// ---- Pruned greedy ---------------------------------------------------------
-
-class PrunedGreedyFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(PrunedGreedyFuzz, PrunedGreedyBitEqualFullGreedy) {
-  const int seed = GetParam();
-  const int n = 80;
-  Rng rng(seed * 13 + 3);
-  const VectorMetric vectors = MakeVectors(n, 5, seed * 41 + 7);
-  std::vector<double> weights(n);
-  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
-  const ModularFunction quality(weights);
-  const DiversificationProblem problem(&vectors, &quality, 0.3);
-
-  CandidateScanConfig pruned_config;
-  const auto index = BuildIndex(vectors, n, 6);
-  pruned_config.pruning = index.get();
-
-  const std::vector<int> candidates = AllIds(n);
-  for (int p : {1, 5, 12}) {
-    const AlgorithmResult full =
-        GreedyVertexOnCandidates(problem, candidates, p);
-    const AlgorithmResult pruned =
-        GreedyVertexOnCandidates(problem, candidates, p, pruned_config);
-    EXPECT_EQ(full.elements, pruned.elements) << "p=" << p;
-    EXPECT_EQ(full.objective, pruned.objective);  // bitwise
-    EXPECT_EQ(full.steps, pruned.steps);
-  }
-
-  // Dense oracle of the same data: identical answers again (resident
-  // index, no stored rows).
-  const DenseMetric dense = DenseMetric::Materialize(vectors);
-  const DiversificationProblem dense_problem(&dense, &quality, 0.3);
-  CandidateScanConfig dense_config;
-  const auto dense_index = BuildIndex(dense, n, 6);
-  dense_config.pruning = dense_index.get();
-  const AlgorithmResult dense_full =
-      GreedyVertexOnCandidates(dense_problem, candidates, 12);
-  const AlgorithmResult dense_pruned =
-      GreedyVertexOnCandidates(dense_problem, candidates, 12, dense_config);
-  EXPECT_EQ(dense_full.elements, dense_pruned.elements);
-  EXPECT_EQ(dense_full.objective, dense_pruned.objective);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PrunedGreedyFuzz, ::testing::Range(1, 9));
-
-TEST(PrunedGreedyTest, ShardedGreedyBitEqualWithPruning) {
-  const int n = 90;
-  Rng rng(71);
-  const VectorMetric vectors = MakeVectors(n, 6, 73);
-  std::vector<double> weights(n);
-  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
-  const ModularFunction quality(weights);
-  const DiversificationProblem problem(&vectors, &quality, 0.4);
-  CandidateScanConfig config;
-  const auto index = BuildIndex(vectors, n, 6);
-  config.pruning = index.get();
-  const std::vector<int> candidates = AllIds(n);
-  const AlgorithmResult full =
-      ShardedGreedy(problem, candidates, 10, 4, 0, 99);
-  const AlgorithmResult pruned =
-      ShardedGreedy(problem, candidates, 10, 4, 0, 99, config);
-  EXPECT_EQ(full.elements, pruned.elements);
-  EXPECT_EQ(full.objective, pruned.objective);
-}
-
-TEST(PrunedGreedyTest, TriangleViolationInGreedyFallsBackBitEqual) {
-  const int n = 50;
-  Rng rng(81);
-  Dataset data = MakeUniformSynthetic(n, rng);
-  data.metric.SetDistance(3, 30, 60.0);  // massive violation
-  const ModularFunction quality(data.weights);
-  const DiversificationProblem problem(&data.metric, &quality, 0.5);
-  CandidateScanConfig config;
-  const auto index = BuildIndex(data.metric, n, 5);
-  config.pruning = index.get();
-  const std::vector<int> candidates = AllIds(n);
-  const AlgorithmResult full = GreedyVertexOnCandidates(problem, candidates, 8);
-  const AlgorithmResult pruned =
-      GreedyVertexOnCandidates(problem, candidates, 8, config);
-  EXPECT_EQ(full.elements, pruned.elements);
-  EXPECT_EQ(full.objective, pruned.objective);
-}
-
 // ---- Local search ----------------------------------------------------------
 
 TEST(PrunedLocalSearchTest, LocalSearchBitEqualWithPruning) {
@@ -267,46 +182,6 @@ TEST(PrunedLocalSearchTest, LocalSearchBitEqualWithPruning) {
   }
 }
 
-// ---- Dynamic updater -------------------------------------------------------
-
-TEST(PrunedDynamicTest, ObliviousUpdatesBitEqualWithPruning) {
-  const int n = 40;
-  for (int seed : {1, 2, 3}) {
-    Rng rng(seed * 101 + 11);
-    const Dataset base = MakeUniformSynthetic(n, rng);
-
-    // Two identical mutable twins fed the same perturbation stream.
-    auto run = [&](bool prune) {
-      Rng stream(seed * 7 + 1);
-      DenseMetric metric = base.metric;
-      ModularFunction weights(base.weights);
-      DiversificationProblem problem(&metric, &weights, 0.3);
-      std::vector<int> initial;
-      for (int i = 0; i < 8; ++i) initial.push_back(i * 5 % n);
-      DynamicUpdater updater(&problem, &weights, &metric, initial);
-      std::shared_ptr<const PruningIndex> index;
-      if (prune) {
-        index = BuildIndex(metric, n, 5);
-        updater.SetPruning(index.get());
-      }
-      std::vector<std::vector<int>> trajectory;
-      for (int step = 0; step < 30; ++step) {
-        // Alternate the paper's VPERTURBATION / EPERTURBATION; U[1, 2]
-        // distance draws keep the space a genuine metric (2*lo >= hi).
-        const Perturbation perturbation =
-            (step % 2 == 0)
-                ? RandomWeightPerturbation(weights, stream, 0.0, 1.0)
-                : RandomDistancePerturbation(metric, stream, 1.0, 2.0);
-        updater.ApplyAndUpdate(perturbation);
-        trajectory.push_back(updater.solution());
-      }
-      return trajectory;
-    };
-
-    EXPECT_EQ(run(false), run(true)) << "seed=" << seed;
-  }
-}
-
 // ---- Engine end-to-end -----------------------------------------------------
 
 bool SameAnswer(const engine::QueryResult& a, const engine::QueryResult& b) {
@@ -314,7 +189,7 @@ bool SameAnswer(const engine::QueryResult& a, const engine::QueryResult& b) {
          a.objective == b.objective && a.corpus_version == b.corpus_version;
 }
 
-TEST(PrunedEngineTest, ForceVsOffBitEqualAcrossChurn) {
+TEST(PrunedEngineTest, AutoVsOffBitEqualAcrossChurn) {
   const int n = 60;
   const int dim = 6;
   Rng rng(121);
@@ -325,26 +200,25 @@ TEST(PrunedEngineTest, ForceVsOffBitEqualAcrossChurn) {
   engine::DiversificationEngine::Options off;
   off.num_workers = 1;
   off.pruning = engine::PruningMode::kOff;
-  engine::DiversificationEngine::Options force;
-  force.num_workers = 1;
-  force.pruning = engine::PruningMode::kForce;
-  force.pruning_config.num_pivots = 6;
-  force.pruning_config.rebuild_after = 2;  // exercise staleness rebuilds
+  engine::DiversificationEngine::Options automatic;  // pruning = kAuto
+  automatic.num_workers = 1;
+  automatic.pruning_config.num_pivots = 6;
+  automatic.pruning_config.rebuild_after = 2;  // exercise staleness rebuilds
 
   engine::DiversificationEngine plain(weights, vectors, 0.3, off);
-  engine::DiversificationEngine pruned(weights, vectors, 0.3, force);
+  engine::DiversificationEngine pruned(weights, vectors, 0.3, automatic);
 
   const long long rebuilds_before = GlobalPruningCounters().rebuilds.value();
 
   engine::Query query;
   query.p = 10;
-  engine::Query forced = query;
-  forced.pruning = engine::PruningMode::kForce;
-  engine::Query sharded = forced;
+  engine::Query sharded = query;
   sharded.plan = engine::PlanKind::kSharded;
   sharded.num_shards = 3;
+  engine::Query local = query;
+  local.algorithm = engine::QueryAlgorithm::kLocalSearch;
 
-  EXPECT_TRUE(SameAnswer(plain.RunSync(query), pruned.RunSync(forced)));
+  EXPECT_TRUE(SameAnswer(plain.RunSync(query), pruned.RunSync(query)));
   EXPECT_TRUE(SameAnswer(plain.RunSync(sharded), pruned.RunSync(sharded)));
 
   for (int e = 0; e < 6; ++e) {
@@ -356,92 +230,99 @@ TEST(PrunedEngineTest, ForceVsOffBitEqualAcrossChurn) {
         engine::CorpusUpdate::Erase(e)};  // ids 0..5 start alive
     plain.ApplyUpdates(epoch);
     pruned.ApplyUpdates(epoch);
-    EXPECT_TRUE(SameAnswer(plain.RunSync(query), pruned.RunSync(forced)))
+    EXPECT_TRUE(SameAnswer(plain.RunSync(query), pruned.RunSync(query)))
         << "epoch " << e;
     EXPECT_TRUE(SameAnswer(plain.RunSync(sharded), pruned.RunSync(sharded)))
         << "epoch " << e;
-
-    engine::Query local = query;
-    local.algorithm = engine::QueryAlgorithm::kLocalSearch;
-    engine::Query local_forced = local;
-    local_forced.pruning = engine::PruningMode::kForce;
-    EXPECT_TRUE(
-        SameAnswer(plain.RunSync(local), pruned.RunSync(local_forced)));
+    EXPECT_TRUE(SameAnswer(plain.RunSync(local), pruned.RunSync(local)))
+        << "epoch " << e;
   }
   // rebuild_after=2 with 6 structural epochs must have rebuilt at least
   // twice.
   EXPECT_GE(GlobalPruningCounters().rebuilds.value(), rebuilds_before + 2);
 }
 
-TEST(PrunedEngineTest, AutoPrunesVectorSnapshotsOnly) {
-  const int n = 30;
+// ---- The pruning policy ----------------------------------------------------
+
+// {candidates_pruned, certified_scans, fallback_scans, rebuilds}.
+std::array<long long, 4> PruningCounts() {
+  const PruningCounters& counters = GlobalPruningCounters();
+  return {counters.candidates_pruned.value(), counters.certified_scans.value(),
+          counters.fallback_scans.value(), counters.rebuilds.value()};
+}
+
+// Only swap scans on vector snapshots prune: greedy never does, whatever
+// the plan, and dense snapshots never do.
+TEST(PruningPolicyTest, OnlyVectorSwapScansPrune) {
+  const int n = 60;
   Rng rng(131);
   const VectorMetric vectors = MakeVectors(n, 4, 137);
   std::vector<double> weights(n);
   for (double& w : weights) w = rng.Uniform(0.0, 1.0);
 
-  engine::DiversificationEngine::Options options;
-  options.num_workers = 1;  // pruning defaults to kAuto
+  // Two shard nodes holding the vector baseline, behind a coordinator.
+  const engine::CorpusState state =
+      engine::Corpus(weights, vectors, 0.3).snapshot()->State();
+  std::vector<std::unique_ptr<rpc::ShardNode>> nodes;
+  std::vector<std::unique_ptr<rpc::InProcessTransport>> transports;
+  std::vector<rpc::Transport*> raw;
+  for (int i = 0; i < 2; ++i) {
+    nodes.push_back(
+        std::make_unique<rpc::ShardNode>(engine::CorpusState(state)));
+    transports.push_back(
+        std::make_unique<rpc::InProcessTransport>(nodes.back().get()));
+    raw.push_back(transports.back().get());
+  }
+  rpc::Coordinator coordinator(raw);
+
+  engine::DiversificationEngine::Options options;  // pruning = kAuto
+  options.num_workers = 1;
+  options.remote = &coordinator;
   engine::DiversificationEngine vec_engine(weights, vectors, 0.3, options);
   engine::DiversificationEngine dense_engine(
       weights, DenseMetric::Materialize(vectors), 0.3, options);
 
-  // kAuto resolves the index on the vector snapshot, not the dense one.
+  // Both corpora maintain an index; only the vector one resolves it.
   const engine::SnapshotPtr vec_snapshot = vec_engine.corpus().snapshot();
   const engine::SnapshotPtr dense_snapshot = dense_engine.corpus().snapshot();
   ASSERT_NE(vec_snapshot->pruning(), nullptr);
   ASSERT_NE(dense_snapshot->pruning(), nullptr);
-  EXPECT_NE(engine::ResolvePruning(*vec_snapshot, engine::PruningMode::kAuto),
-            nullptr);
-  EXPECT_EQ(
-      engine::ResolvePruning(*dense_snapshot, engine::PruningMode::kAuto),
-      nullptr);
-  EXPECT_NE(
-      engine::ResolvePruning(*dense_snapshot, engine::PruningMode::kForce),
-      nullptr);
-  EXPECT_EQ(engine::ResolvePruning(*vec_snapshot, engine::PruningMode::kOff),
-            nullptr);
+  EXPECT_NE(engine::ResolvePruning(*vec_snapshot), nullptr);
+  EXPECT_EQ(engine::ResolvePruning(*dense_snapshot), nullptr);
 
-  // And the two engines agree bitwise on answers either way.
-  engine::Query query;
-  query.p = 8;
-  EXPECT_TRUE(SameAnswer(vec_engine.RunSync(query),
-                         dense_engine.RunSync(query)));
-}
+  engine::Query greedy;
+  greedy.p = 8;
+  engine::Query sharded = greedy;
+  sharded.plan = engine::PlanKind::kSharded;
+  sharded.num_shards = 2;
+  engine::Query remote = sharded;
+  remote.plan = engine::PlanKind::kRemoteSharded;
 
-// ---- Wire-level shard kernels ----------------------------------------------
-
-TEST(PrunedShardNodeTest, KernelRepliesByteEqualWithPruning) {
-  const int n = 48;
-  Rng rng(141);
-  const VectorMetric vectors = MakeVectors(n, 5, 149);
-  std::vector<double> weights(n);
-  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
-
-  // Same baseline state for both nodes, via the vector-repr state image.
-  engine::Corpus corpus(weights, vectors, 0.4);
-  engine::CorpusState state = corpus.snapshot()->State();
-
-  rpc::ShardNode::Options off;
-  off.pruning = engine::PruningMode::kOff;
-  rpc::ShardNode::Options force;
-  force.pruning = engine::PruningMode::kForce;
-  force.pruning_config.num_pivots = 5;
-  rpc::ShardNode plain(engine::CorpusState(state), off);
-  rpc::ShardNode pruned(engine::CorpusState(state), force);
-
-  for (int shard = 0; shard < 3; ++shard) {
-    rpc::ShardQueryRequest request;
-    request.snapshot_version = state.version;
-    request.shard_salt = 7;
-    request.num_shards = 3;
-    request.shard_index = shard;
-    request.p = 6;
-    request.per_shard = 6;
-    const std::vector<std::uint8_t> payload = rpc::Encode(request);
-    EXPECT_EQ(plain.Handle(payload), pruned.Handle(payload))
-        << "shard " << shard;
+  for (const engine::Query& query : {greedy, sharded, remote}) {
+    const std::array<long long, 4> before = PruningCounts();
+    const engine::QueryResult result = vec_engine.RunSync(query);
+    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(PruningCounts(), before)
+        << "plan " << static_cast<int>(query.plan);
   }
+  EXPECT_GT(coordinator.stats().remote_shards, 0);
+  EXPECT_TRUE(SameAnswer(vec_engine.RunSync(sharded),
+                         vec_engine.RunSync(remote)));
+
+  engine::Query local = greedy;
+  local.algorithm = engine::QueryAlgorithm::kLocalSearch;
+  const long long certified_before =
+      GlobalPruningCounters().certified_scans.value();
+  const engine::QueryResult vec_local = vec_engine.RunSync(local);
+  EXPECT_GT(GlobalPruningCounters().certified_scans.value(),
+            certified_before);
+
+  const std::array<long long, 4> before = PruningCounts();
+  const engine::QueryResult dense_local = dense_engine.RunSync(local);
+  EXPECT_EQ(PruningCounts(), before);
+  EXPECT_TRUE(SameAnswer(vec_local, dense_local));
+  EXPECT_TRUE(
+      SameAnswer(vec_engine.RunSync(greedy), dense_engine.RunSync(greedy)));
 }
 
 }  // namespace

@@ -70,7 +70,6 @@ HIGHER_IS_BETTER = {
     # cheaper than bounds) and the arithmetic ratios are exact.
     "prune_speedup",
     "prune_wall_x",
-    "greedy_speedup",
     "candidates_scored_ratio",
     "certified_fraction",
     "encode_mb_s",

@@ -142,8 +142,7 @@ int RunServer(const std::string& input, int generate, int queries, int p,
               bool verify, const std::string& checkpoint_dir,
               int checkpoint_every, int compact_every, int stats_every,
               int trace_first, int http_port, int linger_ms,
-              int trace_sample_every, const std::string& pruning,
-              std::uint64_t seed) {
+              int trace_sample_every, std::uint64_t seed) {
   Rng rng(seed);
   obs::MetricRegistry registry;
   obs::TraceBuffer trace_buffer;
@@ -303,16 +302,6 @@ int RunServer(const std::string& input, int generate, int queries, int p,
     }
   }
   engine::DiversificationEngine::Options options;
-  if (pruning == "off") {
-    options.pruning = engine::PruningMode::kOff;
-  } else if (pruning == "auto") {
-    options.pruning = engine::PruningMode::kAuto;
-  } else if (pruning == "force") {
-    options.pruning = engine::PruningMode::kForce;
-  } else {
-    std::cerr << "error: --pruning must be off | auto | force\n";
-    return 1;
-  }
   options.num_workers = workers;
   options.max_batch = batch;
   options.default_num_shards = shards;
@@ -385,10 +374,6 @@ int RunServer(const std::string& input, int generate, int queries, int p,
   trace.reserve(queries);
   for (int i = 0; i < queries; ++i) {
     trace.push_back(engine::MakeSyntheticQuery(query_config, rng));
-    // The engine-level mode gates corpus index maintenance; the per-query
-    // knob picks the scan flavor. Mirror the flag into both so
-    // --pruning=force actually forces pruned scans.
-    trace.back().pruning = options.pruning;
   }
   // --trace=N attaches a span recorder to the first N queries; traces
   // must outlive their futures, so they live here until the report.
@@ -569,7 +554,6 @@ int main(int argc, char** argv) {
   int http_port = -1;
   int linger_ms = 0;
   int trace_sample_every = 64;
-  std::string pruning = "auto";
   std::string scrape;
   std::string format = "prometheus";
   std::int64_t seed = 1;
@@ -633,9 +617,6 @@ int main(int argc, char** argv) {
   flags.AddInt("trace_sample_every", &trace_sample_every,
                "sample ~1 in N untraced queries into /tracez "
                "(<= 1: every query)");
-  flags.AddString("pruning", &pruning,
-                  "candidate pruning: off | auto (lazy snapshots only) | "
-                  "force; answers are bit-equal either way");
   flags.AddString("scrape", &scrape,
                   "client mode: scrape metrics from these nodes "
                   "(host:port[,...]) over the wire protocol and exit");
@@ -649,6 +630,6 @@ int main(int argc, char** argv) {
                             batch, update_every, churn, sync, verify,
                             checkpoint_dir, checkpoint_every, compact_every,
                             stats_every, trace_first, http_port, linger_ms,
-                            trace_sample_every, pruning,
+                            trace_sample_every,
                             static_cast<std::uint64_t>(seed));
 }
