@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/argmax_scan.h"
-#include "core/distance_cache.h"
 #include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "metric/dense_metric.h"
@@ -32,17 +31,15 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
                     "weights must be the problem's quality function");
   WallTimer timer;
   AlgorithmResult result;
-  // The edge greedy rescans surviving pairs every round. For metrics that
-  // compute distances on demand, serve those scans from contiguous cached
-  // storage; metrics that are already materialized matrices (DenseMetric,
-  // an outer DistanceCache) are used directly.
+  // The edge greedy rescans surviving pairs every round. Metrics that
+  // compute distances on demand are materialized once into a dense
+  // matrix; a DenseMetric is used directly.
   const MetricSpace& base_metric = problem.metric();
-  const bool wrap_metric =
-      p >= 2 && dynamic_cast<const DenseMetric*>(&base_metric) == nullptr &&
-      dynamic_cast<const DistanceCache*>(&base_metric) == nullptr;
-  std::optional<DistanceCache> cache;
-  if (wrap_metric) cache.emplace(&base_metric);
-  const MetricSpace& metric = wrap_metric ? *cache : base_metric;
+  std::optional<DenseMetric> dense;
+  if (p >= 2 && dynamic_cast<const DenseMetric*>(&base_metric) == nullptr) {
+    dense.emplace(DenseMetric::Materialize(base_metric));
+  }
+  const MetricSpace& metric = dense ? *dense : base_metric;
   const double lambda = problem.lambda();
   obs::Counter scored;
 

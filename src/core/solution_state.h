@@ -15,8 +15,8 @@
 //   SwapGain(out,in)  = phi(S - out + in) - phi(S)
 //
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
-// row d(v, .). When the problem's metric is a MetricBackend (dense matrix,
-// feature-vector backend, DistanceCache), the row comes from one batched
+// row d(v, .). When the problem's metric is a MetricBackend (dense matrix
+// or feature-vector backend), the row comes from one batched
 // kernel call — zero-copy for resident rows — instead of n virtual
 // Distance() calls. Plain MetricSpace metrics keep the scalar path; both
 // paths accumulate in the same order, so results are bit-identical when

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/distance_cache.h"
 #include "util/check.h"
 
 namespace diverse {
@@ -260,11 +259,7 @@ std::uint64_t Corpus::RestoreLocked(CorpusState state) {
 
 Corpus Corpus::FromBaseMetric(const MetricSpace& base,
                               std::vector<double> weights, double lambda) {
-  // The cache's eager dense mode pulls each unordered pair from the base
-  // metric exactly once; Materialize then reads back cached values only.
-  const DistanceCache cache(
-      &base, {.dense_threshold = static_cast<std::size_t>(base.size())});
-  return Corpus(std::move(weights), DenseMetric::Materialize(cache), lambda);
+  return Corpus(std::move(weights), DenseMetric::Materialize(base), lambda);
 }
 
 SnapshotPtr Corpus::Build() const {

@@ -229,9 +229,10 @@ class Corpus {
   // first.
   explicit Corpus(CorpusState state);
 
-  // Materializes `base` into the dense master copy through a DistanceCache
-  // (each unordered pair is pulled from the base metric exactly once),
-  // for corpora whose natural metric is expensive (graph, cosine, ...).
+  // Materializes `base` into the dense master copy with
+  // DenseMetric::Materialize (each unordered pair is pulled from the base
+  // metric exactly once, or whole rows through the backend seam), for
+  // corpora whose natural metric is expensive (graph, cosine, ...).
   static Corpus FromBaseMetric(const MetricSpace& base,
                                std::vector<double> weights, double lambda);
 

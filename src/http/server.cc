@@ -1,30 +1,11 @@
 #include "http/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstring>
-
-#include "util/check.h"
+#include <cstddef>
+#include <string>
 
 namespace diverse {
 namespace http {
 namespace {
-
-bool WriteFull(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (sent <= 0) return false;
-    data += sent;
-    size -= static_cast<std::size_t>(sent);
-  }
-  return true;
-}
 
 void WriteResponse(int fd, const Response& response,
                    const std::string& extra_headers = "") {
@@ -35,7 +16,7 @@ void WriteResponse(int fd, const Response& response,
   out += extra_headers;
   out += "Connection: close\r\n\r\n";
   out += response.body;
-  WriteFull(fd, out.data(), out.size());
+  net::SendFull(fd, out.data(), out.size());
 }
 
 Response SimpleResponse(int status, const std::string& body) {
@@ -61,97 +42,13 @@ std::string StatusText(int status) {
 }
 
 HttpServer::HttpServer(Handler* handler, int port)
-    : HttpServer(handler, port, Options()) {}
-
-HttpServer::HttpServer(Handler* handler, int port, Options options)
-    : handler_(handler), options_(options) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DIVERSE_CHECK_MSG(fd >= 0, "cannot create http listening socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  DIVERSE_CHECK_MSG(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0,
-                    "cannot bind http port");
-  DIVERSE_CHECK_MSG(::listen(fd, 16) == 0, "cannot listen on http port");
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  DIVERSE_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&bound),
-                              &bound_len) == 0);
-  port_ = ntohs(bound.sin_port);
-  listen_fd_.store(fd, std::memory_order_release);
-}
-
-HttpServer::~HttpServer() { Stop(); }
-
-void HttpServer::Start() {
-  DIVERSE_CHECK_MSG(!accept_thread_.joinable(), "http server already started");
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-}
-
-void HttpServer::Stop() {
-  stopping_.store(true, std::memory_order_release);
-  const int listener = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (listener >= 0) {
-    ::shutdown(listener, SHUT_RDWR);
-    ::close(listener);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::unique_lock<std::mutex> lock(mu_);
-  // Wake connection threads blocked in recv; each closes its own fd and
-  // deregisters in FinishConnection.
-  for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-  idle_.wait(lock, [this] { return active_ == 0; });
-}
-
-void HttpServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;
-    const int client = ::accept(listen_fd, nullptr, nullptr);
-    if (client < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.read_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options_.read_timeout_ms / 1000;
-      tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-      ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-    bool admitted = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (active_ < options_.max_connections && !stopping_.load()) {
-        ++active_;
-        live_fds_.insert(client);
-        admitted = true;
-      }
-    }
-    if (!admitted) {
-      WriteResponse(client, SimpleResponse(503, "over connection limit"),
-                    "Retry-After: 1\r\n");
-      ::close(client);
-      continue;
-    }
-    std::thread([this, client] { ServeConnection(client); }).detach();
-  }
-}
-
-void HttpServer::FinishConnection(int client_fd) {
-  ::close(client_fd);
-  std::lock_guard<std::mutex> lock(mu_);
-  live_fds_.erase(client_fd);
-  --active_;
-  idle_.notify_all();
-}
+    : handler_(handler),
+      server_(
+          port, [this](int fd) { ServeConnection(fd); },
+          [](int fd) {
+            WriteResponse(fd, SimpleResponse(503, "over connection limit"),
+                          "Retry-After: 1\r\n");
+          }) {}
 
 void HttpServer::ServeConnection(int client_fd) {
   std::string buffer;
@@ -160,18 +57,16 @@ void HttpServer::ServeConnection(int client_fd) {
   ParseStatus status = ParseStatus::kIncomplete;
   char chunk[2048];
   // Accumulation is bounded: the parser reports kBad once the buffer
-  // passes kMaxRequestBytes without completing a request, and the
-  // SO_RCVTIMEO set at accept bounds how long a silent peer can stall
-  // each recv.
+  // passes kMaxRequestBytes without completing a request, and the whole
+  // request must arrive within the layer's deadline.
+  const net::Clock::time_point deadline = net::DeadlineIn(net::kIoTimeoutMs);
   while (buffer.size() <= kMaxRequestBytes) {
     status = ParseRequest(buffer, &request, &consumed);
     if (status != ParseStatus::kIncomplete) break;
-    const ssize_t got = ::recv(client_fd, chunk, sizeof(chunk), 0);
-    if (got <= 0) {  // EOF, timeout, or Stop()'s shutdown
-      FinishConnection(client_fd);
-      return;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(got));
+    const std::size_t got =
+        net::RecvSome(client_fd, chunk, sizeof(chunk), deadline);
+    if (got == 0) return;  // EOF, deadline, or Stop()'s shutdown
+    buffer.append(chunk, got);
   }
 
   if (status == ParseStatus::kOk) {
@@ -185,7 +80,6 @@ void HttpServer::ServeConnection(int client_fd) {
   } else {
     WriteResponse(client_fd, SimpleResponse(400, "malformed request"));
   }
-  FinishConnection(client_fd);
 }
 
 }  // namespace http

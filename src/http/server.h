@@ -1,31 +1,26 @@
-// Minimal HTTP/1.1 server for the observability front door — plain POSIX
-// sockets, no external dependencies, GET only.
+// Minimal HTTP/1.1 server for the observability front door, GET only.
 //
-// The server owns transport concerns and nothing else: it accepts
-// connections, enforces the untrusted-peer limits (connection cap,
-// per-read timeout, parser byte caps), answers protocol-level errors
-// (400 malformed, 405 non-GET, 503 over the connection cap) itself, and
-// hands every well-formed GET to a Handler. Endpoint content lives
-// behind that seam (obs/http_handler.h), mirroring how rpc::SocketServer
-// stays ignorant of what its Handler replicas do.
+// The connection layer (net/tcp_server.h) owns the transport: accept,
+// the connection cap, deadlines, and Stop(). This file owns the protocol
+// and nothing else: it applies the parser's byte caps, answers
+// protocol-level errors (400 malformed, 405 non-GET, 503 over the
+// connection cap) itself, and hands every well-formed GET to a Handler.
+// Endpoint content lives behind that seam (obs/http_handler.h), the
+// way rpc::SocketServer stays ignorant of what its Handler replicas do.
 //
 // Every response closes the connection (Connection: close). Keep-alive
 // would buy nothing for scrape traffic — Prometheus reconnects per
 // scrape interval measured in seconds — and one-request-per-connection
 // keeps the state machine trivially auditable: accumulate, parse once,
-// answer, close.
+// answer, close. A request must arrive whole within net::kIoTimeoutMs of
+// the accept, so a silent peer holds its cap slot at most that long.
 #ifndef DIVERSE_HTTP_SERVER_H_
 #define DIVERSE_HTTP_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "http/parser.h"
+#include "net/tcp_server.h"
 
 namespace diverse {
 namespace http {
@@ -52,50 +47,28 @@ class Handler {
 
 class HttpServer {
  public:
-  struct Options {
-    // Concurrent connection cap; an accept beyond it is answered 503 and
-    // closed, so a stalled scraper cannot exhaust threads.
-    std::size_t max_connections = 16;
-    // SO_RCVTIMEO per read: a peer that connects and goes silent holds
-    // its connection (and cap slot) at most this long. <= 0 disables.
-    int read_timeout_ms = 5000;
-  };
-
   // Binds and listens on `port` (0 picks an ephemeral port, see port()).
   // `handler` must outlive the server. CHECK-aborts if the socket cannot
-  // be bound, matching rpc::SocketServer: a front door that cannot
-  // listen was misconfigured, and silently serving nothing is worse.
-  HttpServer(Handler* handler, int port, Options options);
+  // be bound (see net::TcpServer).
   HttpServer(Handler* handler, int port);
-  ~HttpServer();  // implies Stop()
+  ~HttpServer() { Stop(); }
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
 
   // Starts the accept loop on a background thread.
-  void Start();
-  // Stops accepting, shuts down in-flight connections, and joins every
-  // connection thread before returning. Idempotent.
-  void Stop();
+  void Start() { server_.Start(); }
+  // Stops accepting, shuts down in-flight connections, and waits for
+  // every connection thread before returning. Idempotent.
+  void Stop() { server_.Stop(); }
 
  private:
-  void AcceptLoop();
   void ServeConnection(int client_fd);
-  void FinishConnection(int client_fd);  // bookkeeping at thread exit
 
   Handler* handler_;
-  const Options options_;
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex mu_;
-  std::condition_variable idle_;
-  std::set<int> live_fds_;       // open connection fds, for Stop() shutdown
-  std::size_t active_ = 0;       // connection threads not yet finished
+  net::TcpServer server_;
 };
 
 }  // namespace http

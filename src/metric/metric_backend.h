@@ -5,7 +5,7 @@
 // (SolutionState's Birnbaum–Goldman row updates, the IncrementalEvaluator
 // swap scans) consume whole rows d(u, .) at a time. MetricBackend adds
 // those batched queries so implementations can serve them from contiguous
-// storage (DenseMetric, DistanceCache) or compute them with SIMD-friendly
+// storage (DenseMetric) or compute them with SIMD-friendly
 // kernels over feature vectors (VectorMetric) — without the per-element
 // virtual dispatch the scalar interface forces.
 //

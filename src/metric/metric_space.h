@@ -21,8 +21,8 @@ class MetricSpace {
   // conceptually identical. Both indices must be in [0, size()).
   // Must be safe for concurrent calls while the metric is not being
   // mutated (queries running side by side on the engine's worker pool
-  // read distances concurrently); core/distance_cache.h wraps expensive
-  // implementations in contiguous storage under the same interface.
+  // read distances concurrently); DenseMetric::Materialize turns an
+  // expensive implementation into contiguous storage once.
   virtual double Distance(int u, int v) const = 0;
 };
 

@@ -1,50 +1,19 @@
 #include "rpc/socket_transport.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <string>
-#include <thread>
 
 #include "rpc/wire.h"
-#include "util/check.h"
 
 namespace diverse {
 namespace rpc {
 namespace {
-
-// Full-buffer I/O over a blocking socket; false on EOF or error. Sends use
-// MSG_NOSIGNAL so a peer that died mid-frame surfaces as a failed Call,
-// not a SIGPIPE process kill.
-bool WriteFull(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (sent <= 0) return false;
-    data += sent;
-    size -= static_cast<std::size_t>(sent);
-  }
-  return true;
-}
-
-bool ReadFull(int fd, std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t got = ::recv(fd, data, size, 0);
-    if (got <= 0) return false;
-    data += got;
-    size -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
 
 bool WriteFrame(int fd, const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
@@ -53,27 +22,29 @@ bool WriteFrame(int fd, const std::vector<std::uint8_t>& payload) {
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<std::uint8_t>(length >> (8 * i));
   }
-  return WriteFull(fd, header, sizeof(header)) &&
-         WriteFull(fd, payload.data(), payload.size());
+  return net::SendFull(fd, header, sizeof(header)) &&
+         net::SendFull(fd, payload.data(), payload.size());
 }
 
-bool ReadFrame(int fd, std::vector<std::uint8_t>* payload) {
+// Reads one frame. Its first byte must arrive by `start_by`; from then on
+// the rest of the frame must arrive within `timeout_ms` (<= 0: no bound).
+bool ReadFrame(int fd, std::vector<std::uint8_t>* payload,
+               net::Clock::time_point start_by, int timeout_ms) {
   std::uint8_t header[4];
-  if (!ReadFull(fd, header, sizeof(header))) return false;
+  const std::size_t got = net::RecvSome(fd, header, sizeof(header), start_by);
+  if (got == 0) return false;
+  const net::Clock::time_point deadline = net::DeadlineIn(timeout_ms);
+  if (!net::RecvFull(fd, header + got, sizeof(header) - got, deadline)) {
+    return false;
+  }
   std::uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
     length |= std::uint32_t{header[i]} << (8 * i);
   }
   if (length > kMaxFrameBytes) return false;
   payload->resize(length);
-  return length == 0 || ReadFull(fd, payload->data(), length);
+  return net::RecvFull(fd, payload->data(), length, deadline);
 }
-
-}  // namespace
-
-// ---- SocketTransport (client) ---------------------------------------------
-
-namespace {
 
 // Connect with a deadline: non-blocking connect + poll, then back to
 // blocking mode. A plain blocking ::connect can hang for minutes against
@@ -98,16 +69,9 @@ bool ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t addr_len,
   return connected && ::fcntl(fd, F_SETFL, flags) == 0;
 }
 
-void SetIoTimeouts(int fd, int timeout_ms) {
-  if (timeout_ms <= 0) return;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 }  // namespace
+
+// ---- SocketTransport (client) ---------------------------------------------
 
 SocketTransport::SocketTransport(std::string host, int port, int timeout_ms)
     : host_(std::move(host)), port_(port), timeout_ms_(timeout_ms) {}
@@ -131,9 +95,7 @@ bool SocketTransport::EnsureConnected() {
     const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) continue;
     if (ConnectWithTimeout(fd, ai->ai_addr, ai->ai_addrlen, timeout_ms_)) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      SetIoTimeouts(fd, timeout_ms_);
+      net::ConfigureSocket(fd, timeout_ms_);
       fd_ = fd;
       break;
     }
@@ -154,7 +116,8 @@ bool SocketTransport::Call(const std::vector<std::uint8_t>& request,
                            std::vector<std::uint8_t>* response) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!EnsureConnected()) return false;
-  if (!WriteFrame(fd_, request) || !ReadFrame(fd_, response)) {
+  if (!WriteFrame(fd_, request) ||
+      !ReadFrame(fd_, response, net::DeadlineIn(timeout_ms_), timeout_ms_)) {
     // Connection is in an unknown state mid-protocol; drop it and let the
     // next Call reconnect (the node may have restarted meanwhile).
     Disconnect();
@@ -209,83 +172,18 @@ bool ParseEndpoints(const std::string& list, std::vector<Endpoint>* out,
 
 // ---- SocketServer (node) ---------------------------------------------------
 
-SocketServer::SocketServer(Handler* node, int port) : node_(node) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  DIVERSE_CHECK_MSG(listen_fd_ >= 0, "cannot create listening socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  DIVERSE_CHECK_MSG(::bind(listen_fd_,
-                           reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0,
-                    "cannot bind shard-node port");
-  DIVERSE_CHECK_MSG(::listen(listen_fd_, 8) == 0, "cannot listen");
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  DIVERSE_CHECK(::getsockname(listen_fd_,
-                              reinterpret_cast<sockaddr*>(&bound),
-                              &bound_len) == 0);
-  port_ = ntohs(bound.sin_port);
-}
+SocketServer::SocketServer(Handler* node, int port)
+    : node_(node), server_(port, [this](int fd) { ServeConnection(fd); }) {}
 
-SocketServer::~SocketServer() {
-  Stop();
-  if (thread_.joinable()) thread_.join();
-}
-
-void SocketServer::Serve() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;
-    const int client = ::accept(listen_fd, nullptr, nullptr);
-    if (client < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      // Transient accept failure (EMFILE, ECONNABORTED, ...): back off
-      // briefly instead of busy-spinning until it clears.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    client_fd_.store(client, std::memory_order_release);
-    ServeConnection(client);
-    client_fd_.store(-1, std::memory_order_release);
-    ::close(client);
-  }
-}
-
-bool SocketServer::ServeConnection(int client_fd) {
+void SocketServer::ServeConnection(int client_fd) {
+  // The first frame is due within the deadline of the accept; after a
+  // completed frame the connection may idle until the next one starts.
+  net::Clock::time_point start_by = net::DeadlineIn(net::kIoTimeoutMs);
   std::vector<std::uint8_t> request;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (!ReadFrame(client_fd, &request)) return true;  // peer closed
-    const std::vector<std::uint8_t> reply = node_->Handle(request);
-    if (!WriteFrame(client_fd, reply)) return true;
+  while (ReadFrame(client_fd, &request, start_by, net::kIoTimeoutMs)) {
+    if (!WriteFrame(client_fd, node_->Handle(request))) return;
+    start_by = net::kNoDeadline;
   }
-  return false;
-}
-
-void SocketServer::Start() {
-  DIVERSE_CHECK_MSG(!thread_.joinable(), "server already started");
-  thread_ = std::thread([this] { Serve(); });
-}
-
-void SocketServer::Stop() {
-  stopping_.store(true, std::memory_order_release);
-  // Unblock a blocked accept(): shutdown wakes it on Linux; close is the
-  // portable fallback (BSD/macOS return ENOTCONN from shutdown on
-  // listening sockets and leave accept blocked). The exchange guards
-  // against double-close from Stop + destructor.
-  const int listener = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (listener >= 0) {
-    ::shutdown(listener, SHUT_RDWR);
-    ::close(listener);
-  }
-  // Unblock an in-progress client read; Serve() closes the fd.
-  const int client = client_fd_.load(std::memory_order_acquire);
-  if (client >= 0) ::shutdown(client, SHUT_RDWR);
 }
 
 }  // namespace rpc

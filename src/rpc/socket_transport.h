@@ -12,22 +12,26 @@
 // That makes a restarted shard_node_cli transparently reusable — the
 // replica it lost is re-synced by the coordinator's catch-up protocol.
 //
-// SocketServer is the server half: it binds a loopback-reachable listening
-// socket, then serves one connection at a time — read frame, Handler::
+// SocketServer is the server half: the frame loop — read frame, Handler::
 // Handle (a ShardNode replica or a StandbyCoordinator mirror), write
-// frame — until Stop(). One connection at a time matches the
-// one-coordinator deployment model; node-side parallelism across shards
-// comes from running more nodes, not more threads per node.
+// frame — run per connection by the shared connection layer
+// (net/tcp_server.h), which serves up to net::kMaxConnections
+// connections at once, each on its own thread. Handlers are therefore
+// called concurrently. Deadlines keep silent peers from holding a slot:
+// a connection's first frame must start within net::kIoTimeoutMs of the
+// accept (port probes are dropped), and every frame, once started, must
+// arrive whole within the same deadline. Between completed frames a
+// connection may idle indefinitely — the coordinator's persistent
+// transport does, between queries.
 #ifndef DIVERSE_RPC_SOCKET_TRANSPORT_H_
 #define DIVERSE_RPC_SOCKET_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/tcp_server.h"
 #include "rpc/transport.h"
 
 namespace diverse {
@@ -83,28 +87,26 @@ class SocketServer {
   // `node` must outlive the server. CHECK-aborts if the socket cannot be
   // bound — a node that cannot listen has nothing else to do.
   SocketServer(Handler* node, int port);
-  ~SocketServer();  // implies Stop()
+  ~SocketServer() { Stop(); }
 
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
 
-  // Accept/serve loop; returns after Stop(). Run directly (shard_node_cli)
-  // or via Start() on a background thread (tests).
-  void Serve();
-  void Start();
-  void Stop();
+  // Accept loop; returns after Stop(). Run directly (shard_node_cli) or
+  // via Start() on a background thread (tests).
+  void Serve() { server_.Run(); }
+  void Start() { server_.Start(); }
+  // Stops accepting, shuts down every connection (silent ones included),
+  // and waits for their threads. Idempotent.
+  void Stop() { server_.Stop(); }
 
  private:
-  bool ServeConnection(int client_fd);  // false once stopping
+  void ServeConnection(int client_fd);
 
   Handler* node_;
-  std::atomic<int> listen_fd_{-1};  // closed by Stop() to unblock accept
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> client_fd_{-1};  // shut down by Stop() to unblock reads
-  std::thread thread_;
+  net::TcpServer server_;
 };
 
 }  // namespace rpc

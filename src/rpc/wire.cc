@@ -376,17 +376,7 @@ bool Decode(std::span<const std::uint8_t> payload,
 bool Decode(std::span<const std::uint8_t> payload,
             ShardQueryResponse* message) {
   Reader reader(payload);
-  // Unlike every other message, the response decoder reads the header by
-  // hand: it accepts v2 (pre-span layout, body ends after `steps`) as
-  // well as v3, so a coordinator mid-upgrade can still read replies from
-  // nodes that have not restarted yet.
-  std::uint16_t version;
-  std::uint8_t type;
-  if (!reader.ReadU16(&version) || !reader.ReadU8(&type)) return false;
-  if (version != kWireVersion && version != 2) return false;
-  if (type != static_cast<std::uint8_t>(MessageType::kShardQueryResponse)) {
-    return false;
-  }
+  if (!ReadHeader(&reader, MessageType::kShardQueryResponse)) return false;
   if (!ReadStatus(&reader, &message->status) ||
       !reader.ReadU64(&message->node_version) ||
       !reader.ReadI32(&message->shard_index)) {
@@ -405,8 +395,7 @@ bool Decode(std::span<const std::uint8_t> payload,
     return false;
   }
   message->spans.clear();
-  if (version == 2) return reader.Done();
-  // v3 span block: mandatory (untraced responses carry a zero count), at
+  // Span block: mandatory (untraced responses carry a zero count), at
   // most kMaxResponseSpans entries, each at least 20 bytes (name length +
   // two f64s), name length bounded by the cap and by the bytes actually
   // remaining, offsets clamped like the encoder clamps them.

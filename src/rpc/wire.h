@@ -61,9 +61,14 @@ namespace rpc {
 // v2: ShardQueryRequest carries a trace id; StatsRequest/StatsResponse
 // added.
 // v3: ShardQueryResponse carries a bounded node-side span block (zero
-// spans — four count bytes — on untraced requests). The response decoder
-// alone also accepts v2 payloads (spans empty) so a mid-upgrade
-// coordinator can still read old nodes; everything else is exact-version.
+// spans — four count bytes — on untraced requests).
+//
+// Versioning policy: every coordinator, node and standby ships from one
+// tree, so there is no mixed-version cluster to serve. Every decoder is
+// exact-version: a frame whose version is not kWireVersion is rejected
+// with `false` — a node answers it with a kError ack, a coordinator
+// counts the call as failed — and never CHECK-aborted. Upgrades restart
+// the whole cluster.
 inline constexpr std::uint16_t kWireVersion = 3;
 
 // Hard ceiling on one payload (and on any decoded vector), shared with the
@@ -256,9 +261,7 @@ std::optional<MessageType> PeekType(std::span<const std::uint8_t> payload);
 
 // Each decoder returns false (leaving *message unspecified) unless the
 // payload is a complete, well-formed message of the matching type at
-// kWireVersion with no trailing bytes. Exception: the ShardQueryResponse
-// decoder also accepts v2 payloads (span block absent, `spans` left
-// empty) — see the kWireVersion comment.
+// kWireVersion with no trailing bytes.
 bool Decode(std::span<const std::uint8_t> payload, ShardQueryRequest* message);
 bool Decode(std::span<const std::uint8_t> payload,
             ShardQueryResponse* message);

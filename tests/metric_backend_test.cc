@@ -1,16 +1,15 @@
 // MetricBackend seam tests: the batched-kernel contract (every batched
 // query bit-equal to scalar Distance()), the VectorMetric kernel's
 // bit-reproducibility and symmetry, DenseMetric::Materialize as a
-// bit-equality oracle, DistanceCache delegate mode, repr-aware update /
-// state validation, and end-to-end engine answers over the vector
-// backend matching the dense oracle bitwise across churn epochs.
+// bit-equality oracle, repr-aware update / state validation, and
+// end-to-end engine answers over the vector backend matching the dense
+// oracle bitwise across churn epochs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "core/distance_cache.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/query.h"
@@ -134,29 +133,6 @@ TEST(MetricBackendTest, AsBackendSeesBackendsOnly) {
   const DenseMetric dense(4);
   EXPECT_NE(AsBackend(&vectors), nullptr);
   EXPECT_NE(AsBackend(&dense), nullptr);
-}
-
-TEST(DistanceCacheDelegateTest, ForwardsToBaseKernels) {
-  const VectorMetric vectors = MakeVectors(19, 4, 19);
-  DistanceCache cache(&vectors, {.delegate = true});
-  EXPECT_TRUE(cache.delegating());
-  EXPECT_FALSE(cache.dense());
-  const int n = cache.size();
-  ASSERT_EQ(n, vectors.size());
-  std::vector<double> row(n);
-  for (int u = 0; u < n; ++u) {
-    cache.DistanceRow(u, row);
-    for (int v = 0; v < n; ++v) {
-      EXPECT_EQ(row[v], vectors.Distance(u, v));
-      EXPECT_EQ(cache.Distance(u, v), vectors.Distance(u, v));
-    }
-  }
-  // Nothing materialized: the base is authoritative, Refresh is a no-op.
-  EXPECT_EQ(cache.TryRow(0), vectors.TryRow(0));
-  const std::uint64_t version = cache.version();
-  cache.Refresh(0, 1);
-  EXPECT_EQ(cache.Distance(0, 1), vectors.Distance(0, 1));
-  EXPECT_GE(cache.version(), version);
 }
 
 // ---- Default batched fallbacks over plain scalar metrics -------------------

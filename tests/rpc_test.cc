@@ -6,6 +6,13 @@
 // corpus updates, and across engine worker-pool sizes.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -19,9 +26,11 @@
 #include "engine/engine.h"
 #include "engine/execution_plan.h"
 #include "engine/workload.h"
+#include "net/tcp_server.h"
 #include "rpc/coordinator.h"
 #include "rpc/shard_node.h"
 #include "rpc/socket_transport.h"
+#include "rpc/stats.h"
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 #include "snapshot/checkpoint_store.h"
@@ -717,6 +726,91 @@ TEST(RpcTest, SocketLoopbackEndToEnd) {
   for (auto& server : servers) server->Stop();
   ExpectBitEqual(engine, MakeQuery(50, 7, 4, qrng.NextSeed(), qrng));
   EXPECT_GT(coordinator.stats().local_fallbacks, 0);
+}
+
+// A raw loopback connection to `port` (-1 on failure); the caller closes
+// it.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// True once the server has closed `fd` (a read sees EOF or a reset)
+// within `wait_ms`.
+bool ClosedByServer(int fd, int wait_ms) {
+  pollfd waiter{fd, POLLIN, 0};
+  if (::poll(&waiter, 1, wait_ms) != 1) return false;
+  char byte;
+  return ::recv(fd, &byte, 1, 0) <= 0;
+}
+
+// Peers that connect and send nothing, or stop mid-frame, hold one
+// connection each and never block the node for anyone else; each is
+// dropped at the server's deadline, while a transport that idles between
+// completed frames keeps its connection; Stop() does not wait on them.
+TEST(RpcTest, SilentPeersDoNotWedgeSocketServer) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  Rng rng(31);
+  Dataset data = MakeUniformSynthetic(30, rng);
+  ShardNode node(data.weights, std::move(data.metric), 0.3);
+  SocketServer server(&node, /*port=*/0);
+  server.Start();
+
+  const int silent = ConnectLoopback(server.port());
+  const int half = ConnectLoopback(server.port());
+  ASSERT_GE(silent, 0);
+  ASSERT_GE(half, 0);
+  const steady_clock::time_point stalled = steady_clock::now();
+  const std::uint8_t half_header[2] = {8, 0};  // 2 of 4 length bytes
+  ASSERT_EQ(::send(half, half_header, sizeof(half_header), 0), 2);
+
+  // A round trip completes well under the transport's 5 s timeout.
+  SocketTransport transport("127.0.0.1", server.port());
+  std::string text;
+  const steady_clock::time_point call = steady_clock::now();
+  ASSERT_TRUE(ScrapeStats(&transport, StatsFormat::kPrometheus, &text));
+  const steady_clock::time_point idle_since = steady_clock::now();
+  EXPECT_LT(idle_since - call, milliseconds(1000));
+  EXPECT_NE(text.find("diverse_"), std::string::npos);
+
+  // The half frame is dropped at the deadline, not before it; so is the
+  // peer whose first frame never started.
+  EXPECT_TRUE(ClosedByServer(half, net::kIoTimeoutMs + 3000));
+  EXPECT_GE(steady_clock::now() - stalled,
+            milliseconds(net::kIoTimeoutMs - 500));
+  EXPECT_TRUE(ClosedByServer(silent, 3000));
+  ::close(half);
+  ::close(silent);
+
+  // The transport idled past the deadline after a completed frame; its
+  // connection is still served.
+  std::this_thread::sleep_until(idle_since +
+                                milliseconds(net::kIoTimeoutMs + 500));
+  ASSERT_TRUE(ScrapeStats(&transport, StatsFormat::kPrometheus, &text));
+
+  // Stop() returns promptly while a silent connection is still open. A
+  // second transport's round trip proves the silent one was accepted
+  // (the accept loop takes connections in order).
+  const int late = ConnectLoopback(server.port());
+  ASSERT_GE(late, 0);
+  SocketTransport second("127.0.0.1", server.port());
+  ASSERT_TRUE(ScrapeStats(&second, StatsFormat::kPrometheus, &text));
+  const steady_clock::time_point stop = steady_clock::now();
+  server.Stop();
+  EXPECT_LT(steady_clock::now() - stop, milliseconds(1000));
+  EXPECT_TRUE(ClosedByServer(late, 1000));
+  ::close(late);
 }
 
 }  // namespace

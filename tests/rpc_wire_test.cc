@@ -233,9 +233,10 @@ TEST(RpcWireTest, ResponseSpanBlockTotality) {
   EXPECT_EQ(decoded.spans[0].duration_seconds, 0.0);
 }
 
-// A coordinator mid-upgrade must still read replies from nodes speaking
-// the pre-span v2 layout: same body up through `steps`, no span block.
-TEST(RpcWireTest, ResponseCrossVersionV2Decode) {
+// Versioning is exact: a response in the pre-span v2 layout (same body
+// up through `steps`, no span block) is rejected, not read with empty
+// spans — every binary ships from one tree, so no peer speaks v2.
+TEST(RpcWireTest, ResponseV2HeaderRejected) {
   ShardQueryResponse response;
   response.status = RpcStatus::kOk;
   response.node_version = 4;
@@ -245,37 +246,33 @@ TEST(RpcWireTest, ResponseCrossVersionV2Decode) {
   response.steps = 12;
   // Build the v2 payload from the v3 one: drop the (empty) span block's
   // count and rewrite the version header to 2.
-  std::vector<std::uint8_t> v2 = Encode(response);
+  const std::vector<std::uint8_t> v3 = Encode(response);
+  std::vector<std::uint8_t> v2 = v3;
   v2.resize(v2.size() - 4);
   v2[0] = 2;
   v2[1] = 0;
   ShardQueryResponse decoded;
-  decoded.spans.push_back({"stale", 1.0, 1.0});
-  ASSERT_TRUE(Decode(v2, &decoded));
-  EXPECT_EQ(decoded.status, response.status);
-  EXPECT_EQ(decoded.node_version, response.node_version);
-  EXPECT_EQ(decoded.elements, response.elements);
-  EXPECT_EQ(decoded.objective, response.objective);
-  EXPECT_EQ(decoded.steps, response.steps);
-  EXPECT_TRUE(decoded.spans.empty());  // cleared, not carried over
-
-  // v2 with trailing bytes (e.g. a span block it has no business
-  // carrying) is garbage, not a negotiation.
-  std::vector<std::uint8_t> v2_trailing = v2;
-  v2_trailing.push_back(0);
-  EXPECT_FALSE(Decode(v2_trailing, &decoded));
+  EXPECT_FALSE(Decode(v2, &decoded));
+  // A v2 header on the full v3 body is rejected too: the version alone
+  // decides, not whether the body happens to parse.
+  std::vector<std::uint8_t> v2_header = v3;
+  v2_header[0] = 2;
+  EXPECT_FALSE(Decode(v2_header, &decoded));
   // Every strict prefix of the v2 payload is still rejected.
   for (std::size_t len = 0; len < v2.size(); ++len) {
     EXPECT_FALSE(Decode(std::span(v2.data(), len), &decoded))
         << "prefix length " << len;
   }
-  // Other versions get no such grace: v1 and v4 are both rejected.
-  std::vector<std::uint8_t> v1 = v2;
+  // No other version gets grace either: v1 and v4 are both rejected.
+  std::vector<std::uint8_t> v1 = v3;
   v1[0] = 1;
   EXPECT_FALSE(Decode(v1, &decoded));
-  std::vector<std::uint8_t> v4 = v2;
+  std::vector<std::uint8_t> v4 = v3;
   v4[0] = 4;
   EXPECT_FALSE(Decode(v4, &decoded));
+  // The unmodified v3 payload still decodes.
+  ASSERT_TRUE(Decode(v3, &decoded));
+  EXPECT_EQ(decoded.elements, response.elements);
 }
 
 TEST(RpcWireTest, UpdateBatchRoundTrip) {

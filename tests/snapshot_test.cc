@@ -106,7 +106,7 @@ TEST(SnapshotCodecTest, RoundTripWeightOnlyEpochSnapshot) {
 }
 
 // Corpora materialized from a lazy base metric (Corpus::FromBaseMetric's
-// DistanceCache path) snapshot like dense-native ones.
+// DenseMetric::Materialize path) snapshot like dense-native ones.
 TEST(SnapshotCodecTest, RoundTripLazyMetricCorpus) {
   Rng rng(23);
   ClusteredConfig config;

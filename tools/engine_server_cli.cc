@@ -241,12 +241,11 @@ int RunServer(const std::string& input, int generate, int queries, int p,
     }
     transports = MakeTransports(node_endpoints);
     mirror_transports = MakeTransports(standby_endpoints);
-    // /metrics/cluster scrapes ride the coordinator's query transports:
-    // each node serves ONE connection at a time (rpc::SocketServer), so a
-    // second scrape connection would never be accepted while the
-    // coordinator holds the first. Transport::Call serializes frames
-    // under the per-connection mutex, so a scrape interleaves cleanly
-    // with query fan-out.
+    // /metrics/cluster scrapes ride the coordinator's query transports,
+    // so a scrape opens no connection of its own and takes no slot under
+    // a node's connection cap. Transport::Call serializes frames under
+    // the per-connection mutex, so a scrape interleaves cleanly with
+    // query fan-out.
     for (std::size_t i = 0; i < node_endpoints.size(); ++i) {
       rpc::SocketTransport* transport = transports[i].get();
       cluster_sources.push_back(
