@@ -1,10 +1,10 @@
 // Pivot-index candidate pruning bench — emits BENCH_pruning.json.
 //
-// Three record families, each at n = 2000 and n = 4000 on clustered
-// Euclidean data (clusters are what give triangle bounds their teeth —
-// most candidates sit far from the running best and prune away):
+// Two record families, each at n = 2000 and n = 4000 on clustered
+// Euclidean feature vectors (clusters are what give triangle bounds their
+// teeth — most candidates sit far from the running best and prune away):
 //
-//   * swap_{vector,dense}_<n> — best-swap local-search scans: the same
+//   * swap_vector_<n> — best-swap local-search scans: the same
 //     swap trajectory walked twice, once with BestSwapOver (full) and
 //     once with BestSwapOverPruned, answers asserted bit-equal each
 //     round. `prune_speedup` = full_seconds / pruned_seconds (machine-
@@ -34,7 +34,6 @@
 #include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "engine/corpus.h"
-#include "metric/dense_metric.h"
 #include "metric/pruning_index.h"
 #include "metric/vector_metric.h"
 #include "submodular/modular_function.h"
@@ -84,7 +83,8 @@ struct SwapArm {
 
 // Walks `rounds` best-swap steps twice — full scan and pruned scan over
 // twin states — applying the (identical) winning swap to both so every
-// round scans a fresh solution.
+// round scans a fresh solution. Pruning tallies are deltas of the
+// process-wide counters, which only the pruned scans move.
 SwapArm RunSwapArm(const DiversificationProblem& problem,
                    const PruningIndex& index, int p, int rounds,
                    std::uint64_t seed) {
@@ -101,6 +101,10 @@ SwapArm RunSwapArm(const DiversificationProblem& problem,
   }
   const IncrementalEvaluator full_eval(&full_state);
   const IncrementalEvaluator pruned_eval(&pruned_state);
+  const PruningCounters& counters = GlobalPruningCounters();
+  const long long pruned_before = counters.candidates_pruned.value();
+  const long long certified_before = counters.certified_scans.value();
+  const long long fallback_before = counters.fallback_scans.value();
   for (int round = 0; round < rounds; ++round) {
     WallTimer full_wall;
     const BestSwapResult full =
@@ -116,24 +120,18 @@ SwapArm RunSwapArm(const DiversificationProblem& problem,
     full_state.Swap(full.out, full.in);
     pruned_state.Swap(pruned.out, pruned.in);
   }
-  const IncrementalEvaluator::Stats full_stats = full_eval.stats();
-  const IncrementalEvaluator::Stats pruned_stats = pruned_eval.stats();
-  arm.full_scored = full_stats.candidates_scored;
-  arm.pruned_scored = pruned_stats.candidates_scored;
-  arm.pruned_skipped = pruned_stats.candidates_pruned;
-  arm.certified = pruned_stats.certified_scans;
-  arm.fallback = pruned_stats.fallback_scans;
+  arm.pruned_skipped = counters.candidates_pruned.value() - pruned_before;
+  arm.certified = counters.certified_scans.value() - certified_before;
+  arm.fallback = counters.fallback_scans.value() - fallback_before;
+  arm.full_scored = full_eval.stats().candidates_scored;
+  arm.pruned_scored = pruned_eval.stats().candidates_scored;
   return arm;
 }
 
-// `gated` picks the wall-ratio field name: the lazy vector arm emits the
-// baseline-gated `prune_speedup` (bounds replace an O(d) kernel there, so
-// pruning must win); the dense arm emits advisory `prune_wall_x` — its
-// exact scores are resident-row reads that bounds cannot beat, and the
-// arm exists for the scored-ratio and bit-equality story, not wall time.
+// `prune_speedup` is baseline-gated: bounds replace an O(d) kernel per
+// candidate, so pruning must win.
 bool EmitSwapRecord(bench::BenchJson& json, const std::string& name, int n,
-                    const SwapArm& arm, bool& gates_ok, bool gate_ratio,
-                    bool gated) {
+                    const SwapArm& arm, bool& gates_ok, bool gate_ratio) {
   const double speedup =
       arm.pruned_seconds > 0.0 ? arm.full_seconds / arm.pruned_seconds : 0.0;
   const double scored_ratio =
@@ -147,7 +145,7 @@ bool EmitSwapRecord(bench::BenchJson& json, const std::string& name, int n,
       .Add("n", static_cast<long long>(n))
       .Add("full_seconds", arm.full_seconds)
       .Add("pruned_seconds", arm.pruned_seconds)
-      .Add(gated ? "prune_speedup" : "prune_wall_x", speedup)
+      .Add("prune_speedup", speedup)
       .Add("candidates_scored_ratio", scored_ratio)
       .Add("candidates_pruned", arm.pruned_skipped)
       .Add("certified_fraction", certified_fraction)
@@ -196,17 +194,7 @@ int Run(int dim, int p, int rounds, std::uint64_t seed) {
     vector_arm.bit_equal =
         repeats[0].bit_equal && repeats[1].bit_equal && repeats[2].bit_equal;
     EmitSwapRecord(json, "swap_vector_" + std::to_string(n), n, vector_arm,
-                   gates_ok, /*gate_ratio=*/n == 4000, /*gated=*/true);
-
-    // Swap scans, dense oracle of the same data (resident index: pivot
-    // rows read live, nothing stored).
-    const DenseMetric dense = DenseMetric::Materialize(vectors);
-    const DiversificationProblem dense_problem(&dense, &quality, 0.5);
-    const auto dense_index = PruningIndex::Build(dense, AllIds(n), options);
-    const SwapArm dense_arm =
-        RunSwapArm(dense_problem, *dense_index, p, rounds, seed + 1);
-    EmitSwapRecord(json, "swap_dense_" + std::to_string(n), n, dense_arm,
-                   gates_ok, /*gate_ratio=*/n == 4000, /*gated=*/false);
+                   gates_ok, /*gate_ratio=*/n == 4000);
 
     // Epoch publish latency: the same insert/erase stream through a
     // corpus with index maintenance on vs off.
@@ -265,7 +253,7 @@ int main(int argc, char** argv) {
   std::int64_t seed = 1;
   diverse::FlagSet flags(
       "candidate_pruning — pivot-index pruned scans vs full scans "
-      "(best-swap local search, vector and dense backends) and "
+      "(best-swap local search over feature vectors) and "
       "epoch-publish overhead of index maintenance; writes "
       "BENCH_pruning.json");
   flags.AddInt("dim", &dim, "feature-vector dimension");

@@ -10,7 +10,7 @@
 namespace diverse {
 namespace {
 
-// Row d(out, .) for a swap scan: a resident backend row when available,
+// Row d(out, .) for a swap scan: a stored backend row when available,
 // else `scratch` filled by one batched kernel call, else nullptr (the
 // scan falls back to one scalar Distance() per candidate). Hoisting the
 // row out of the scan replaces per-candidate virtual dispatch
@@ -135,7 +135,7 @@ BestSwapResult IncrementalEvaluator::BestSwapOver(
 }
 
 void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
-                                             const PruningBounds& bounds,
+                                             const PruningIndex& index,
                                              std::span<double> profile,
                                              BestSwapResult* best) const {
   DIVERSE_DCHECK(state_->Contains(out));
@@ -143,7 +143,7 @@ void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
   const double lambda = state_->lambda();
   const MetricSpace& metric = state_->problem().metric();
   const double dist_out = state_->DistanceToSet(out);
-  const bool bounded = bounds.Profile(out, profile);
+  const bool bounded = index.Profile(out, profile);
   bool violated = false;
   long long scored = 0;
   long long pruned = 0;
@@ -157,7 +157,7 @@ void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
         // guarantees gain_ub >= the exact gain bit-wise, so a skipped
         // candidate could at most tie the running best — and ties lose to
         // the earlier holder.
-        const double lb = bounds.Lower(profile, in);
+        const double lb = index.Lower(profile, in);
         const double gain_ub =
             (eval.Gain(in) - f_out) +
             lambda * (state_->DistanceToSet(in) - lb - dist_out);
@@ -167,7 +167,7 @@ void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
         }
       }
       const double d_in_out = metric.Distance(in, out);
-      if (bounded && !bounds.Consistent(profile, in, d_in_out)) {
+      if (bounded && !index.Consistent(profile, in, d_in_out)) {
         violated = true;
         break;
       }
@@ -181,17 +181,14 @@ void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
   });
   candidates_scored_.Inc(scored);
   if (!bounded) return;
-  candidates_pruned_.Inc(pruned);
   GlobalPruningCounters().candidates_pruned.Inc(pruned);
   if (!violated) {
-    certified_scans_.Inc();
     GlobalPruningCounters().certified_scans.Inc();
     return;
   }
   // The data violates the triangle inequality beyond slack: the bounds
   // (and every pruning decision for this out) are unsound. Demote to the
   // unpruned reference scan.
-  fallback_scans_.Inc();
   GlobalPruningCounters().fallback_scans.Inc();
   const ScoredCandidate full = BestSwapInFor(out, ins);
   if (full.valid() && (!best->valid() || full.gain > best->gain)) {
@@ -201,10 +198,9 @@ void IncrementalEvaluator::ScanSwapInsPruned(int out, std::span<const int> ins,
 
 ScoredCandidate IncrementalEvaluator::BestSwapInForPruned(
     int out, std::span<const int> ins, const PruningIndex& index) const {
-  PruningBounds bounds(index, state_->problem().metric());
-  std::vector<double> profile(static_cast<std::size_t>(bounds.num_pivots()));
+  std::vector<double> profile(static_cast<std::size_t>(index.num_pivots()));
   BestSwapResult best;
-  ScanSwapInsPruned(out, ins, bounds, profile, &best);
+  ScanSwapInsPruned(out, ins, index, profile, &best);
   ScoredCandidate result;
   if (best.valid()) {
     result.element = best.in;
@@ -216,11 +212,10 @@ ScoredCandidate IncrementalEvaluator::BestSwapInForPruned(
 BestSwapResult IncrementalEvaluator::BestSwapOverPruned(
     std::span<const int> outs, std::span<const int> ins,
     const PruningIndex& index) const {
-  PruningBounds bounds(index, state_->problem().metric());
-  std::vector<double> profile(static_cast<std::size_t>(bounds.num_pivots()));
+  std::vector<double> profile(static_cast<std::size_t>(index.num_pivots()));
   BestSwapResult best;
   for (int out : outs) {
-    ScanSwapInsPruned(out, ins, bounds, profile, &best);
+    ScanSwapInsPruned(out, ins, index, profile, &best);
   }
   return best;
 }
@@ -282,31 +277,7 @@ IncrementalEvaluator::Stats IncrementalEvaluator::stats() const {
   stats.swap_gain_queries = swap_gain_queries_.value();
   stats.batch_scans = batch_scans_.value();
   stats.candidates_scored = candidates_scored_.value();
-  stats.candidates_pruned = candidates_pruned_.value();
-  stats.certified_scans = certified_scans_.value();
-  stats.fallback_scans = fallback_scans_.value();
   return stats;
-}
-
-void IncrementalEvaluator::RegisterMetrics(obs::MetricRegistry* registry,
-                                           const std::string& prefix) {
-  registrations_.clear();
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_add_gain_queries_total", &add_gain_queries_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_remove_gain_queries_total", &remove_gain_queries_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_swap_gain_queries_total", &swap_gain_queries_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_batch_scans_total", &batch_scans_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_candidates_scored_total", &candidates_scored_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_candidates_pruned_total", &candidates_pruned_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_certified_scans_total", &certified_scans_));
-  registrations_.push_back(registry->RegisterCounter(
-      prefix + "_fallback_scans_total", &fallback_scans_));
 }
 
 }  // namespace diverse

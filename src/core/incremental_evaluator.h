@@ -28,13 +28,11 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/argmax_scan.h"
 #include "core/solution_state.h"
 #include "metric/pruning_index.h"
-#include "obs/metric_registry.h"
 #include "obs/metrics.h"
 
 namespace diverse {
@@ -60,9 +58,6 @@ class IncrementalEvaluator {
     long long swap_gain_queries = 0;    // GainOfSwap queries
     long long batch_scans = 0;          // batched argmax/score calls
     long long candidates_scored = 0;    // candidates scored across scans
-    long long candidates_pruned = 0;    // skipped by pivot bounds
-    long long certified_scans = 0;      // pruned scans certified exact
-    long long fallback_scans = 0;       // pruned scans demoted to full
   };
 
   // `state` must outlive the evaluator. The evaluator holds no copies of
@@ -114,8 +109,8 @@ class IncrementalEvaluator {
   // could at most tie, and ties lose to the earlier holder. Every exactly
   // scored candidate's distance is cross-checked against its bound
   // interval; any violation (non-metric data) demotes that out's scan to
-  // an unpruned rescan. Counters: certified vs fallback scans, pruned
-  // candidates.
+  // an unpruned rescan. Pruned candidates and certified vs fallback scans
+  // are counted in GlobalPruningCounters().
   ScoredCandidate BestSwapInForPruned(int out, std::span<const int> ins,
                                       const PruningIndex& index) const;
 
@@ -144,24 +139,16 @@ class IncrementalEvaluator {
 
   Stats stats() const;
 
-  // Publishes the evaluator's counters into `registry` under
-  // `<prefix>_{add_gain_queries,remove_gain_queries,swap_gain_queries,
-  // batch_scans,candidates_scored}_total` (e.g. prefix "diverse_eval").
-  // The registry must outlive the evaluator; calling again replaces the
-  // previous registrations.
-  void RegisterMetrics(obs::MetricRegistry* registry,
-                       const std::string& prefix);
-
  private:
   // Runs fn() with the state's quality evaluator positioned at S - out.
   template <typename Fn>
   auto WithQualityRemoved(int out, Fn&& fn) const;
 
   // One pruned inner scan over `ins` for a fixed out, folding into *best.
-  // `profile` is scratch of size bounds.num_pivots(). On a bound
+  // `profile` is scratch of size index.num_pivots(). On a bound
   // violation the out's scan is redone via the unpruned BestSwapInFor.
   void ScanSwapInsPruned(int out, std::span<const int> ins,
-                         const PruningBounds& bounds,
+                         const PruningIndex& index,
                          std::span<double> profile,
                          BestSwapResult* best) const;
 
@@ -173,11 +160,6 @@ class IncrementalEvaluator {
   mutable obs::Counter swap_gain_queries_;
   mutable obs::Counter batch_scans_;
   mutable obs::Counter candidates_scored_;
-  mutable obs::Counter candidates_pruned_;
-  mutable obs::Counter certified_scans_;
-  mutable obs::Counter fallback_scans_;
-  // Declared last so the views unregister before the counters they read.
-  std::vector<obs::MetricRegistry::Registration> registrations_;
 };
 
 }  // namespace diverse

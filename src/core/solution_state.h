@@ -17,7 +17,7 @@
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
 // row d(v, .). When the problem's metric is a MetricBackend (dense matrix
 // or feature-vector backend), the row comes from one batched
-// kernel call — zero-copy for resident rows — instead of n virtual
+// kernel call — zero-copy for stored rows — instead of n virtual
 // Distance() calls. Plain MetricSpace metrics keep the scalar path; both
 // paths accumulate in the same order, so results are bit-identical when
 // the backend's values match the scalar ones.
@@ -107,7 +107,7 @@ class SolutionState {
   friend class IncrementalEvaluator;
 
   void RebuildFrom(const std::vector<int>& members);
-  // Row d(v, .) for the Add/Remove refresh: a resident backend row when
+  // Row d(v, .) for the Add/Remove refresh: a stored backend row when
   // available, else row_scratch_ filled by one batched kernel call, else
   // nullptr (caller falls back to scalar Distance()).
   const double* DistanceRowFor(int v);

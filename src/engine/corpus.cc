@@ -251,7 +251,8 @@ std::uint64_t Corpus::RestoreLocked(CorpusState state) {
   lambda_ = state.lambda;
   version_ = state.version;
   // A restore replaces the whole payload, so a configured index is rebuilt
-  // from scratch over the restored ids.
+  // from scratch over the restored ids — or dropped, when the restored
+  // representation is dense.
   if (pruning_enabled_) RebuildPruningLocked();
   current_.store(Build(), std::memory_order_release);
   return version_;
@@ -267,20 +268,20 @@ SnapshotPtr Corpus::Build() const {
                                         vectors_, alive_, lambda_, pruning_));
 }
 
-const MetricBackend* Corpus::BackendLocked() const {
-  return repr_ == MetricRepr::kDense
-             ? static_cast<const MetricBackend*>(metric_.get())
-             : static_cast<const MetricBackend*>(vectors_.get());
-}
-
 void Corpus::RebuildPruningLocked() {
+  pruning_staleness_ = 0;
+  // Only vector swap scans read an index (engine::ResolvePruning): a dense
+  // scan reads stored rows that pivot bounds cannot beat.
+  if (repr_ != MetricRepr::kVector) {
+    pruning_.reset();
+    return;
+  }
   std::vector<int> ids;
   ids.reserve(alive_.size());
   for (int id = 0; id < static_cast<int>(alive_.size()); ++id) {
     if (alive_[id]) ids.push_back(id);
   }
-  pruning_ = PruningIndex::Build(*BackendLocked(), ids, pruning_config_);
-  pruning_staleness_ = 0;
+  pruning_ = PruningIndex::Build(*vectors_, ids, pruning_config_);
 }
 
 void Corpus::EnablePruning(const PruningIndex::Options& config) {
@@ -386,13 +387,12 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   if (owned) metric_ = std::move(owned);
   if (owned_vectors) vectors_ = std::move(owned_vectors);
 
-  // Index maintenance. Only structural updates touch it: erases merely
-  // age it (bounds for retired ids are never queried), inserts extend
-  // coverage, and past the staleness budget the pivots are re-picked
-  // deterministically over the surviving ids. SetDistance / weight-only
-  // epochs invalidate nothing — resident (dense) indexes read pivot rows
-  // live, and kSetDistance cannot occur under kVector.
-  if (pruning_enabled_) {
+  // Index maintenance (vector corpora only). Only structural updates touch
+  // it: erases merely age it (bounds for retired ids are never queried),
+  // inserts extend coverage, and past the staleness budget the pivots are
+  // re-picked deterministically over the surviving ids. Weight-only epochs
+  // invalidate nothing, and kSetDistance cannot occur under kVector.
+  if (pruning_) {
     const int structural = inserts + erases;
     if (structural > 0) {
       pruning_staleness_ += structural;
@@ -400,7 +400,7 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
         RebuildPruningLocked();
         GlobalPruningCounters().rebuilds.Inc();
       } else if (inserts > 0) {
-        pruning_ = pruning_->WithAppended(*BackendLocked());
+        pruning_ = pruning_->WithAppended(*vectors_);
       }
     }
   }

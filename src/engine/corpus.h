@@ -180,10 +180,10 @@ class CorpusSnapshot {
   // derived via the WithQuality/WithLambda hooks.
   const DiversificationProblem& problem() const { return problem_; }
 
-  // Pivot pruning index over this version's metric payload, or nullptr
-  // when the corpus serves without one. Shared across non-structural
-  // epochs (copy-on-write); never changes query answers (pruned scans are
-  // bit-equal to full scans).
+  // Pivot pruning index over this version's feature vectors, or nullptr
+  // when the corpus serves without one (always under kDense). Shared
+  // across non-structural epochs (copy-on-write); never changes query
+  // answers (pruned scans are bit-equal to full scans).
   const PruningIndex* pruning() const { return pruning_.get(); }
 
   // Deep-copies this version into a serializable state image.
@@ -258,16 +258,17 @@ class Corpus {
   // version. CHECK-aborts on an invalid image.
   std::uint64_t Restore(CorpusState state);
 
-  // Turns on pivot-index pruning: builds the index over the current alive
-  // ids and republishes the current version with it attached. From then
-  // on every epoch maintains the index — insert epochs extend coverage
-  // (lazy representations gain exact pivot columns), erase epochs mask
-  // (bounds for retired ids are simply never queried), SetDistance and
-  // weight-only epochs invalidate nothing (dense indexes read resident
-  // pivot rows live; kSetDistance does not exist under kVector). A
-  // staleness counter of structural updates triggers a deterministic
-  // rebuild after config.rebuild_after (pivot quality only, never
-  // correctness). Answers are unaffected either way; survives Restore.
+  // Turns on pivot-index pruning for feature-vector payloads: builds the
+  // index over the current alive ids and republishes the current version
+  // with it attached. Dense payloads carry no index (their swap scans
+  // read stored rows that pivot bounds cannot beat). From then on every
+  // vector epoch maintains the index — insert epochs extend it with exact
+  // pivot columns, erase epochs mask (bounds for retired ids are simply
+  // never queried), weight-only epochs invalidate nothing. A staleness
+  // counter of structural updates triggers a deterministic rebuild after
+  // config.rebuild_after (pivot quality only, never correctness). Answers
+  // are unaffected either way. The setting survives Restore, so a restore
+  // that switches representation gains or drops the index.
   void EnablePruning(const PruningIndex::Options& config);
 
  private:
@@ -276,7 +277,6 @@ class Corpus {
   // (Re)builds the pruning index over the current payload's alive ids;
   // caller holds writer_mu_ and has set pruning_config_.
   void RebuildPruningLocked();
-  const MetricBackend* BackendLocked() const;
 
   mutable std::mutex writer_mu_;
   // Master state, guarded by writer_mu_. The metric payload is shared
@@ -289,8 +289,9 @@ class Corpus {
   double lambda_;
   std::uint64_t version_ = 0;
   // Pruning state, guarded by writer_mu_. `pruning_` is the immutable
-  // index shared with published snapshots; `pruning_staleness_` counts
-  // structural updates since the last (re)build.
+  // index shared with published snapshots, null unless pruning is enabled
+  // on a kVector payload; `pruning_staleness_` counts structural updates
+  // since the last (re)build.
   bool pruning_enabled_ = false;
   PruningIndex::Options pruning_config_;
   std::shared_ptr<const PruningIndex> pruning_;

@@ -48,7 +48,7 @@ namespace engine {
 // (metric/pruning_index.h) for the swap scans ResolvePruning admits.
 enum class PruningMode {
   kOff,   // no index; every scan is a full scan
-  kAuto,  // maintain an index (the default)
+  kAuto,  // maintain an index on feature-vector corpora (the default)
 };
 
 class DiversificationEngine {
@@ -81,8 +81,9 @@ class DiversificationEngine {
     // Sampling denominator (~1/N of untraced queries); <= 1 samples
     // every query (what the integration tests use).
     std::uint32_t trace_sample_every = 64;
-    // Candidate pruning: unless kOff, the corpus builds and maintains a
-    // pivot index under `pruning_config`. Which scans use it is not an
+    // Candidate pruning: unless kOff, a feature-vector corpus builds and
+    // maintains a pivot index under `pruning_config` (a dense one carries
+    // none; see Corpus::EnablePruning). Which scans use it is not an
     // option: see ResolvePruning (engine/execution_plan.h). Pruned scans
     // are bit-equal to full scans, so neither field changes answers.
     // Kept as options only because servebench/serving.cc reads them.

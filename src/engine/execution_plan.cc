@@ -102,9 +102,7 @@ std::vector<double> FitToUniverse(const std::vector<double>& values, int n,
 
 const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot) {
   const PruningIndex* index = snapshot.pruning();
-  if (index == nullptr || !index->usable()) return nullptr;
-  // Dense snapshots serve resident rows for free; pruning them loses.
-  return snapshot.repr() == MetricRepr::kVector ? index : nullptr;
+  return index != nullptr && index->usable() ? index : nullptr;
 }
 
 ProblemView MakeProblemView(const CorpusSnapshot& snapshot,

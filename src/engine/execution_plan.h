@@ -72,11 +72,11 @@ struct PlanDefaults {
   IncrementalEvaluator::Options eval{};
 };
 
-// The one pruning policy: swap scans prune when the snapshot is
-// MetricRepr::kVector and carries a usable index, where a full scan pays
-// an O(d) kernel per candidate; nothing else prunes. Returns that index,
-// else nullptr. Never changes answers: pruned scans are bit-equal to
-// full scans.
+// The one pruning policy: swap scans prune when the snapshot carries a
+// usable index — which only MetricRepr::kVector snapshots do (see
+// Corpus::EnablePruning), where a full scan pays an O(d) kernel per
+// candidate; nothing else prunes. Returns that index, else nullptr. Never
+// changes answers: pruned scans are bit-equal to full scans.
 const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot);
 
 // Answers `query` on `snapshot`. latency_seconds is the execution time

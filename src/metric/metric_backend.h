@@ -33,7 +33,7 @@ class MetricBackend : public MetricSpace {
   virtual void DistancesTo(int u, std::span<const int> ids,
                            std::span<double> out) const;
 
-  // Contiguous resident row d(u, .) of length size() when the backend
+  // Contiguous stored row d(u, .) of length size() when the backend
   // stores one (dense matrix, materialized cache row); nullptr when rows
   // are computed on demand. Callers that get a pointer skip the copy.
   virtual const double* TryRow(int /*u*/) const { return nullptr; }

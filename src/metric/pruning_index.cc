@@ -25,16 +25,6 @@ std::uint64_t HashSeed(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Resolves the row of element u: resident row if the backend has one,
-// otherwise a batched DistanceRow into `scratch`.
-const double* RowFor(const MetricBackend& metric, int u,
-                     std::vector<double>* scratch) {
-  if (const double* row = metric.TryRow(u)) return row;
-  scratch->resize(static_cast<std::size_t>(metric.size()));
-  metric.DistanceRow(u, *scratch);
-  return scratch->data();
-}
-
 }  // namespace
 
 std::shared_ptr<const PruningIndex> PruningIndex::Build(
@@ -44,7 +34,6 @@ std::shared_ptr<const PruningIndex> PruningIndex::Build(
   index->options_ = options;
   const int n = metric.size();
   index->universe_ = n;
-  index->resident_ = n > 0 && metric.TryRow(0) != nullptr;
   const int pivot_target =
       std::min<int>(std::max(options.num_pivots, 0),
                     static_cast<int>(ids.size()));
@@ -53,17 +42,16 @@ std::shared_ptr<const PruningIndex> PruningIndex::Build(
   // Farthest-point sweep: seed-stable start, then repeatedly take the id
   // maximizing the min-distance to the chosen pivots (earliest id wins
   // ties via the strict > below, since `ids` is scanned in order).
+  const std::size_t width = static_cast<std::size_t>(n);
+  index->table_.reserve(static_cast<std::size_t>(pivot_target) * width);
   std::vector<double> min_dist(ids.size(), kInf);
-  std::vector<double> scratch;
   int current = ids[HashSeed(options.seed) % ids.size()];
   for (int k = 0; k < pivot_target; ++k) {
     DIVERSE_CHECK(0 <= current && current < n);
     index->pivots_.push_back(current);
-    const double* row = RowFor(metric, current, &scratch);
-    if (!index->resident_) {
-      index->rows_.emplace_back(row, row + n);
-      row = index->rows_.back().data();  // scratch is reused next round
-    }
+    index->table_.resize(index->table_.size() + width);
+    const std::span<double> row(index->table_.data() + k * width, width);
+    metric.DistanceRow(current, row);
     if (k + 1 == pivot_target) break;
     int next = -1;
     double best = -1.0;
@@ -84,56 +72,35 @@ std::shared_ptr<const PruningIndex> PruningIndex::Build(
 
 std::shared_ptr<const PruningIndex> PruningIndex::WithAppended(
     const MetricBackend& metric) const {
-  std::shared_ptr<PruningIndex> next(new PruningIndex(*this));
+  std::shared_ptr<PruningIndex> next(new PruningIndex());
+  next->options_ = options_;
+  next->pivots_ = pivots_;
   const int n = metric.size();
   DIVERSE_CHECK_MSG(n >= universe_, "corpus shrank under WithAppended");
   next->universe_ = n;
-  if (resident_ || n == universe_ || pivots_.empty()) return next;
-  std::vector<int> fresh(static_cast<std::size_t>(n - universe_));
+  const std::size_t old_width = static_cast<std::size_t>(universe_);
+  const std::size_t width = static_cast<std::size_t>(n);
+  next->table_.resize(pivots_.size() * width);
+  std::vector<int> fresh(width - old_width);
   std::iota(fresh.begin(), fresh.end(), universe_);
-  for (std::size_t p = 0; p < next->rows_.size(); ++p) {
-    std::vector<double>& row = next->rows_[p];
-    row.resize(static_cast<std::size_t>(n));
+  for (std::size_t p = 0; p < pivots_.size(); ++p) {
+    double* row = next->table_.data() + p * width;
+    std::copy_n(Row(p), old_width, row);
     metric.DistancesTo(pivots_[p], fresh,
-                       std::span<double>(row).subspan(
-                           static_cast<std::size_t>(universe_)));
+                       std::span<double>(row + old_width, fresh.size()));
   }
   return next;
 }
 
-PruningBounds::PruningBounds(const PruningIndex& index,
-                             const MetricSpace& metric)
-    : index_(&index), metric_(&metric) {
-  if (!index.usable()) return;
-  row_ptrs_.reserve(index.pivots_.size());
-  if (index.resident_) {
-    const MetricBackend* backend = AsBackend(&metric);
-    if (backend == nullptr) return;
-    for (int pivot : index.pivots_) {
-      if (pivot >= metric.size()) return;
-      const double* row = backend->TryRow(pivot);
-      if (row == nullptr) return;  // bound to a non-resident metric
-      row_ptrs_.push_back(row);
-    }
-    coverage_ = metric.size();
-  } else {
-    for (const std::vector<double>& row : index.rows_) {
-      row_ptrs_.push_back(row.data());
-    }
-    coverage_ = std::min(index.universe_, metric.size());
-  }
-  active_ = true;
-}
-
-bool PruningBounds::Profile(int u, std::span<double> out) const {
+bool PruningIndex::Profile(int u, std::span<double> out) const {
   DIVERSE_CHECK(static_cast<int>(out.size()) == num_pivots());
-  if (!active_ || !Covered(u)) return false;
-  for (std::size_t p = 0; p < row_ptrs_.size(); ++p) out[p] = Row(p)[u];
+  if (!usable() || !Covered(u)) return false;
+  for (std::size_t p = 0; p < pivots_.size(); ++p) out[p] = Row(p)[u];
   return true;
 }
 
-double PruningBounds::Lower(std::span<const double> profile, int v) const {
-  if (!active_ || !Covered(v) || profile.empty()) return 0.0;
+double PruningIndex::Lower(std::span<const double> profile, int v) const {
+  if (!Covered(v) || profile.empty()) return 0.0;
   double best = 0.0;
   for (std::size_t p = 0; p < profile.size(); ++p) {
     const double diff = std::abs(profile[p] - Row(p)[v]);
@@ -142,8 +109,8 @@ double PruningBounds::Lower(std::span<const double> profile, int v) const {
   return best * kLowerSlack;
 }
 
-double PruningBounds::Upper(std::span<const double> profile, int v) const {
-  if (!active_ || !Covered(v) || profile.empty()) return kInf;
+double PruningIndex::Upper(std::span<const double> profile, int v) const {
+  if (!Covered(v) || profile.empty()) return kInf;
   double best = kInf;
   for (std::size_t p = 0; p < profile.size(); ++p) {
     const double sum = profile[p] + Row(p)[v];
@@ -152,8 +119,8 @@ double PruningBounds::Upper(std::span<const double> profile, int v) const {
   return best * kUpperSlack;
 }
 
-bool PruningBounds::Consistent(std::span<const double> profile, int v,
-                               double distance) const {
+bool PruningIndex::Consistent(std::span<const double> profile, int v,
+                              double distance) const {
   return Lower(profile, v) <= distance && distance <= Upper(profile, v);
 }
 

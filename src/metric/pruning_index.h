@@ -13,18 +13,18 @@
 // bound interval, so a metricity violation in the data demotes the scan to
 // an unpruned fallback instead of a wrong answer.
 //
-// Storage policy: for backends with resident rows (DenseMetric::TryRow)
-// only the pivot *ids* are stored and the pivot rows are read live from
-// the backend at scan time — SetDistance epochs therefore invalidate
-// nothing and dense inserts need no table maintenance. For lazy backends
-// (VectorMetric) the P pivot rows are materialized at build time and
-// extended by WithAppended() when the corpus grows.
+// The index stores the P pivot rows as one flat P x n table over the
+// backend's contents at build time; WithAppended() gives a copy extended
+// with exact columns when the corpus grows. The engine builds one only for
+// feature-vector corpora, where a full scan pays an O(d) kernel per
+// candidate; a dense scan reads stored rows that bounds cannot beat.
 //
 // Instances are immutable and shared; engine::Corpus republishes the same
 // shared_ptr across non-structural epochs (copy-on-write).
 #ifndef DIVERSE_METRIC_PRUNING_INDEX_H_
 #define DIVERSE_METRIC_PRUNING_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -56,9 +56,9 @@ class PruningIndex {
                                                    std::span<const int> ids,
                                                    const Options& options);
 
-  // Returns a copy whose coverage extends to the backend's current size;
-  // for lazy backends the stored pivot rows gain exact columns for the new
-  // ids (O(P * new * d)). Pivot set is unchanged.
+  // Returns a copy extended with exact pivot columns for the ids the
+  // backend gained since the build (O(P * new * d)). Pivot set is
+  // unchanged.
   std::shared_ptr<const PruningIndex> WithAppended(
       const MetricBackend& metric) const;
 
@@ -67,49 +67,25 @@ class PruningIndex {
   bool usable() const { return !pivots_.empty(); }
   int num_pivots() const { return static_cast<int>(pivots_.size()); }
   const std::vector<int>& pivots() const { return pivots_; }
-  // Ids covered by stored rows; resident indexes cover whatever the bound
-  // metric holds at scan time.
+  // Ids [0, universe_size()) have stored pivot columns.
   int universe_size() const { return universe_; }
-  bool resident() const { return resident_; }
   const Options& options() const { return options_; }
 
- private:
-  friend class PruningBounds;
-
-  PruningIndex() = default;
-
-  Options options_;
-  std::vector<int> pivots_;
-  // rows_[p][v] = d(pivots_[p], v); only populated when !resident_.
-  std::vector<std::vector<double>> rows_;
-  int universe_ = 0;
-  bool resident_ = false;
-};
-
-// Binds an index to the metric of the snapshot being scanned. Cheap to
-// construct (resolves resident row pointers); not thread-safe to share,
-// make one per scan.
-//
-// Bounds carry a 1e-12 relative slack so that ulp-level triangle
-// violations of correctly-rounded metrics (e.g. Euclidean distances) never
-// produce an unsound bound; Lower() <= true distance <= Upper() holds for
-// any genuinely metric data.
-class PruningBounds {
- public:
-  PruningBounds(const PruningIndex& index, const MetricSpace& metric);
-
-  // True when the binding can serve non-degenerate bounds (usable index
-  // whose row storage matches the metric).
-  bool active() const { return active_; }
-  int num_pivots() const { return active_ ? index_->num_pivots() : 0; }
-
+  // Triangle-inequality bounds for a scan over the metric the index was
+  // built on (or a grown copy of it). Bounds carry a 1e-12 relative slack
+  // so that ulp-level triangle violations of correctly-rounded metrics
+  // (e.g. Euclidean distances) never produce an unsound bound;
+  // Lower() <= true distance <= Upper() holds for any genuinely metric
+  // data.
+  //
   // Fills `out` (size num_pivots()) with the pivot-distance profile of u:
-  // out[p] = d(u, pivots[p]). Returns false (degenerate bounds) when u is
-  // not covered by the index.
+  // out[p] = d(u, pivots[p]). Returns false (degenerate bounds) when the
+  // index is unusable or u is not covered.
   bool Profile(int u, std::span<double> out) const;
 
-  // Bounds on d(u, v) given u's profile. With a degenerate binding these
-  // return 0 / +infinity, which never prunes and is always sound.
+  // Bounds on d(u, v) given u's profile. For an uncovered v or an empty
+  // profile these return 0 / +infinity, which never prunes and is always
+  // sound.
   double Lower(std::span<const double> profile, int v) const;
   double Upper(std::span<const double> profile, int v) const;
 
@@ -121,14 +97,20 @@ class PruningBounds {
                   double distance) const;
 
  private:
-  const double* Row(int p) const { return row_ptrs_[p]; }
-  bool Covered(int v) const { return v >= 0 && v < coverage_; }
+  PruningIndex() = default;
 
-  const PruningIndex* index_;
-  const MetricSpace* metric_;
-  std::vector<const double*> row_ptrs_;
-  int coverage_ = 0;
-  bool active_ = false;
+  // Stored row d(pivots_[p], .), universe_ entries long.
+  const double* Row(std::size_t p) const {
+    return table_.data() + p * static_cast<std::size_t>(universe_);
+  }
+  bool Covered(int v) const { return v >= 0 && v < universe_; }
+
+  Options options_;
+  std::vector<int> pivots_;
+  // Flat P x universe_ table, row-major: table_[p * universe_ + v] =
+  // d(pivots_[p], v).
+  std::vector<double> table_;
+  int universe_ = 0;
 };
 
 // Process-wide pruning counters. Scans are run by ephemeral per-query

@@ -53,6 +53,9 @@ void AppendF64(std::vector<std::uint8_t>* out, double value) {
 // — this is what makes checkpoint load/store run at memory bandwidth.
 void AppendF64Array(std::vector<std::uint8_t>* out, const double* values,
                     std::size_t count) {
+  // An empty array may come with a null `values`, which memcpy must not
+  // be handed even for zero bytes.
+  if (count == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     const std::size_t offset = out->size();
     out->resize(offset + count * sizeof(double));

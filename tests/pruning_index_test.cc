@@ -1,7 +1,5 @@
 // PruningIndex unit tests: deterministic seed-stable pivot selection, the
-// bound sandwich Lower <= d <= Upper on vector and dense backends, the
-// resident/lazy storage split (dense indexes read live rows, so
-// SetDistance needs no maintenance), WithAppended coverage growth, and
+// bound sandwich Lower <= d <= Upper, WithAppended coverage growth, and
 // degenerate shapes (empty corpus, single element, duplicate points).
 #include "metric/pruning_index.h"
 
@@ -10,9 +8,9 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
-#include "metric/dense_metric.h"
 #include "metric/vector_metric.h"
 #include "util/random.h"
 
@@ -44,7 +42,6 @@ TEST(PruningIndexTest, BuildIsDeterministicAndSeedStable) {
   EXPECT_EQ(a->pivots(), b->pivots());
   EXPECT_EQ(a->num_pivots(), 6);
   EXPECT_EQ(a->universe_size(), 50);
-  EXPECT_FALSE(a->resident());  // vector rows are computed on demand
 
   // A different seed may pick a different start, but stays deterministic.
   options.seed = 99;
@@ -70,81 +67,25 @@ TEST(PruningIndexTest, PivotsAreDistinctAliveIds) {
   }
 }
 
-TEST(PruningBoundsTest, SandwichHoldsOnVectorBackend) {
+TEST(PruningIndexTest, SandwichHoldsOnVectorBackend) {
   const VectorMetric vectors = MakeVectors(45, 7, 11);
   PruningIndex::Options options;
   options.num_pivots = 5;
   const auto index = PruningIndex::Build(vectors, AllIds(45), options);
-  const PruningBounds bounds(*index, vectors);
-  ASSERT_TRUE(bounds.active());
-  std::vector<double> profile(bounds.num_pivots());
+  ASSERT_TRUE(index->usable());
+  std::vector<double> profile(index->num_pivots());
   for (int u = 0; u < 45; ++u) {
-    ASSERT_TRUE(bounds.Profile(u, profile));
+    ASSERT_TRUE(index->Profile(u, profile));
     for (int v = 0; v < 45; ++v) {
       const double d = vectors.Distance(u, v);
-      EXPECT_LE(bounds.Lower(profile, v), d) << u << "," << v;
-      EXPECT_GE(bounds.Upper(profile, v), d) << u << "," << v;
-      EXPECT_TRUE(bounds.Consistent(profile, v, d));
+      EXPECT_LE(index->Lower(profile, v), d) << u << "," << v;
+      EXPECT_GE(index->Upper(profile, v), d) << u << "," << v;
+      EXPECT_TRUE(index->Consistent(profile, v, d));
     }
   }
 }
 
-TEST(PruningBoundsTest, SandwichHoldsOnDenseBackend) {
-  const VectorMetric vectors = MakeVectors(30, 4, 13);
-  const DenseMetric dense = DenseMetric::Materialize(vectors);
-  PruningIndex::Options options;
-  options.num_pivots = 4;
-  const auto index = PruningIndex::Build(dense, AllIds(30), options);
-  ASSERT_TRUE(index->resident());  // ids only, rows read live
-  const PruningBounds bounds(*index, dense);
-  ASSERT_TRUE(bounds.active());
-  std::vector<double> profile(bounds.num_pivots());
-  for (int u = 0; u < 30; ++u) {
-    ASSERT_TRUE(bounds.Profile(u, profile));
-    for (int v = 0; v < 30; ++v) {
-      const double d = dense.Distance(u, v);
-      EXPECT_LE(bounds.Lower(profile, v), d);
-      EXPECT_GE(bounds.Upper(profile, v), d);
-    }
-  }
-}
-
-// Resident indexes read pivot rows live from the backend, so an in-place
-// SetDistance epoch is reflected immediately — no rebuild, bounds stay
-// sound for the NEW values.
-TEST(PruningBoundsTest, DenseIndexSeesSetDistanceLive) {
-  Rng rng(17);
-  DenseMetric dense(20);
-  for (int u = 0; u < 20; ++u) {
-    for (int v = u + 1; v < 20; ++v) {
-      dense.SetDistance(u, v, rng.Uniform(1.0, 2.0));  // genuine metric
-    }
-  }
-  PruningIndex::Options options;
-  options.num_pivots = 4;
-  const auto index = PruningIndex::Build(dense, AllIds(20), options);
-  // Perturb within [1, 2] — still a metric (any values in [1, 2] satisfy
-  // the triangle inequality).
-  for (int e = 0; e < 10; ++e) {
-    const int u = rng.UniformInt(0, 19);
-    int v = rng.UniformInt(0, 19);
-    while (v == u) v = rng.UniformInt(0, 19);
-    dense.SetDistance(u, v, rng.Uniform(1.0, 2.0));
-  }
-  const PruningBounds bounds(*index, dense);
-  ASSERT_TRUE(bounds.active());
-  std::vector<double> profile(bounds.num_pivots());
-  for (int u = 0; u < 20; ++u) {
-    ASSERT_TRUE(bounds.Profile(u, profile));
-    for (int v = 0; v < 20; ++v) {
-      const double d = dense.Distance(u, v);
-      EXPECT_LE(bounds.Lower(profile, v), d);
-      EXPECT_GE(bounds.Upper(profile, v), d);
-    }
-  }
-}
-
-TEST(PruningIndexTest, WithAppendedExtendsLazyCoverage) {
+TEST(PruningIndexTest, WithAppendedExtendsCoverage) {
   VectorMetric vectors = MakeVectors(25, 6, 19);
   PruningIndex::Options options;
   options.num_pivots = 5;
@@ -159,41 +100,39 @@ TEST(PruningIndexTest, WithAppendedExtendsLazyCoverage) {
     vectors.AppendRow(fresh);
   }
   {
-    const PruningBounds stale(*index, vectors);
-    ASSERT_TRUE(stale.active());
-    std::vector<double> profile(stale.num_pivots());
-    EXPECT_TRUE(stale.Profile(10, profile));
-    EXPECT_FALSE(stale.Profile(27, profile));  // appended, uncovered
+    std::vector<double> profile(index->num_pivots());
+    EXPECT_TRUE(index->Profile(10, profile));
+    EXPECT_FALSE(index->Profile(27, profile));  // appended, uncovered
     // Uncovered target: bounds must degenerate to the sound no-prune pair.
-    ASSERT_TRUE(stale.Profile(10, profile));
-    EXPECT_EQ(stale.Lower(profile, 27), 0.0);
-    EXPECT_GT(stale.Upper(profile, 27), 1e300);
+    ASSERT_TRUE(index->Profile(10, profile));
+    EXPECT_EQ(index->Lower(profile, 27), 0.0);
+    EXPECT_GT(index->Upper(profile, 27), 1e300);
   }
 
   // ...until WithAppended materializes exact columns for them.
   const auto grown = index->WithAppended(vectors);
   EXPECT_EQ(grown->pivots(), index->pivots());
   EXPECT_EQ(grown->universe_size(), 31);
-  const PruningBounds bounds(*grown, vectors);
-  std::vector<double> profile(bounds.num_pivots());
+  std::vector<double> profile(grown->num_pivots());
   for (int u = 0; u < 31; ++u) {
-    ASSERT_TRUE(bounds.Profile(u, profile));
+    ASSERT_TRUE(grown->Profile(u, profile));
     for (int v = 0; v < 31; ++v) {
       const double d = vectors.Distance(u, v);
-      EXPECT_LE(bounds.Lower(profile, v), d);
-      EXPECT_GE(bounds.Upper(profile, v), d);
+      EXPECT_LE(grown->Lower(profile, v), d);
+      EXPECT_GE(grown->Upper(profile, v), d);
     }
   }
 }
 
 TEST(PruningIndexTest, DegenerateShapes) {
-  // Empty id pool: unusable, bounds inactive, nothing crashes.
+  // Empty id pool: unusable, bounds degenerate, nothing crashes.
   const VectorMetric vectors = MakeVectors(10, 3, 29);
   const auto empty =
       PruningIndex::Build(vectors, std::vector<int>{}, PruningIndex::Options());
   EXPECT_FALSE(empty->usable());
-  const PruningBounds inactive(*empty, vectors);
-  EXPECT_FALSE(inactive.active());
+  EXPECT_FALSE(empty->Profile(3, std::span<double>()));
+  EXPECT_EQ(empty->Lower(std::span<const double>(), 3), 0.0);
+  EXPECT_GT(empty->Upper(std::span<const double>(), 3), 1e300);
 
   // Single id: one pivot, bounds still sound.
   const auto single = PruningIndex::Build(vectors, std::vector<int>{4},

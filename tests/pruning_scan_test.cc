@@ -3,8 +3,8 @@
 // bits of gain/objective — across randomized corpora, local search, the
 // engine's answers across churn, and the certify/fallback split
 // (non-metric data demotes to a full rescan, never to a wrong answer).
-// Also pins the engine's one pruning policy: only swap scans on vector
-// snapshots prune.
+// Also pins the engine's one pruning policy: only vector snapshots carry
+// an index (across Restore too), and only their swap scans prune.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -53,6 +53,13 @@ std::shared_ptr<const PruningIndex> BuildIndex(const MetricBackend& metric,
   PruningIndex::Options options;
   options.num_pivots = pivots;
   return PruningIndex::Build(metric, AllIds(n), options);
+}
+
+// {candidates_pruned, certified_scans, fallback_scans, rebuilds}.
+std::array<long long, 4> PruningCounts() {
+  const PruningCounters& counters = GlobalPruningCounters();
+  return {counters.candidates_pruned.value(), counters.certified_scans.value(),
+          counters.fallback_scans.value(), counters.rebuilds.value()};
 }
 
 // ---- Evaluator-level swap scans --------------------------------------------
@@ -115,15 +122,16 @@ TEST(PrunedSwapScanTest, PruningActuallyPrunesOnClusteredData) {
   const IncrementalEvaluator eval(&state);
   const BestSwapResult full =
       eval.BestSwapOver(state.members(), eval.Universe());
+  const std::array<long long, 4> before = PruningCounts();
   const BestSwapResult pruned =
       eval.BestSwapOverPruned(state.members(), eval.Universe(), *index);
+  const std::array<long long, 4> after = PruningCounts();
   EXPECT_EQ(full.out, pruned.out);
   EXPECT_EQ(full.in, pruned.in);
   EXPECT_EQ(full.gain, pruned.gain);
-  const IncrementalEvaluator::Stats stats = eval.stats();
-  EXPECT_GT(stats.candidates_pruned, 0);
-  EXPECT_GT(stats.certified_scans, 0);
-  EXPECT_EQ(stats.fallback_scans, 0);  // Euclidean data is a true metric
+  EXPECT_GT(after[0], before[0]);  // candidates pruned
+  EXPECT_GT(after[1], before[1]);  // certified scans
+  EXPECT_EQ(after[2], before[2]);  // Euclidean data is a true metric
 }
 
 // Non-metric data: a massive triangle violation must be DETECTED (the
@@ -145,12 +153,14 @@ TEST(PrunedSwapScanTest, TriangleViolationFallsBackBitEqual) {
   const IncrementalEvaluator eval(&state);
   const BestSwapResult full =
       eval.BestSwapOver(state.members(), eval.Universe());
+  const long long fallbacks_before =
+      GlobalPruningCounters().fallback_scans.value();
   const BestSwapResult pruned =
       eval.BestSwapOverPruned(state.members(), eval.Universe(), *index);
   EXPECT_EQ(full.out, pruned.out);
   EXPECT_EQ(full.in, pruned.in);
   EXPECT_EQ(full.gain, pruned.gain);
-  EXPECT_GT(eval.stats().fallback_scans, 0);
+  EXPECT_GT(GlobalPruningCounters().fallback_scans.value(), fallbacks_before);
 
   const ScoredCandidate a = eval.BestSwapInFor(0, eval.Universe());
   const ScoredCandidate b =
@@ -244,13 +254,6 @@ TEST(PrunedEngineTest, AutoVsOffBitEqualAcrossChurn) {
 
 // ---- The pruning policy ----------------------------------------------------
 
-// {candidates_pruned, certified_scans, fallback_scans, rebuilds}.
-std::array<long long, 4> PruningCounts() {
-  const PruningCounters& counters = GlobalPruningCounters();
-  return {counters.candidates_pruned.value(), counters.certified_scans.value(),
-          counters.fallback_scans.value(), counters.rebuilds.value()};
-}
-
 // Only swap scans on vector snapshots prune: greedy never does, whatever
 // the plan, and dense snapshots never do.
 TEST(PruningPolicyTest, OnlyVectorSwapScansPrune) {
@@ -282,11 +285,11 @@ TEST(PruningPolicyTest, OnlyVectorSwapScansPrune) {
   engine::DiversificationEngine dense_engine(
       weights, DenseMetric::Materialize(vectors), 0.3, options);
 
-  // Both corpora maintain an index; only the vector one resolves it.
+  // Only the vector corpus carries an index.
   const engine::SnapshotPtr vec_snapshot = vec_engine.corpus().snapshot();
   const engine::SnapshotPtr dense_snapshot = dense_engine.corpus().snapshot();
   ASSERT_NE(vec_snapshot->pruning(), nullptr);
-  ASSERT_NE(dense_snapshot->pruning(), nullptr);
+  EXPECT_EQ(dense_snapshot->pruning(), nullptr);
   EXPECT_NE(engine::ResolvePruning(*vec_snapshot), nullptr);
   EXPECT_EQ(engine::ResolvePruning(*dense_snapshot), nullptr);
 
@@ -323,6 +326,55 @@ TEST(PruningPolicyTest, OnlyVectorSwapScansPrune) {
   EXPECT_TRUE(SameAnswer(vec_local, dense_local));
   EXPECT_TRUE(
       SameAnswer(vec_engine.RunSync(greedy), dense_engine.RunSync(greedy)));
+}
+
+// The pruning setting survives Restore: a restore to a vector image gains
+// a usable index, a restore to a dense image drops it, and local search
+// answers stay bit-equal to an unpruned corpus on either image.
+TEST(PruningPolicyTest, RestoreGainsAndDropsIndexWithRepresentation) {
+  const int n = 60;
+  Rng rng(139);
+  const VectorMetric vectors = MakeVectors(n, 4, 149);
+  std::vector<double> weights(n);
+  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
+  const DenseMetric dense = DenseMetric::Materialize(vectors);
+  engine::CorpusState vector_image =
+      engine::Corpus(weights, vectors, 0.3).snapshot()->State();
+  engine::CorpusState dense_image =
+      engine::Corpus(weights, dense, 0.3).snapshot()->State();
+  vector_image.version = 5;
+  dense_image.version = 9;
+
+  // Both start dense; only `pruned` has pruning enabled.
+  engine::Corpus plain(weights, dense, 0.3);
+  engine::Corpus pruned(weights, dense, 0.3);
+  PruningIndex::Options config;
+  config.num_pivots = 6;
+  pruned.EnablePruning(config);
+  EXPECT_EQ(pruned.snapshot()->pruning(), nullptr);
+
+  engine::Query local;
+  local.p = 8;
+  local.algorithm = engine::QueryAlgorithm::kLocalSearch;
+
+  plain.Restore(vector_image);
+  pruned.Restore(vector_image);
+  ASSERT_NE(pruned.snapshot()->pruning(), nullptr);
+  EXPECT_TRUE(pruned.snapshot()->pruning()->usable());
+  EXPECT_EQ(plain.snapshot()->pruning(), nullptr);
+  const long long certified_before =
+      GlobalPruningCounters().certified_scans.value();
+  EXPECT_TRUE(SameAnswer(engine::ExecuteQuery(*plain.snapshot(), local),
+                         engine::ExecuteQuery(*pruned.snapshot(), local)));
+  EXPECT_GT(GlobalPruningCounters().certified_scans.value(), certified_before);
+
+  plain.Restore(dense_image);
+  pruned.Restore(dense_image);
+  EXPECT_EQ(pruned.snapshot()->pruning(), nullptr);
+  const std::array<long long, 4> before = PruningCounts();
+  EXPECT_TRUE(SameAnswer(engine::ExecuteQuery(*plain.snapshot(), local),
+                         engine::ExecuteQuery(*pruned.snapshot(), local)));
+  EXPECT_EQ(PruningCounts(), before);
 }
 
 }  // namespace

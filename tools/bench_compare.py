@@ -62,14 +62,12 @@ HIGHER_IS_BETTER = {
     # same run (bench/metric_backend.cc) — machine-relative by
     # construction, like the other gated speedups.
     "kernel_speedup",
-    # Pruned vs full best-swap scans on the lazy vector backend
+    # Pruned vs full best-swap scans on the vector backend
     # (bench/candidate_pruning.cc) — same-run machine-relative ratio;
     # gated, since losing it means the pivot bounds stopped paying for
-    # themselves. The companion ratios below stay advisory: the dense
-    # arm's wall ratio (prune_wall_x) is expected < 1 (resident rows are
-    # cheaper than bounds) and the arithmetic ratios are exact.
+    # themselves. The companion arithmetic ratios below are exact and
+    # stay advisory.
     "prune_speedup",
-    "prune_wall_x",
     "candidates_scored_ratio",
     "certified_fraction",
     "encode_mb_s",
