@@ -26,8 +26,7 @@
 // upgraded together (bump rpc::kWireVersion to force it).
 //
 // Every greedy run here, per shard and on the kernel, is the plain
-// BestPrimeAddOver + SolutionState::Add scan; pivot pruning serves swap
-// scans only (engine::ResolvePruning).
+// BestPrimeAddOver + SolutionState::Add scan.
 //
 // No worst-case guarantee is claimed here (that is the cited follow-up
 // work); tests and bench/ablation_distributed measure empirical quality

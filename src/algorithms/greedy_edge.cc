@@ -41,7 +41,6 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
   }
   const MetricSpace& metric = dense ? *dense : base_metric;
   const double lambda = problem.lambda();
-  obs::Counter scored;
 
   std::vector<bool> chosen(n, false);
   std::vector<int> selected;
@@ -58,7 +57,7 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
       for (int u = 0; u < n; ++u) {
         if (!chosen[u]) unchosen.push_back(u);
       }
-      const ScoredPair best = ArgmaxOverPairs(unchosen, scored, reduced);
+      const ScoredPair best = ArgmaxOverPairs(unchosen, reduced);
       DIVERSE_CHECK(best.valid());
       chosen[best.first] = chosen[best.second] = true;
       selected.push_back(best.first);

@@ -90,8 +90,6 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
   AlgorithmResult result;
   SolutionState state(&problem);
   const IncrementalEvaluator eval(&state);
-  const bool prune =
-      options.pruning != nullptr && options.pruning->usable();
 
   if (options.initial.empty()) {
     state.Assign(BestIndependentPair(problem, matroid));
@@ -113,23 +111,6 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
     const double threshold =
         options.epsilon * std::max(std::abs(state.objective()), 1.0);
     const std::vector<int> members = state.members();  // copy: stable order
-    if (prune) {
-      // Pruned round: the bound-aware scan returns the globally best swap
-      // (bit-equal to full scoring; same gain/out-rank/in tie order as the
-      // sort below). Apply it when feasible; when the best swap is
-      // matroid-infeasible, fall through to the full scored round, which
-      // walks candidates in descending gain until one is exchangeable.
-      const BestSwapResult best =
-          eval.BestSwapOverPruned(members, eval.Universe(), *options.pruning);
-      if (!best.valid() || best.gain <= threshold || best.gain <= 1e-12) {
-        break;  // local optimum
-      }
-      if (matroid.CanExchange(members, best.out, best.in)) {
-        state.Swap(best.out, best.in);
-        ++result.steps;
-        continue;
-      }
-    }
     // Batch-score every exchange, then test the (expensive) matroid oracle
     // in descending-gain order: the first feasible candidate is the best
     // feasible exchange, matching the scalar scan's result.

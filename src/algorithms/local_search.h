@@ -3,7 +3,9 @@
 // containing the best independent pair {x,y} (by phi), repeatedly perform
 // the best objective-improving exchange S <- S - v + u with S - v + u
 // independent, until locally optimal. 2-approximation for monotone
-// submodular f.
+// submodular f. Each round batch-scores every exchange
+// (IncrementalEvaluator::ScoreSwapsFor) and tests the matroid oracle in
+// descending-gain order, so the first feasible exchange is the best one.
 //
 // As the paper notes, polynomial running time requires accepting only
 // swaps that improve phi by a relative epsilon; epsilon = 0 accepts any
@@ -16,7 +18,6 @@
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
 #include "matroid/matroid.h"
-#include "metric/pruning_index.h"
 
 namespace diverse {
 
@@ -36,12 +37,6 @@ struct LocalSearchOptions {
   // objective gain (true) or by lowest index (false, the paper's
   // "arbitrary" completion).
   bool greedy_completion = true;
-  // Optional pivot index over the problem's metric: each round first runs
-  // the pruned best-swap scan (bit-equal to the full scan, see
-  // core/incremental_evaluator.h) and only falls back to full swap
-  // scoring when the globally best swap is matroid-infeasible. Must
-  // outlive the call.
-  const PruningIndex* pruning = nullptr;
 };
 
 AlgorithmResult LocalSearch(const DiversificationProblem& problem,

@@ -13,8 +13,6 @@
 #include <limits>
 #include <span>
 
-#include "obs/metrics.h"
-
 namespace diverse {
 
 // Result of an argmax scan over single candidates.
@@ -34,58 +32,43 @@ struct ScoredPair {
 
 // Argmax of score(e) over `candidates`. `score(e, &gain)` returns false to
 // skip a candidate (members, over-budget elements). Ties keep the earliest
-// candidate position. `scored` accumulates the number of scored candidates.
+// candidate position.
 template <typename Score>
-ScoredCandidate ArgmaxOver(std::span<const int> candidates,
-                           obs::Counter& scored, Score&& score) {
+ScoredCandidate ArgmaxOver(std::span<const int> candidates, Score&& score) {
   ScoredCandidate best;
-  long long count = 0;
   for (int e : candidates) {
     double gain = 0.0;
     if (!score(e, &gain)) continue;
-    ++count;
     if (!best.valid() || gain > best.gain) best = {e, gain};
   }
-  scored.Inc(count);
   return best;
 }
 
 // Fills out[i] with score(candidates[i]) or -infinity for skipped
 // candidates.
 template <typename Score>
-void ScoreAll(std::span<const int> candidates, obs::Counter& scored,
-              std::span<double> out, Score&& score) {
+void ScoreAll(std::span<const int> candidates, std::span<double> out,
+              Score&& score) {
   constexpr double kSkipped = -std::numeric_limits<double>::infinity();
-  long long count = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     double gain = 0.0;
-    if (score(candidates[i], &gain)) {
-      out[i] = gain;
-      ++count;
-    } else {
-      out[i] = kSkipped;
-    }
+    out[i] = score(candidates[i], &gain) ? gain : kSkipped;
   }
-  scored.Inc(count);
 }
 
 // Argmax of score(a, b) over all ordered pairs (items[i], items[j]), i < j.
 // Ties keep the lexicographically earliest (i, j).
 template <typename Score>
-ScoredPair ArgmaxOverPairs(std::span<const int> items, obs::Counter& scored,
-                           Score&& score) {
+ScoredPair ArgmaxOverPairs(std::span<const int> items, Score&& score) {
   ScoredPair best;
-  long long count = 0;
   for (std::size_t i = 0; i + 1 < items.size(); ++i) {
     for (std::size_t j = i + 1; j < items.size(); ++j) {
       const double gain = score(items[i], items[j]);
-      ++count;
       if (!best.valid() || gain > best.gain) {
         best = {items[i], items[j], gain};
       }
     }
   }
-  scored.Inc(count);
   return best;
 }
 

@@ -6,8 +6,7 @@
 // queries every algorithm actually runs on top of that state:
 //
 //   * O(1) cached Objective() and O(1)/O(|S|) single gains
-//     (GainOfAdd / GainOfRemove / GainOfSwap), with always-on profiling
-//     counters;
+//     (GainOfAdd / GainOfRemove / GainOfSwap);
 //   * sequential argmax scans over candidate lists — BestAddOver,
 //     BestPrimeAddOver (Greedy B's potential), BestDensityAddOver
 //     (knapsack), BestSwapInFor / BestSwapOver (local search, streaming,
@@ -32,8 +31,6 @@
 
 #include "core/argmax_scan.h"
 #include "core/solution_state.h"
-#include "metric/pruning_index.h"
-#include "obs/metrics.h"
 
 namespace diverse {
 
@@ -50,15 +47,6 @@ class IncrementalEvaluator {
   // Empty; kept only as the type of engine::Options::eval and
   // engine::PlanDefaults::eval, which servebench/serving.cc assigns.
   struct Options {};
-
-  // Profiling counters (cheap, always on).
-  struct Stats {
-    long long add_gain_queries = 0;     // GainOfAdd/PrimeAdd/Block queries
-    long long remove_gain_queries = 0;  // GainOfRemove queries
-    long long swap_gain_queries = 0;    // GainOfSwap queries
-    long long batch_scans = 0;          // batched argmax/score calls
-    long long candidates_scored = 0;    // candidates scored across scans
-  };
 
   // `state` must outlive the evaluator. The evaluator holds no copies of
   // solution data; it reads the state on every query.
@@ -99,28 +87,6 @@ class IncrementalEvaluator {
   BestSwapResult BestSwapOver(std::span<const int> outs,
                               std::span<const int> ins) const;
 
-  // Pruned swap scans: bit-equal to BestSwapInFor / BestSwapOver on the
-  // same state, by construction. The scan walks `ins` sequentially in
-  // position order carrying the running best exact gain; a candidate is
-  // skipped only when its bound-derived gain upper bound (triangle-
-  // inequality lower bound on d(in, out), evaluated in the exact
-  // expression shape of the full scan so IEEE rounding monotonicity
-  // applies) cannot strictly beat the running best — a skipped candidate
-  // could at most tie, and ties lose to the earlier holder. Every exactly
-  // scored candidate's distance is cross-checked against its bound
-  // interval; any violation (non-metric data) demotes that out's scan to
-  // an unpruned rescan. Pruned candidates and certified vs fallback scans
-  // are counted in GlobalPruningCounters().
-  ScoredCandidate BestSwapInForPruned(int out, std::span<const int> ins,
-                                      const PruningIndex& index) const;
-
-  // Pruned equivalent of BestSwapOver; the running best is carried across
-  // outs for extra pruning while preserving the earliest-(out, in) tie
-  // rule.
-  BestSwapResult BestSwapOverPruned(std::span<const int> outs,
-                                    std::span<const int> ins,
-                                    const PruningIndex& index) const;
-
   // Fills gains[i] = GainOfSwap(out, ins[i]), or -infinity for skipped
   // candidates (members of S and `out` itself). gains.size() must equal
   // ins.size().
@@ -137,29 +103,13 @@ class IncrementalEvaluator {
   // const scans share a read-only span.
   std::span<const int> Universe() const;
 
-  Stats stats() const;
-
  private:
   // Runs fn() with the state's quality evaluator positioned at S - out.
   template <typename Fn>
   auto WithQualityRemoved(int out, Fn&& fn) const;
 
-  // One pruned inner scan over `ins` for a fixed out, folding into *best.
-  // `profile` is scratch of size index.num_pivots(). On a bound
-  // violation the out's scan is redone via the unpruned BestSwapInFor.
-  void ScanSwapInsPruned(int out, std::span<const int> ins,
-                         const PruningIndex& index,
-                         std::span<double> profile,
-                         BestSwapResult* best) const;
-
   SolutionState* state_;
   std::vector<int> universe_;  // built eagerly at construction
-
-  mutable obs::Counter add_gain_queries_;
-  mutable obs::Counter remove_gain_queries_;
-  mutable obs::Counter swap_gain_queries_;
-  mutable obs::Counter batch_scans_;
-  mutable obs::Counter candidates_scored_;
 };
 
 }  // namespace diverse

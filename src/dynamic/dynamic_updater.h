@@ -45,8 +45,7 @@ class DynamicUpdater {
 
   // One application of the oblivious update rule. Returns true when a swap
   // was performed. O(p * n) swap-gain evaluations, batched through the
-  // incremental evaluator. The metric is dense, so the scan is never
-  // pruned: stored rows make a full scan cheaper than pivot bounds.
+  // incremental evaluator.
   bool ObliviousUpdate();
 
   // The paper's full reaction to a perturbation: Apply() followed by the

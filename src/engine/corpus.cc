@@ -144,8 +144,7 @@ CorpusSnapshot::CorpusSnapshot(std::uint64_t version,
                                std::vector<double> weights, MetricRepr repr,
                                std::shared_ptr<const DenseMetric> metric,
                                std::shared_ptr<const VectorMetric> vectors,
-                               std::vector<char> alive, double lambda,
-                               std::shared_ptr<const PruningIndex> pruning)
+                               std::vector<char> alive, double lambda)
     : version_(version),
       weights_(std::move(weights)),
       repr_(repr),
@@ -155,7 +154,6 @@ CorpusSnapshot::CorpusSnapshot(std::uint64_t version,
                    ? static_cast<const MetricBackend*>(metric_.get())
                    : static_cast<const MetricBackend*>(vectors_.get())),
       alive_(std::move(alive)),
-      pruning_(std::move(pruning)),
       problem_(backend_, &weights_, lambda) {
   const int n = weights_.ground_size();
   DIVERSE_CHECK(backend_ != nullptr);
@@ -250,10 +248,6 @@ std::uint64_t Corpus::RestoreLocked(CorpusState state) {
   alive_ = std::move(state.alive);
   lambda_ = state.lambda;
   version_ = state.version;
-  // A restore replaces the whole payload, so a configured index is rebuilt
-  // from scratch over the restored ids — or dropped, when the restored
-  // representation is dense.
-  if (pruning_enabled_) RebuildPruningLocked();
   current_.store(Build(), std::memory_order_release);
   return version_;
 }
@@ -265,34 +259,7 @@ Corpus Corpus::FromBaseMetric(const MetricSpace& base,
 
 SnapshotPtr Corpus::Build() const {
   return SnapshotPtr(new CorpusSnapshot(version_, weights_, repr_, metric_,
-                                        vectors_, alive_, lambda_, pruning_));
-}
-
-void Corpus::RebuildPruningLocked() {
-  pruning_staleness_ = 0;
-  // Only vector swap scans read an index (engine::ResolvePruning): a dense
-  // scan reads stored rows that pivot bounds cannot beat.
-  if (repr_ != MetricRepr::kVector) {
-    pruning_.reset();
-    return;
-  }
-  std::vector<int> ids;
-  ids.reserve(alive_.size());
-  for (int id = 0; id < static_cast<int>(alive_.size()); ++id) {
-    if (alive_[id]) ids.push_back(id);
-  }
-  pruning_ = PruningIndex::Build(*vectors_, ids, pruning_config_);
-}
-
-void Corpus::EnablePruning(const PruningIndex::Options& config) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  pruning_enabled_ = true;
-  pruning_config_ = config;
-  RebuildPruningLocked();
-  // Republish the current version with the index attached. Readers
-  // holding the previous snapshot object are unaffected; answers are
-  // identical either way (pruned scans are bit-equal).
-  current_.store(Build(), std::memory_order_release);
+                                        vectors_, alive_, lambda_));
 }
 
 std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
@@ -306,14 +273,12 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   // O((n+k)^2) copy, not k of them; vector inserts copy O(n * d) once and
   // append O(d) per insert.
   int inserts = 0;
-  int erases = 0;
   bool writes_distances = false;
   for (const CorpusUpdate& update : updates) {
     if (update.kind == CorpusUpdate::Kind::kInsert ||
         update.kind == CorpusUpdate::Kind::kInsertVector) {
       ++inserts;
     }
-    if (update.kind == CorpusUpdate::Kind::kErase) ++erases;
     if (update.kind == CorpusUpdate::Kind::kSetDistance) {
       writes_distances = true;
     }
@@ -386,24 +351,6 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   }
   if (owned) metric_ = std::move(owned);
   if (owned_vectors) vectors_ = std::move(owned_vectors);
-
-  // Index maintenance (vector corpora only). Only structural updates touch
-  // it: erases merely age it (bounds for retired ids are never queried),
-  // inserts extend coverage, and past the staleness budget the pivots are
-  // re-picked deterministically over the surviving ids. Weight-only epochs
-  // invalidate nothing, and kSetDistance cannot occur under kVector.
-  if (pruning_) {
-    const int structural = inserts + erases;
-    if (structural > 0) {
-      pruning_staleness_ += structural;
-      if (pruning_staleness_ >= pruning_config_.rebuild_after) {
-        RebuildPruningLocked();
-        GlobalPruningCounters().rebuilds.Inc();
-      } else if (inserts > 0) {
-        pruning_ = pruning_->WithAppended(*vectors_);
-      }
-    }
-  }
 
   ++version_;
   SnapshotPtr next = Build();

@@ -180,12 +180,6 @@ class CorpusSnapshot {
   // derived via the WithQuality/WithLambda hooks.
   const DiversificationProblem& problem() const { return problem_; }
 
-  // Pivot pruning index over this version's feature vectors, or nullptr
-  // when the corpus serves without one (always under kDense). Shared
-  // across non-structural epochs (copy-on-write); never changes query
-  // answers (pruned scans are bit-equal to full scans).
-  const PruningIndex* pruning() const { return pruning_.get(); }
-
   // Deep-copies this version into a serializable state image.
   CorpusState State() const;
 
@@ -195,8 +189,7 @@ class CorpusSnapshot {
   CorpusSnapshot(std::uint64_t version, std::vector<double> weights,
                  MetricRepr repr, std::shared_ptr<const DenseMetric> metric,
                  std::shared_ptr<const VectorMetric> vectors,
-                 std::vector<char> alive, double lambda,
-                 std::shared_ptr<const PruningIndex> pruning);
+                 std::vector<char> alive, double lambda);
   CorpusSnapshot(const CorpusSnapshot&) = delete;
   CorpusSnapshot& operator=(const CorpusSnapshot&) = delete;
 
@@ -208,7 +201,6 @@ class CorpusSnapshot {
   const MetricBackend* backend_;  // whichever payload is populated
   std::vector<char> alive_;
   std::vector<int> candidates_;
-  std::shared_ptr<const PruningIndex> pruning_;  // may be null
   DiversificationProblem problem_;  // must follow weights_/metric payloads
 };
 
@@ -258,25 +250,12 @@ class Corpus {
   // version. CHECK-aborts on an invalid image.
   std::uint64_t Restore(CorpusState state);
 
-  // Turns on pivot-index pruning for feature-vector payloads: builds the
-  // index over the current alive ids and republishes the current version
-  // with it attached. Dense payloads carry no index (their swap scans
-  // read stored rows that pivot bounds cannot beat). From then on every
-  // vector epoch maintains the index — insert epochs extend it with exact
-  // pivot columns, erase epochs mask (bounds for retired ids are simply
-  // never queried), weight-only epochs invalidate nothing. A staleness
-  // counter of structural updates triggers a deterministic rebuild after
-  // config.rebuild_after (pivot quality only, never correctness). Answers
-  // are unaffected either way. The setting survives Restore, so a restore
-  // that switches representation gains or drops the index.
-  void EnablePruning(const PruningIndex::Options& config);
+  // Only reader: servebench/serving.cc. A no-op: no scan prunes.
+  void EnablePruning(const PruningIndex::Options&) {}
 
  private:
   SnapshotPtr Build() const;             // caller holds writer_mu_
   std::uint64_t RestoreLocked(CorpusState state);
-  // (Re)builds the pruning index over the current payload's alive ids;
-  // caller holds writer_mu_ and has set pruning_config_.
-  void RebuildPruningLocked();
 
   mutable std::mutex writer_mu_;
   // Master state, guarded by writer_mu_. The metric payload is shared
@@ -288,14 +267,6 @@ class Corpus {
   std::vector<char> alive_;
   double lambda_;
   std::uint64_t version_ = 0;
-  // Pruning state, guarded by writer_mu_. `pruning_` is the immutable
-  // index shared with published snapshots, null unless pruning is enabled
-  // on a kVector payload; `pruning_staleness_` counts structural updates
-  // since the last (re)build.
-  bool pruning_enabled_ = false;
-  PruningIndex::Options pruning_config_;
-  std::shared_ptr<const PruningIndex> pruning_;
-  int pruning_staleness_ = 0;
 
   std::atomic<SnapshotPtr> current_;
 };

@@ -104,9 +104,6 @@ void DiversificationEngine::Start() {
   DIVERSE_CHECK(options_.default_num_shards >= 1);
   plan_defaults_.num_shards = options_.default_num_shards;
   plan_defaults_.remote = options_.remote;
-  if (options_.pruning != PruningMode::kOff) {
-    corpus_.EnablePruning(options_.pruning_config);
-  }
   if (options_.trace_buffer != nullptr) {
     sampler_ =
         std::make_unique<obs::TraceSampler>(options_.trace_sample_every);
@@ -285,17 +282,6 @@ void DiversificationEngine::RegisterMetrics(obs::MetricRegistry* registry) {
       "diverse_engine_query_latency_seconds", &latency_hist_));
   registrations_.push_back(registry->RegisterHistogram(
       "diverse_engine_queue_wait_seconds", &queue_wait_hist_));
-  // Process-wide pruning counters (per-query evaluators are ephemeral, so
-  // the durable tallies live in metric/pruning_index.cc).
-  PruningCounters& pruning = GlobalPruningCounters();
-  registrations_.push_back(registry->RegisterCounter(
-      "diverse_eval_candidates_pruned_total", &pruning.candidates_pruned));
-  registrations_.push_back(registry->RegisterCounter(
-      "diverse_pruning_certified_scans_total", &pruning.certified_scans));
-  registrations_.push_back(registry->RegisterCounter(
-      "diverse_pruning_fallback_scans_total", &pruning.fallback_scans));
-  registrations_.push_back(registry->RegisterCounter(
-      "diverse_pruning_rebuilds_total", &pruning.rebuilds));
 }
 
 }  // namespace engine

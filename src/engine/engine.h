@@ -37,6 +37,7 @@
 #include "engine/execution_plan.h"
 #include "engine/query.h"
 #include "metric/dense_metric.h"
+#include "metric/pruning_index.h"
 #include "obs/metric_registry.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
@@ -44,12 +45,8 @@
 namespace diverse {
 namespace engine {
 
-// Whether the engine's corpus maintains a pivot pruning index
-// (metric/pruning_index.h) for the swap scans ResolvePruning admits.
-enum class PruningMode {
-  kOff,   // no index; every scan is a full scan
-  kAuto,  // maintain an index on feature-vector corpora (the default)
-};
+// Only reader: servebench/serving.cc. Inert: no scan prunes.
+enum class PruningMode { kOff };
 
 class DiversificationEngine {
  public:
@@ -81,13 +78,8 @@ class DiversificationEngine {
     // Sampling denominator (~1/N of untraced queries); <= 1 samples
     // every query (what the integration tests use).
     std::uint32_t trace_sample_every = 64;
-    // Candidate pruning: unless kOff, a feature-vector corpus builds and
-    // maintains a pivot index under `pruning_config` (a dense one carries
-    // none; see Corpus::EnablePruning). Which scans use it is not an
-    // option: see ResolvePruning (engine/execution_plan.h). Pruned scans
-    // are bit-equal to full scans, so neither field changes answers.
-    // Kept as options only because servebench/serving.cc reads them.
-    PruningMode pruning = PruningMode::kAuto;
+    // Only reader: servebench/serving.cc. Inert: the engine reads neither.
+    PruningMode pruning = PruningMode::kOff;
     PruningIndex::Options pruning_config{};
     // Unused; kept so code assigning it to PlanDefaults::eval still compiles.
     IncrementalEvaluator::Options eval{};

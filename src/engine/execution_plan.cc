@@ -100,11 +100,6 @@ std::vector<double> FitToUniverse(const std::vector<double>& values, int n,
 
 }  // namespace
 
-const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot) {
-  const PruningIndex* index = snapshot.pruning();
-  return index != nullptr && index->usable() ? index : nullptr;
-}
-
 ProblemView MakeProblemView(const CorpusSnapshot& snapshot,
                             const std::vector<double>& relevance,
                             double lambda) {
@@ -170,9 +165,7 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
           live.emplace(constraint, &snapshot);
           constraint = &*live;
         }
-        LocalSearchOptions options;
-        options.pruning = ResolvePruning(snapshot);
-        algo = LocalSearch(problem, *constraint, options);
+        algo = LocalSearch(problem, *constraint, LocalSearchOptions{});
         break;
       }
       case QueryAlgorithm::kKnapsack: {

@@ -7,8 +7,6 @@
 //
 //   * kSingleNode — one batched incremental-evaluator run (Greedy B over
 //     candidates, matroid local search, or density knapsack greedy);
-//     only local search's swap scans use the pivot pruning index, and
-//     only as ResolvePruning below allows;
 //   * kSharded — the deterministic hash-partitioned two-round plan
 //     (algorithms/distributed.h), reusing GreedyVertexOnCandidates as the
 //     per-shard kernel and the composable-core-set safeguard as merge;
@@ -71,13 +69,6 @@ struct PlanDefaults {
   // Unused; kept so code assigning engine::Options::eval still compiles.
   IncrementalEvaluator::Options eval{};
 };
-
-// The one pruning policy: swap scans prune when the snapshot carries a
-// usable index — which only MetricRepr::kVector snapshots do (see
-// Corpus::EnablePruning), where a full scan pays an O(d) kernel per
-// candidate; nothing else prunes. Returns that index, else nullptr. Never
-// changes answers: pruned scans are bit-equal to full scans.
-const PruningIndex* ResolvePruning(const CorpusSnapshot& snapshot);
 
 // Answers `query` on `snapshot`. latency_seconds is the execution time
 // only; the engine overwrites it with queue-inclusive latency.

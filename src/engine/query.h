@@ -6,8 +6,7 @@
 // user's personalized scores over the shared corpus), an optional lambda
 // override, an algorithm choice, an optional matroid or knapsack
 // constraint, and an execution-plan choice (single-node incremental path
-// vs. the sharded two-round plan). A query has no pruning knob: which
-// scans prune follows from the snapshot (engine::ResolvePruning).
+// vs. the sharded two-round plan).
 #ifndef DIVERSE_ENGINE_QUERY_H_
 #define DIVERSE_ENGINE_QUERY_H_
 

@@ -10,8 +10,7 @@
 // idempotent. Kernel queries run only when the replica is exactly at the
 // requested snapshot version, which is what makes the coordinator's merged
 // answer bit-equal to the in-process ShardedGreedy plan. Kernels are
-// greedy-only and run the plain full scan, so the replica keeps no pivot
-// pruning index (only swap scans prune, see engine::ResolvePruning).
+// greedy-only and run the plain full scan.
 //
 // Durability & bootstrap (src/snapshot): a node can also cold-start from a
 // decoded checkpoint (engine::CorpusState) at any version, or completely

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <utility>
 
@@ -118,12 +117,19 @@ void SyncDir(const std::string& dir) {
   ::close(fd);
 }
 
+// Reads a whole checkpoint or delta file with one bulk read into a
+// presized buffer. A file larger than kMaxSnapshotBytes, which no decoder
+// accepts, fails here unread, so a stray huge file is never allocated.
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out) {
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec || size > kMaxSnapshotBytes) return false;
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
-  out->assign((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return true;
+  out->resize(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(out->data()),
+          static_cast<std::streamsize>(size));
+  return in.gcount() == static_cast<std::streamsize>(size);
 }
 
 }  // namespace
@@ -257,7 +263,7 @@ std::optional<engine::CorpusState> CheckpointStore::LoadLatest(
     const std::string path = PathFor(versions[i]);
     std::vector<std::uint8_t> bytes;
     if (!ReadFileBytes(path, &bytes)) {
-      last_error = "cannot open " + path;
+      last_error = "unreadable or oversized checkpoint " + path;
       continue;
     }
     engine::CorpusState state;

@@ -104,8 +104,6 @@ TEST_P(EvaluatorFuzz, GainsMatchBruteForceDeltasUnderRandomMutations) {
     EXPECT_NEAR(eval.Objective(), inst.problem.Objective(state.members()),
                 1e-9);
   }
-  const IncrementalEvaluator::Stats stats = eval.stats();
-  EXPECT_GT(stats.add_gain_queries + stats.swap_gain_queries, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorFuzz, ::testing::Range(1, 11));
@@ -270,8 +268,7 @@ TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
 }
 
 // Equal gains go to the earliest candidate *position*, not the smallest
-// id: every algorithm's determinism (and the bit-equality of pruned and
-// full scans) rests on this rule.
+// id: every algorithm's determinism rests on this rule.
 TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
   const int n = 6;
   std::vector<double> matrix(n * n, 1.0);
@@ -294,12 +291,10 @@ TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
   // order would pick (2, 9) and a smallest-id rule (2, 4).
   const std::vector<int> items = {7, 2, 9, 4};
   const auto score = [](int a, int b) { return a == 2 || b == 4 ? 1.0 : 0.0; };
-  obs::Counter scored;
-  const ScoredPair best = ArgmaxOverPairs(items, scored, score);
+  const ScoredPair best = ArgmaxOverPairs(items, score);
   EXPECT_EQ(best.first, 7);
   EXPECT_EQ(best.second, 4);
   EXPECT_EQ(best.gain, 1.0);
-  EXPECT_EQ(scored.value(), 6);
 }
 
 // Regression for a lazy-rebuild race: Universe() used to resize a mutable

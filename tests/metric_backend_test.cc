@@ -322,8 +322,12 @@ TEST(EngineVectorBackendTest, AnswersBitEqualToDenseOracleAcrossChurn) {
 
   engine::Query query;
   query.p = 12;
+  engine::Query local = query;
+  local.algorithm = engine::QueryAlgorithm::kLocalSearch;
   EXPECT_TRUE(SameAnswer(vec_engine.RunSync(query),
                          dense_engine.RunSync(query)));
+  EXPECT_TRUE(SameAnswer(vec_engine.RunSync(local),
+                         dense_engine.RunSync(local)));
 
   // Churn epochs: fresh embeddings in (the dense twin receives the
   // kernel-computed distance row for each), old ids out, weights moved.
@@ -356,6 +360,9 @@ TEST(EngineVectorBackendTest, AnswersBitEqualToDenseOracleAcrossChurn) {
     const engine::QueryResult dense_result = dense_engine.RunSync(query);
     EXPECT_TRUE(SameAnswer(vec_result, dense_result)) << "epoch " << e;
     EXPECT_EQ(vec_result.corpus_version, dense_result.corpus_version);
+    EXPECT_TRUE(SameAnswer(vec_engine.RunSync(local),
+                           dense_engine.RunSync(local)))
+        << "epoch " << e;
   }
 }
 

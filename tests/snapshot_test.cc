@@ -523,6 +523,26 @@ TEST(CheckpointStoreTest, CorruptLatestFallsBackToOlder) {
   EXPECT_EQ(loaded->version, 0u);
 }
 
+// A stray newest checkpoint larger than any decodable image is skipped
+// unread, like a corrupt one (the file is sparse: it takes no disk space).
+TEST(CheckpointStoreTest, OversizedLatestSkippedUnread) {
+  const std::string dir = TestDir("ckpt_oversized");
+  CheckpointStore store(dir);
+  Corpus corpus = MakeCorpus(12, 69);
+  ASSERT_TRUE(store.Save(*corpus.snapshot()));  // version 0, good
+  const fs::path newest =
+      fs::path(dir) / "checkpoint-00000000000000000001.snap";
+  { std::ofstream create(newest, std::ios::binary); }
+  fs::resize_file(newest, kMaxSnapshotBytes + 1);
+  EXPECT_EQ(store.ListVersions(), (std::vector<std::uint64_t>{0, 1}));
+
+  std::optional<CorpusState> loaded = store.LoadLatest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->version, 0u);
+  ExpectStateMatches(*corpus.snapshot(), *loaded);
+  fs::remove_all(dir);
+}
+
 // ---- Delta checkpoints -----------------------------------------------------
 
 TEST(SnapshotCodecTest, DeltaRoundTripAndTotality) {

@@ -9,7 +9,9 @@ the current/baseline ratio — the seed-vs-current perf trajectory.
 
 With --gate the script is also a CI gate: any gated field that regresses
 beyond --tolerance (default 15%) versus its baseline fails the run with
-exit status 2. Direction is known per field (qps up is good, wall_seconds
+exit status 2, and so does any baseline file with no current counterpart
+(a bench that stopped running would otherwise drop its gate silently;
+retire a gate by deleting its baseline file). Direction is known per field (qps up is good, wall_seconds
 up is bad); fields with unknown direction are report-only. Gate on
 machine-relative fields (--gate-fields speedup_vs_sync,speedup) rather
 than absolute timings, which vary with CI hardware. The escape hatch for
@@ -24,7 +26,8 @@ Usage:
   tools/bench_compare.py --baseline bench/baselines --current . \
       --gate --gate-fields speedup_vs_sync,speedup --tolerance 0.15
 
-Exit status: 1 on unreadable inputs, 2 on gated regressions, else 0.
+Exit status: 1 on unreadable inputs, 2 on gated regressions or missing
+bench files, else 0.
 """
 
 import argparse
@@ -62,14 +65,6 @@ HIGHER_IS_BETTER = {
     # same run (bench/metric_backend.cc) — machine-relative by
     # construction, like the other gated speedups.
     "kernel_speedup",
-    # Pruned vs full best-swap scans on the vector backend
-    # (bench/candidate_pruning.cc) — same-run machine-relative ratio;
-    # gated, since losing it means the pivot bounds stopped paying for
-    # themselves. The companion arithmetic ratios below are exact and
-    # stay advisory.
-    "prune_speedup",
-    "candidates_scored_ratio",
-    "certified_fraction",
     "encode_mb_s",
     "decode_mb_s",
     "write_mb_s",
@@ -89,9 +84,6 @@ LOWER_IS_BETTER = {
     "overhead_x",
     "replay_seconds",
     "cold_load_seconds",
-    # Epoch-publish latency with pruning-index maintenance on vs off
-    # (bench/candidate_pruning.cc) — advisory, machine-relative.
-    "publish_overhead_x",
     # Absolute promotion latency: advisory (machine-dependent), never in
     # --gate-fields; BENCH_failover's gated field is bit_equal.
     "promote_ms",
@@ -114,6 +106,12 @@ def load_bench(path):
             continue
         records.setdefault(name, []).append(record)
     return records
+
+
+def bench_files(directory):
+    """Sorted BENCH_*.json file names in `directory`; raises OSError."""
+    return sorted(f for f in os.listdir(directory)
+                  if f.startswith("BENCH_") and f.endswith(".json"))
 
 
 def numeric_fields(record, allowed):
@@ -158,13 +156,14 @@ def main():
     allowed = {f for f in args.fields.split(",") if f}
     gate_fields = {f for f in args.gate_fields.split(",") if f}
     try:
-        current_files = sorted(
-            f for f in os.listdir(args.current)
-            if f.startswith("BENCH_") and f.endswith(".json"))
+        current_files = bench_files(args.current)
+        baseline_files = bench_files(args.baseline)
     except OSError as error:
-        print(f"error: cannot list {args.current}: {error}", file=sys.stderr)
+        print(f"error: cannot list {error.filename}: {error}",
+              file=sys.stderr)
         return 1
-    if not current_files:
+    missing = sorted(set(baseline_files) - set(current_files))
+    if not current_files and not missing:
         print(f"no BENCH_*.json files under {args.current}")
         return 0
 
@@ -219,20 +218,22 @@ def main():
     if fresh:
         print(f"\nnew benches with no baseline yet: {', '.join(fresh)}")
 
+    if missing:
+        print(f"\nbaselines with no current bench file: {', '.join(missing)}")
+
     if regressions:
         tol_pct = args.tolerance * 100.0
         print(f"\n{len(regressions)} field(s) regressed beyond "
               f"{tol_pct:.0f}% vs baseline:")
         for line in regressions:
             print(f"  {line}")
-        if not args.gate:
-            return 0
-        if os.environ.get("DIVERSE_BENCH_NO_GATE"):
-            print("DIVERSE_BENCH_NO_GATE set: reporting only, not failing")
-            return 0
-        print("failing (set DIVERSE_BENCH_NO_GATE=1 to override)")
-        return 2
-    return 0
+    if not args.gate or not (regressions or missing):
+        return 0
+    if os.environ.get("DIVERSE_BENCH_NO_GATE"):
+        print("DIVERSE_BENCH_NO_GATE set: reporting only, not failing")
+        return 0
+    print("failing (set DIVERSE_BENCH_NO_GATE=1 to override)")
+    return 2
 
 
 if __name__ == "__main__":
