@@ -3,7 +3,7 @@
 // evaluation, evaluator updates, and the exact solver.
 //
 // In addition to the google-benchmark suite, main() times the incremental
-// evaluation path (SolutionState + IncrementalEvaluator) against the
+// evaluation path (SolutionState and its batched scans) against the
 // from-scratch DiversificationProblem::Objective path for greedy and
 // local search at n >= 2000, and writes the timings (and speedups) to
 // BENCH_micro_algorithms.json. Pass --compare_only to skip the

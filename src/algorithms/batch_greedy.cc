@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -23,7 +22,6 @@ AlgorithmResult BatchGreedy(const DiversificationProblem& problem,
                     "batch size must be 1, 2 or 3");
   WallTimer timer;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state);
   AlgorithmResult result;
 
   while (state.size() < p) {
@@ -42,7 +40,7 @@ AlgorithmResult BatchGreedy(const DiversificationProblem& problem,
     for (int i = 0; i < d; ++i) idx[i] = i;
     while (true) {
       for (int i = 0; i < d; ++i) block[i] = candidates[idx[i]];
-      const double gain = eval.BlockPrimeAddGain(block);
+      const double gain = state.BlockPrimeAddGain(block);
       if (gain > best_gain) {
         best_gain = gain;
         best_block = block;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -44,9 +43,8 @@ AlgorithmResult GreedyVertexOnCandidates(
   SolutionState state(&problem);
   AlgorithmResult result;
   const int target = std::min<int>(p, static_cast<int>(candidates.size()));
-  const IncrementalEvaluator eval(&state);
   while (state.size() < target) {
-    const ScoredCandidate best = eval.BestPrimeAddOver(candidates);
+    const ScoredCandidate best = state.BestPrimeAddOver(candidates);
     DIVERSE_CHECK(best.valid());
     state.Add(best.element);
     ++result.steps;

@@ -63,7 +63,7 @@ std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
                                            int num_shards, std::uint64_t salt);
 
 // Runs Greedy B restricted to `candidates` (exposed for reuse/testing).
-// Scans run through the batched incremental evaluator; ties keep the
+// Scans run through SolutionState::BestPrimeAddOver; ties keep the
 // earliest candidate position, matching GreedyVertex on the full universe.
 AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
                                          const std::vector<int>& candidates,

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/argmax_scan.h"
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "metric/dense_metric.h"
 #include "util/check.h"
@@ -72,12 +71,11 @@ AlgorithmResult GreedyEdge(const DiversificationProblem& problem,
     if (options.best_last_vertex) {
       SolutionState state(&problem);
       state.Assign(selected);
-      const IncrementalEvaluator eval(&state);
       std::vector<int> candidates;
       for (int u = 0; u < n; ++u) {
         if (!chosen[u]) candidates.push_back(u);
       }
-      pick = eval.BestAddOver(candidates).element;
+      pick = state.BestAddOver(candidates).element;
     } else {
       // "Arbitrary" vertex, deterministically the lowest unchosen index —
       // mirroring the paper's observation that Greedy A as defined does not

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -16,7 +15,6 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
   DIVERSE_CHECK_MSG(options.p >= 0, "p must be non-negative");
   WallTimer timer;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state);
   AlgorithmResult result;
 
   if (options.best_first_pair && p >= 2) {
@@ -27,10 +25,10 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
     int best_x = -1;
     int best_y = -1;
     double best_value = -1.0;
-    const std::span<const int> universe = eval.Universe();
+    const std::span<const int> universe = state.Universe();
     for (int x = 0; x + 1 < n; ++x) {
       state.Add(x);
-      const ScoredCandidate y = eval.BestAddOver(universe.subspan(x + 1));
+      const ScoredCandidate y = state.BestAddOver(universe.subspan(x + 1));
       if (y.valid() && state.objective() + y.gain > best_value) {
         best_value = state.objective() + y.gain;
         best_x = x;
@@ -45,7 +43,7 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
   }
 
   while (state.size() < p) {
-    const ScoredCandidate best = eval.BestPrimeAddOver(eval.Universe());
+    const ScoredCandidate best = state.BestPrimeAddOver(state.Universe());
     DIVERSE_CHECK(best.valid());
     state.Add(best.element);
     ++result.steps;

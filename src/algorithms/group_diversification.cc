@@ -1,9 +1,7 @@
 #include "algorithms/group_diversification.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 
@@ -26,17 +24,12 @@ GroupResult GroupGreedy(const DiversificationProblem& problem,
   result.groups.assign(options.k, {});
   if (options.p == 0) return result;
 
-  // One incremental state + batched evaluator per group; global
-  // chosen-flags keep groups disjoint. Groups are filled round-robin so
-  // that early groups do not starve late ones.
+  // One incremental state per group; global chosen-flags keep groups
+  // disjoint. Groups are filled round-robin so that early groups do not
+  // starve late ones.
   std::vector<SolutionState> states;
   states.reserve(options.k);
   for (int g = 0; g < options.k; ++g) states.emplace_back(&problem);
-  std::vector<std::unique_ptr<IncrementalEvaluator>> evals;
-  evals.reserve(options.k);
-  for (int g = 0; g < options.k; ++g) {
-    evals.push_back(std::make_unique<IncrementalEvaluator>(&states[g]));
-  }
   std::vector<bool> taken(n, false);
   std::vector<int> available;
   available.reserve(n);
@@ -47,7 +40,7 @@ GroupResult GroupGreedy(const DiversificationProblem& problem,
       for (int u = 0; u < n; ++u) {
         if (!taken[u]) available.push_back(u);
       }
-      const ScoredCandidate best = evals[g]->BestPrimeAddOver(available);
+      const ScoredCandidate best = states[g].BestPrimeAddOver(available);
       DIVERSE_CHECK(best.valid());
       taken[best.element] = true;
       states[g].Add(best.element);

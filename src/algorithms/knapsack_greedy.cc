@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -18,16 +17,15 @@ double TotalCost(const std::vector<double>& costs,
 }
 
 // Completes the state greedily by potential-per-cost among elements that
-// fit. The per-iteration candidate scan runs through the evaluator's
-// batched density argmax (a tiny epsilon denominator ranks zero-cost
-// elements with positive gain first).
+// fit. The per-iteration candidate scan runs through the state's batched
+// density argmax (a tiny epsilon denominator ranks zero-cost elements with
+// positive gain first).
 void DensityGreedyComplete(const std::vector<double>& costs, double budget,
-                           const IncrementalEvaluator& eval,
                            SolutionState* state, long long* steps) {
   double used = TotalCost(costs, state->members());
   while (true) {
     const ScoredCandidate best =
-        eval.BestDensityAddOver(eval.Universe(), costs, budget - used);
+        state->BestDensityAddOver(state->Universe(), costs, budget - used);
     if (!best.valid()) break;
     used += costs[best.element];
     state->Add(best.element);
@@ -69,14 +67,12 @@ AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,
   AlgorithmResult best;
   best.objective = -1.0;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state);
 
   auto try_seed = [&](const std::vector<int>& seed) {
     if (TotalCost(options.costs, seed) > options.budget + 1e-12) return;
     state.Assign(seed);
     long long steps = 0;
-    DensityGreedyComplete(options.costs, options.budget, eval, &state,
-                          &steps);
+    DensityGreedyComplete(options.costs, options.budget, &state, &steps);
     if (state.objective() > best.objective) {
       best.objective = state.objective();
       best.elements = state.SortedMembers();

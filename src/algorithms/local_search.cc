@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -49,7 +48,7 @@ std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
 
 // Extends `state` to a basis of `matroid`.
 void CompleteToBasis(const Matroid& matroid, bool greedy,
-                     const IncrementalEvaluator& eval, SolutionState* state) {
+                     SolutionState* state) {
   const int n = state->universe_size();
   std::vector<int> feasible;
   feasible.reserve(n);
@@ -66,7 +65,7 @@ void CompleteToBasis(const Matroid& matroid, bool greedy,
       }
       feasible.push_back(e);
     }
-    if (greedy) pick = eval.BestAddOver(feasible).element;
+    if (greedy) pick = state->BestAddOver(feasible).element;
     if (pick < 0) break;
     state->Add(pick);
   }
@@ -89,7 +88,6 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
   WallTimer timer;
   AlgorithmResult result;
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state);
 
   if (options.initial.empty()) {
     state.Assign(BestIndependentPair(problem, matroid));
@@ -98,7 +96,7 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
                       "initial set must be independent");
     state.Assign(options.initial);
   }
-  CompleteToBasis(matroid, options.greedy_completion, eval, &state);
+  CompleteToBasis(matroid, options.greedy_completion, &state);
 
   const int n = problem.size();
   std::vector<double> gains(n);
@@ -116,7 +114,7 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
     // feasible exchange, matching the scalar scan's result.
     candidates.clear();
     for (int rank = 0; rank < static_cast<int>(members.size()); ++rank) {
-      eval.ScoreSwapsFor(members[rank], eval.Universe(), gains);
+      state.ScoreSwapsFor(members[rank], state.Universe(), gains);
       for (int in = 0; in < n; ++in) {
         const double gain = gains[in];
         if (gain <= threshold || gain <= 1e-12) continue;

@@ -4,7 +4,7 @@
 // the best objective-improving exchange S <- S - v + u with S - v + u
 // independent, until locally optimal. 2-approximation for monotone
 // submodular f. Each round batch-scores every exchange
-// (IncrementalEvaluator::ScoreSwapsFor) and tests the matroid oracle in
+// (SolutionState::ScoreSwapsFor) and tests the matroid oracle in
 // descending-gain order, so the first feasible exchange is the best one.
 //
 // As the paper notes, polynomial running time requires accepting only

@@ -95,22 +95,14 @@ AlgorithmResult MatchingDiversifier(
   }
 
   if (static_cast<int>(selected.size()) < p) {
-    std::vector<bool> chosen(n, false);
-    for (int e : selected) chosen[e] = true;
     int pick = -1;
     if (options.best_last_vertex) {
       SolutionState state(&problem);
       state.Assign(selected);
-      double best_gain = -1.0;
-      for (int u = 0; u < n; ++u) {
-        if (chosen[u]) continue;
-        const double gain = state.AddGain(u);
-        if (pick < 0 || gain > best_gain) {
-          pick = u;
-          best_gain = gain;
-        }
-      }
+      pick = state.BestAddOver(state.Universe()).element;
     } else {
+      std::vector<bool> chosen(n, false);
+      for (int e : selected) chosen[e] = true;
       for (int u = 0; u < n && pick < 0; ++u) {
         if (!chosen[u]) pick = u;
       }

@@ -13,20 +13,10 @@ namespace {
 
 // Completes `state` to size p with the Greedy B potential rule.
 void GreedyComplete(int p, SolutionState* state, long long* steps) {
-  const int n = state->universe_size();
   while (state->size() < p) {
-    int best = -1;
-    double best_gain = 0.0;
-    for (int u = 0; u < n; ++u) {
-      if (state->Contains(u)) continue;
-      const double gain = state->PrimeGain(u);
-      if (best < 0 || gain > best_gain) {
-        best = u;
-        best_gain = gain;
-      }
-    }
-    DIVERSE_CHECK(best >= 0);
-    state->Add(best);
+    const ScoredCandidate best = state->BestPrimeAddOver(state->Universe());
+    DIVERSE_CHECK(best.valid());
+    state->Add(best.element);
     ++*steps;
   }
 }

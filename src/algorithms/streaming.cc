@@ -6,7 +6,7 @@ namespace diverse {
 
 StreamingDiversifier::StreamingDiversifier(
     const DiversificationProblem* problem, int p)
-    : state_(problem), eval_(&state_), p_(p) {
+    : state_(problem), p_(p) {
   DIVERSE_CHECK(p >= 0);
 }
 
@@ -19,7 +19,7 @@ bool StreamingDiversifier::Observe(int v) {
     return true;
   }
   const BestSwapResult best =
-      eval_.BestSwapOver(state_.members(), std::span<const int>(&v, 1));
+      state_.BestSwapOver(state_.members(), std::span<const int>(&v, 1));
   if (!best.valid() || best.gain <= 1e-12) return false;
   state_.Swap(best.out, best.in);
   ++swaps_;

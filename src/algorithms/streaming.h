@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 
 namespace diverse {
@@ -35,7 +34,6 @@ class StreamingDiversifier {
 
  private:
   SolutionState state_;
-  IncrementalEvaluator eval_;
   int p_;
   long long swaps_ = 0;
 };

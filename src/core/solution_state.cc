@@ -1,32 +1,53 @@
 #include "core/solution_state.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 
 namespace diverse {
+namespace {
+
+// phi(S - out + in) - phi(S) from its parts: f_in = f(S - out + in) -
+// f(S - out), f_out = f(S) - f(S - out), d_in = d_in(S), d_out =
+// d_out(S). SwapGain and the swap scans all evaluate this one expression,
+// so their gains agree bitwise.
+double SwapDelta(double lambda, double f_in, double f_out, double d_in,
+                 double d_in_out, double d_out) {
+  return (f_in - f_out) + lambda * (d_in - d_in_out - d_out);
+}
+
+}  // namespace
 
 SolutionState::SolutionState(const DiversificationProblem* problem)
     : problem_(problem), backend_(AsBackend(&problem->metric())) {
   DIVERSE_CHECK(problem != nullptr);
+  universe_.resize(problem->size());
+  std::iota(universe_.begin(), universe_.end(), 0);
   in_set_.assign(problem->size(), false);
   dist_to_set_.assign(problem->size(), 0.0);
   eval_ = problem->quality().MakeEvaluator();
 }
 
 SolutionState::SolutionState(const SolutionState& other)
-    : problem_(other.problem_), backend_(other.backend_) {
-  in_set_.assign(problem_->size(), false);
-  dist_to_set_.assign(problem_->size(), 0.0);
-  eval_ = problem_->quality().MakeEvaluator();
-  RebuildFrom(other.members_);
+    : SolutionState(other.problem_) {
+  *this = other;
 }
 
 SolutionState& SolutionState::operator=(const SolutionState& other) {
   if (this == &other) return *this;
   DIVERSE_CHECK_MSG(problem_ == other.problem_,
                     "assignment across different problems");
-  RebuildFrom(other.members_);
+  // The caches are copied bit for bit, so a copy goes on exactly as its
+  // source would. The quality evaluator cannot be copied; it is replayed
+  // from the member list.
+  members_ = other.members_;
+  in_set_ = other.in_set_;
+  dist_to_set_ = other.dist_to_set_;
+  dispersion_sum_ = other.dispersion_sum_;
+  objective_ = other.objective_;
+  eval_->Reset();
+  for (int v : members_) eval_->Add(v);
   return *this;
 }
 
@@ -67,18 +88,117 @@ double SolutionState::SwapGain(int out, int in) const {
   const double f_in = eval->Gain(in);   // f(S-out+in) - f(S-out)
   const double f_out = eval->Gain(out);  // f(S) - f(S-out)
   eval->Add(out);
-  const double dist_delta =
-      dist_to_set_[in] - problem_->metric().Distance(in, out) -
-      dist_to_set_[out];
-  return (f_in - f_out) + lambda() * dist_delta;
+  return SwapDelta(lambda(), f_in, f_out, dist_to_set_[in],
+                   problem_->metric().Distance(in, out), dist_to_set_[out]);
 }
 
-const double* SolutionState::DistanceRowFor(int v) {
+ScoredCandidate SolutionState::BestAddOver(
+    std::span<const int> candidates) const {
+  return ArgmaxOver(candidates, [&](int e, double* gain) {
+    if (in_set_[e]) return false;
+    *gain = AddGain(e);
+    return true;
+  });
+}
+
+ScoredCandidate SolutionState::BestPrimeAddOver(
+    std::span<const int> candidates) const {
+  return ArgmaxOver(candidates, [&](int e, double* gain) {
+    if (in_set_[e]) return false;
+    *gain = PrimeGain(e);
+    return true;
+  });
+}
+
+ScoredCandidate SolutionState::BestDensityAddOver(
+    std::span<const int> candidates, std::span<const double> costs,
+    double budget_left, double cost_floor) const {
+  return ArgmaxOver(candidates, [&](int e, double* gain) {
+    if (in_set_[e]) return false;
+    if (costs[e] > budget_left + 1e-12) return false;
+    *gain = PrimeGain(e) / std::max(costs[e], cost_floor);
+    return true;
+  });
+}
+
+template <typename Scan>
+void SolutionState::ScanSwapsFor(int out, Scan&& scan) const {
+  DIVERSE_DCHECK(in_set_[out]);
+  const double lambda = this->lambda();
+  const MetricSpace& metric = problem_->metric();
+  // Hoisting the row d(out, .) out of the scan replaces per-candidate
+  // virtual dispatch with contiguous reads, which feature-vector backends
+  // need to amortize their O(d) per-distance kernels.
+  std::vector<double> row_scratch;
+  const double* row_out = DistanceRowFor(out, &row_scratch);
+  const double dist_out = dist_to_set_[out];
+  SetFunctionEvaluator* eval = eval_.get();
+  eval->Remove(out);
+  const double f_out = eval->Gain(out);  // f(S) - f(S - out)
+  scan([&](int in, double* gain) {
+    if (in == out || in_set_[in]) return false;
+    const double d_in_out =
+        row_out != nullptr ? row_out[in] : metric.Distance(in, out);
+    *gain = SwapDelta(lambda, eval->Gain(in), f_out, dist_to_set_[in],
+                      d_in_out, dist_out);
+    return true;
+  });
+  eval->Add(out);
+}
+
+ScoredCandidate SolutionState::BestSwapInFor(int out,
+                                             std::span<const int> ins) const {
+  ScoredCandidate best;
+  ScanSwapsFor(out, [&](auto&& score) { best = ArgmaxOver(ins, score); });
+  return best;
+}
+
+BestSwapResult SolutionState::BestSwapOver(std::span<const int> outs,
+                                           std::span<const int> ins) const {
+  BestSwapResult best;
+  for (int out : outs) {
+    const ScoredCandidate in = BestSwapInFor(out, ins);
+    if (!in.valid()) continue;
+    if (!best.valid() || in.gain > best.gain) {
+      best = {out, in.element, in.gain};
+    }
+  }
+  return best;
+}
+
+void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
+                                  std::span<double> gains) const {
+  DIVERSE_CHECK(gains.size() == ins.size());
+  ScanSwapsFor(out, [&](auto&& score) { ScoreAll(ins, gains, score); });
+}
+
+double SolutionState::BlockPrimeAddGain(std::span<const int> block) const {
+  SetFunctionEvaluator* eval = eval_.get();
+  double f_gain = 0.0;
+  for (int b : block) {
+    DIVERSE_DCHECK(!in_set_[b]);
+    f_gain += eval->Gain(b);
+    eval->Add(b);
+  }
+  for (int b : block) eval->Remove(b);
+  const MetricSpace& metric = problem_->metric();
+  double dist = 0.0;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    dist += dist_to_set_[block[i]];  // d(b_i, S)
+    for (std::size_t j = i + 1; j < block.size(); ++j) {
+      dist += metric.Distance(block[i], block[j]);
+    }
+  }
+  return 0.5 * f_gain + lambda() * dist;
+}
+
+const double* SolutionState::DistanceRowFor(
+    int v, std::vector<double>* scratch) const {
   if (backend_ == nullptr) return nullptr;
   if (const double* row = backend_->TryRow(v)) return row;
-  row_scratch_.resize(universe_size());
-  backend_->DistanceRow(v, row_scratch_);
-  return row_scratch_.data();
+  scratch->resize(universe_size());
+  backend_->DistanceRow(v, *scratch);
+  return scratch->data();
 }
 
 void SolutionState::Add(int v) {
@@ -89,7 +209,7 @@ void SolutionState::Add(int v) {
   eval_->Add(v);
   members_.push_back(v);
   in_set_[v] = true;
-  if (const double* row = DistanceRowFor(v)) {
+  if (const double* row = DistanceRowFor(v, &row_scratch_)) {
     for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += row[u];
     return;
   }
@@ -102,7 +222,7 @@ void SolutionState::Add(int v) {
 void SolutionState::Remove(int v) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(in_set_[v], "Remove of an element not in S");
-  if (const double* row = DistanceRowFor(v)) {
+  if (const double* row = DistanceRowFor(v, &row_scratch_)) {
     for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] -= row[u];
   } else {
     const MetricSpace& metric = problem_->metric();

@@ -14,6 +14,15 @@
 //   RemoveGain(v)     = phi(S - v) - phi(S)  (<= 0 for monotone f)
 //   SwapGain(out,in)  = phi(S - out + in) - phi(S)
 //
+// On top of those sums it runs the batched argmax scans every algorithm
+// uses: BestAddOver, BestPrimeAddOver (Greedy B), BestDensityAddOver
+// (knapsack), BestSwapInFor / BestSwapOver / ScoreSwapsFor (local search,
+// streaming, dynamic updates) and BlockPrimeAddGain (batch greedy). Scans
+// are const and ties keep the earliest candidate position. Swap scans
+// position the quality evaluator at S - out once per scan, so each
+// candidate costs one Gain() query plus contiguous reads; the net state
+// is unchanged.
+//
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
 // row d(v, .). When the problem's metric is a MetricBackend (dense matrix
 // or feature-vector backend), the row comes from one batched
@@ -25,19 +34,30 @@
 #define DIVERSE_CORE_SOLUTION_STATE_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "core/argmax_scan.h"
 #include "core/diversification_problem.h"
 #include "metric/metric_backend.h"
 
 namespace diverse {
+
+// Best (out, in) exchange found by a swap scan.
+struct BestSwapResult {
+  int out = -1;
+  int in = -1;
+  double gain = 0.0;
+  bool valid() const { return out >= 0; }
+};
 
 class SolutionState {
  public:
   // `problem` must outlive the state. Starts at the empty set.
   explicit SolutionState(const DiversificationProblem* problem);
 
-  // Copyable so algorithms can snapshot/restore candidate states.
+  // Copyable so algorithms can snapshot/restore candidate states. A copy
+  // holds the source's cached sums and objective bit for bit.
   SolutionState(const SolutionState& other);
   SolutionState& operator=(const SolutionState& other);
 
@@ -77,6 +97,44 @@ class SolutionState {
   // temporarily adjusts the evaluator (still no net state change).
   double SwapGain(int out, int in) const;
 
+  // Argmax of AddGain / PrimeGain over `candidates`; members of S are
+  // skipped. Invalid result when no candidate qualifies.
+  ScoredCandidate BestAddOver(std::span<const int> candidates) const;
+  ScoredCandidate BestPrimeAddOver(std::span<const int> candidates) const;
+
+  // Argmax of PrimeGain(u) / max(costs[u], cost_floor) over candidates;
+  // skips members and candidates with costs[u] > budget_left. `costs` is
+  // indexed by element id.
+  ScoredCandidate BestDensityAddOver(std::span<const int> candidates,
+                                     std::span<const double> costs,
+                                     double budget_left,
+                                     double cost_floor = 1e-12) const;
+
+  // Best swap partner for a fixed out in S over `ins` (members and `out`
+  // skipped): argmax of SwapGain(out, in).
+  ScoredCandidate BestSwapInFor(int out, std::span<const int> ins) const;
+
+  // Best swap over outs x ins; `outs` must all be members. Ties keep the
+  // earliest (out position, in position).
+  BestSwapResult BestSwapOver(std::span<const int> outs,
+                              std::span<const int> ins) const;
+
+  // Fills gains[i] = SwapGain(out, ins[i]), or -infinity for skipped
+  // candidates (members of S and `out` itself). gains.size() must equal
+  // ins.size().
+  void ScoreSwapsFor(int out, std::span<const int> ins,
+                     std::span<double> gains) const;
+
+  // Batch greedy's block potential for a block B disjoint from S:
+  //   1/2 [f(S + B) - f(S)] + lambda [d(B) + d(B, S)],
+  // computed via |B| incremental quality updates (net state unchanged).
+  double BlockPrimeAddGain(std::span<const int> block) const;
+
+  // All elements {0, .., n-1} as a candidate list. Built eagerly at
+  // construction (the universe size is fixed per problem), so concurrent
+  // const scans share a read-only span.
+  std::span<const int> Universe() const { return universe_; }
+
   // Mutators; each is O(n) to refresh dist_to_set.
   void Add(int v);
   void Remove(int v);
@@ -102,18 +160,21 @@ class SolutionState {
   void Assign(const std::vector<int>& set);
 
  private:
-  // The batched oracle hoists quality-evaluator repositioning out of its
-  // swap scans (core/incremental_evaluator.h).
-  friend class IncrementalEvaluator;
-
   void RebuildFrom(const std::vector<int>& members);
-  // Row d(v, .) for the Add/Remove refresh: a stored backend row when
-  // available, else row_scratch_ filled by one batched kernel call, else
-  // nullptr (caller falls back to scalar Distance()).
-  const double* DistanceRowFor(int v);
+  // Row d(v, .): a stored backend row when available, else `scratch`
+  // filled by one batched kernel call, else nullptr (caller falls back to
+  // scalar Distance()). Add/Remove pass row_scratch_; const swap scans
+  // pass a local buffer so they touch no shared state.
+  const double* DistanceRowFor(int v, std::vector<double>* scratch) const;
+  // Runs scan(score) with the quality evaluator positioned at S - out,
+  // where score(in, &gain) yields SwapGain(out, in) or skips members and
+  // `out`. Shared by BestSwapInFor and ScoreSwapsFor.
+  template <typename Scan>
+  void ScanSwapsFor(int out, Scan&& scan) const;
 
   const DiversificationProblem* problem_;
   const MetricBackend* backend_;  // nullptr for scalar-only metrics
+  std::vector<int> universe_;     // {0, .., n-1}
   std::vector<double> row_scratch_;
   std::vector<int> members_;
   std::vector<bool> in_set_;

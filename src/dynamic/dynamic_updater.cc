@@ -27,7 +27,7 @@ int RequiredUpdatesForWeightDecrease(int p, double solution_weight,
 DynamicUpdater::DynamicUpdater(const DiversificationProblem* problem,
                                ModularFunction* weights, DenseMetric* metric,
                                std::vector<int> initial_solution)
-    : state_(problem), eval_(&state_), weights_(weights), metric_(metric) {
+    : state_(problem), weights_(weights), metric_(metric) {
   DIVERSE_CHECK(weights != nullptr);
   DIVERSE_CHECK(metric != nullptr);
   DIVERSE_CHECK_MSG(&problem->quality() == weights,
@@ -58,7 +58,7 @@ void DynamicUpdater::Apply(const Perturbation& perturbation) {
 
 bool DynamicUpdater::ObliviousUpdate() {
   const BestSwapResult best =
-      eval_.BestSwapOver(state_.members(), eval_.Universe());
+      state_.BestSwapOver(state_.members(), state_.Universe());
   if (!best.valid() || best.gain <= 1e-12) return false;
   state_.Swap(best.out, best.in);
   ++total_swaps_;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/diversification_problem.h"
-#include "core/incremental_evaluator.h"
 #include "core/solution_state.h"
 #include "dynamic/perturbation.h"
 
@@ -44,8 +43,8 @@ class DynamicUpdater {
   void Apply(const Perturbation& perturbation);
 
   // One application of the oblivious update rule. Returns true when a swap
-  // was performed. O(p * n) swap-gain evaluations, batched through the
-  // incremental evaluator.
+  // was performed. O(p * n) swap-gain evaluations, batched through
+  // SolutionState::BestSwapOver.
   bool ObliviousUpdate();
 
   // The paper's full reaction to a perturbation: Apply() followed by the
@@ -58,7 +57,6 @@ class DynamicUpdater {
 
  private:
   SolutionState state_;
-  IncrementalEvaluator eval_;
   ModularFunction* weights_;
   DenseMetric* metric_;
   long long total_swaps_ = 0;

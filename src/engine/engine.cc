@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "obs/query_trace.h"
@@ -24,8 +25,14 @@ void ValidateQuery(const Query& query, const PlanDefaults& defaults) {
   DIVERSE_CHECK_MSG(query.p >= 0, "query.p must be non-negative");
   DIVERSE_CHECK_MSG(query.num_shards >= 0,
                     "query.num_shards must be non-negative");
+  // Checked here, on the submitting thread: a non-finite value would
+  // abort a worker (relevance), answer NaN (lambda) or defeat the erased-id
+  // cost mask (budget).
+  DIVERSE_CHECK_MSG(std::isfinite(query.lambda),
+                    "query.lambda must be finite (negative: corpus default)");
   for (double r : query.relevance) {
-    DIVERSE_CHECK_MSG(r >= 0.0, "relevance scores must be non-negative");
+    DIVERSE_CHECK_MSG(r >= 0.0 && std::isfinite(r),
+                      "relevance scores must be finite and non-negative");
   }
   if (query.plan == PlanKind::kSharded ||
       query.plan == PlanKind::kRemoteSharded) {
@@ -37,8 +44,8 @@ void ValidateQuery(const Query& query, const PlanDefaults& defaults) {
                       "remote sharded plan needs Options::remote configured");
   }
   if (query.algorithm == QueryAlgorithm::kKnapsack) {
-    DIVERSE_CHECK_MSG(query.budget >= 0.0,
-                      "knapsack budget must be non-negative");
+    DIVERSE_CHECK_MSG(query.budget >= 0.0 && std::isfinite(query.budget),
+                      "knapsack budget must be finite and non-negative");
     for (double c : query.costs) {
       DIVERSE_CHECK_MSG(c >= 0.0, "knapsack costs must be non-negative");
     }

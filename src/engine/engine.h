@@ -31,6 +31,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "engine/corpus.h"
@@ -81,8 +82,9 @@ class DiversificationEngine {
     // Only reader: servebench/serving.cc. Inert: the engine reads neither.
     PruningMode pruning = PruningMode::kOff;
     PruningIndex::Options pruning_config{};
-    // Unused; kept so code assigning it to PlanDefaults::eval still compiles.
-    IncrementalEvaluator::Options eval{};
+    // Inert; only servebench/serving.cc reads it (assigning it to
+    // PlanDefaults::eval).
+    std::monostate eval{};
   };
 
   // Always-on counters.

@@ -5,8 +5,8 @@
 // DiversificationProblem snapshot hooks), restricts every algorithm to the
 // snapshot's live candidates, and dispatches on the plan:
 //
-//   * kSingleNode — one batched incremental-evaluator run (Greedy B over
-//     candidates, matroid local search, or density knapsack greedy);
+//   * kSingleNode — one run of SolutionState's batched scans (Greedy B
+//     over candidates, matroid local search, or density knapsack greedy);
 //   * kSharded — the deterministic hash-partitioned two-round plan
 //     (algorithms/distributed.h), reusing GreedyVertexOnCandidates as the
 //     per-shard kernel and the composable-core-set safeguard as merge;
@@ -22,9 +22,9 @@
 #define DIVERSE_ENGINE_EXECUTION_PLAN_H_
 
 #include <memory>
+#include <variant>
 #include <vector>
 
-#include "core/incremental_evaluator.h"
 #include "engine/corpus.h"
 #include "engine/query.h"
 
@@ -66,8 +66,9 @@ struct PlanDefaults {
   int num_shards = 4;  // used when query.num_shards == 0
   // Required for PlanKind::kRemoteSharded queries; unused otherwise.
   RemoteExecutor* remote = nullptr;
-  // Unused; kept so code assigning engine::Options::eval still compiles.
-  IncrementalEvaluator::Options eval{};
+  // Inert; only servebench/serving.cc reads it (assigned from
+  // engine::Options::eval).
+  std::monostate eval{};
 };
 
 // Answers `query` on `snapshot`. latency_seconds is the execution time

@@ -29,7 +29,7 @@ enum class QueryAlgorithm {
 };
 
 enum class PlanKind {
-  kSingleNode,     // one incremental-evaluator run over all live candidates
+  kSingleNode,     // one SolutionState scan run over all live candidates
   kSharded,        // hash-partitioned two-round GreeDi plan (greedy only)
   kRemoteSharded,  // same plan, per-shard kernels on remote nodes via the
                    // configured RemoteExecutor (src/rpc/coordinator.h);

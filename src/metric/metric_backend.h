@@ -2,8 +2,8 @@
 // hot loops run on.
 //
 // MetricSpace answers one d(u, v) per virtual call; the hot loops
-// (SolutionState's Birnbaum–Goldman row updates, the IncrementalEvaluator
-// swap scans) consume whole rows d(u, .) at a time. MetricBackend adds
+// (SolutionState's Birnbaum–Goldman row updates and its swap scans)
+// consume whole rows d(u, .) at a time. MetricBackend adds
 // those batched queries so implementations can serve them from contiguous
 // storage (DenseMetric) or compute them with SIMD-friendly
 // kernels over feature vectors (VectorMetric) — without the per-element

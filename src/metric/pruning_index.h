@@ -1,5 +1,5 @@
 // Inert pruning declarations. No scan prunes: local search has one swap
-// scan (IncrementalEvaluator::ScoreSwapsFor), so nothing builds an index
+// scan (SolutionState::ScoreSwapsFor), so nothing builds an index
 // and nothing increments these counters.
 #ifndef DIVERSE_METRIC_PRUNING_INDEX_H_
 #define DIVERSE_METRIC_PRUNING_INDEX_H_

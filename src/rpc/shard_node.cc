@@ -117,7 +117,7 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
 
   if (request.num_shards < 1 || request.shard_index < 0 ||
       request.shard_index >= request.num_shards || request.p < 0 ||
-      request.per_shard < 0) {
+      request.per_shard < 0 || !std::isfinite(request.lambda)) {
     rejected_.Inc();
     response.status = RpcStatus::kError;
     return Encode(response);

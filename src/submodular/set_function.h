@@ -18,8 +18,8 @@ namespace diverse {
 // Elements are indices into the ground set of the owning SetFunction.
 //
 // Thread-safety contract: the const queries (value(), Gain()) must be safe
-// for concurrent calls at a fixed S — the batched candidate scans in
-// core/incremental_evaluator.h issue Gain() from worker threads. Mutators
+// for concurrent calls at a fixed S — SolutionState's const add scans
+// (core/solution_state.h) may issue Gain() from several threads. Mutators
 // (Add/Remove/Reset) require exclusive access.
 class SetFunctionEvaluator {
  public:

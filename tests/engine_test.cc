@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -168,6 +169,33 @@ TEST(EngineTest, KnapsackQueryRespectsBudget) {
   const QueryResult result = engine.Submit(query).get();
   EXPECT_LE(result.elements.size(), 3u);
   EXPECT_FALSE(result.elements.empty());
+}
+
+// Non-finite query inputs are rejected on the submitting thread. Accepted,
+// an infinite relevance aborted a worker (and the process), an infinite
+// lambda answered NaN, and an infinite budget let an erased id through the
+// knapsack cost mask.
+TEST(EngineDeathTest, NonFiniteQueryInputsRejectedAtSubmit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DiversificationEngine engine = MakeEngine(12, 7, 0.3, {.num_workers = 1});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  Query relevance;
+  relevance.p = 3;
+  relevance.relevance.assign(12, 1.0);
+  relevance.relevance[4] = kInf;
+  EXPECT_DEATH(engine.Submit(relevance), "relevance scores must be finite");
+
+  Query lambda;
+  lambda.p = 3;
+  lambda.lambda = kInf;
+  EXPECT_DEATH(engine.Submit(lambda), "query.lambda must be finite");
+
+  Query knapsack;
+  knapsack.algorithm = QueryAlgorithm::kKnapsack;
+  knapsack.costs.assign(12, 1.0);
+  knapsack.budget = kInf;
+  EXPECT_DEATH(engine.Submit(knapsack), "knapsack budget must be finite");
 }
 
 TEST(EngineTest, InsertedElementBecomesSelectable) {

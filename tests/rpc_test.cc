@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -329,6 +330,36 @@ TEST(RpcTest, MisbehavingNodeTriggersFallback) {
   Rng qrng(16);
   ExpectBitEqual(engine, MakeQuery(50, 7, 4, 21, qrng));
   EXPECT_GT(coordinator.stats().local_fallbacks, 0);
+}
+
+// A node answers an invalid kernel request with kError and counts it as
+// rejected, instead of running the kernel on it.
+TEST(RpcTest, NodeRejectsInvalidQueryRequests) {
+  Rng rng(17);
+  Dataset data = MakeUniformSynthetic(20, rng);
+  ShardNode node(data.weights, std::move(data.metric), 0.3);
+  ShardQueryRequest valid;
+  valid.num_shards = 2;
+  valid.p = 3;
+  valid.per_shard = 3;
+  valid.relevance.assign(20, 0.5);
+  ShardQueryResponse response;
+  ASSERT_TRUE(Decode(node.Handle(Encode(valid)), &response));
+  ASSERT_EQ(response.status, RpcStatus::kOk);
+  ASSERT_EQ(node.stats().rejected, 0);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<ShardQueryRequest> invalid(5, valid);
+  invalid[0].shard_index = 2;  // == num_shards
+  invalid[1].relevance[3] = -1.0;
+  invalid[2].relevance[3] = kInf;
+  invalid[3].lambda = kInf;
+  invalid[4].lambda = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    ASSERT_TRUE(Decode(node.Handle(Encode(invalid[i])), &response)) << i;
+    EXPECT_EQ(response.status, RpcStatus::kError) << i;
+    EXPECT_EQ(node.stats().rejected, static_cast<long long>(i + 1)) << i;
+  }
 }
 
 // Pooled remote queries racing an updater thread: every result must be

@@ -1,8 +1,7 @@
-// Randomized equivalence suite for the incremental evaluation subsystem:
-// every batched gain the IncrementalEvaluator reports must equal the
-// corresponding brute-force DiversificationProblem::Objective delta to
-// 1e-9.
-#include "core/incremental_evaluator.h"
+// Randomized equivalence suite for SolutionState's gains and batched
+// scans: every gain they report must equal the corresponding brute-force
+// DiversificationProblem::Objective delta to 1e-9.
+#include "core/solution_state.h"
 
 #include <gtest/gtest.h>
 
@@ -20,12 +19,11 @@
 #include "algorithms/local_search.h"
 #include "algorithms/streaming.h"
 #include "core/diversification_problem.h"
-#include "core/solution_state.h"
 #include "data/synthetic.h"
-#include "metric/dense_metric.h"
 #include "dynamic/dynamic_updater.h"
 #include "dynamic/perturbation.h"
 #include "matroid/uniform_matroid.h"
+#include "metric/dense_metric.h"
 #include "submodular/coverage_function.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
@@ -81,7 +79,6 @@ TEST_P(EvaluatorFuzz, GainsMatchBruteForceDeltasUnderRandomMutations) {
   Rng rng(GetParam());
   Instance inst(14, 0.3, GetParam() * 7 + 1);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   for (int step = 0; step < 120; ++step) {
     const int v = rng.UniformInt(0, 13);
     if (state.Contains(v) && state.size() > 1 && state.size() < 14 &&
@@ -89,31 +86,30 @@ TEST_P(EvaluatorFuzz, GainsMatchBruteForceDeltasUnderRandomMutations) {
       // Randomized swap with some non-member.
       int in = rng.UniformInt(0, 13);
       while (state.Contains(in)) in = rng.UniformInt(0, 13);
-      EXPECT_NEAR(eval.GainOfSwap(v, in),
+      EXPECT_NEAR(state.SwapGain(v, in),
                   BruteSwapDelta(inst.problem, state.members(), v, in), 1e-9);
       state.Swap(v, in);
     } else if (state.Contains(v)) {
-      EXPECT_NEAR(eval.GainOfRemove(v),
+      EXPECT_NEAR(state.RemoveGain(v),
                   BruteRemoveDelta(inst.problem, state.members(), v), 1e-9);
       state.Remove(v);
     } else {
-      EXPECT_NEAR(eval.GainOfAdd(v),
+      EXPECT_NEAR(state.AddGain(v),
                   BruteAddDelta(inst.problem, state.members(), v), 1e-9);
       state.Add(v);
     }
-    EXPECT_NEAR(eval.Objective(), inst.problem.Objective(state.members()),
+    EXPECT_NEAR(state.objective(), inst.problem.Objective(state.members()),
                 1e-9);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorFuzz, ::testing::Range(1, 11));
 
-TEST(IncrementalEvaluatorTest, BestAddOverMatchesSequentialArgmax) {
+TEST(SolutionScansTest, BestAddOverMatchesSequentialArgmax) {
   Instance inst(40, 0.25, 21);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   for (int v : {3, 11, 27}) state.Add(v);
-  const ScoredCandidate best = eval.BestAddOver(eval.Universe());
+  const ScoredCandidate best = state.BestAddOver(state.Universe());
   int expected = -1;
   double expected_gain = 0.0;
   for (int u = 0; u < 40; ++u) {
@@ -128,12 +124,11 @@ TEST(IncrementalEvaluatorTest, BestAddOverMatchesSequentialArgmax) {
   EXPECT_NEAR(best.gain, expected_gain, 1e-9);
 }
 
-TEST(IncrementalEvaluatorTest, BestPrimeAddOverMatchesStatePrimeGain) {
+TEST(SolutionScansTest, BestPrimeAddOverMatchesStatePrimeGain) {
   Instance inst(30, 0.4, 22);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   for (int v : {1, 5}) state.Add(v);
-  const ScoredCandidate best = eval.BestPrimeAddOver(eval.Universe());
+  const ScoredCandidate best = state.BestPrimeAddOver(state.Universe());
   int expected = -1;
   double expected_gain = 0.0;
   for (int u = 0; u < 30; ++u) {
@@ -148,14 +143,13 @@ TEST(IncrementalEvaluatorTest, BestPrimeAddOverMatchesStatePrimeGain) {
   EXPECT_NEAR(best.gain, expected_gain, 1e-12);
 }
 
-TEST(IncrementalEvaluatorTest, SwapScansMatchBruteForceDeltas) {
+TEST(SolutionScansTest, SwapScansMatchBruteForceDeltas) {
   Instance inst(25, 0.35, 23);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   for (int v : {2, 9, 17, 21}) state.Add(v);
   std::vector<double> gains(25);
   for (int out : {2, 9, 17, 21}) {
-    eval.ScoreSwapsFor(out, eval.Universe(), gains);
+    state.ScoreSwapsFor(out, state.Universe(), gains);
     for (int in = 0; in < 25; ++in) {
       if (state.Contains(in) || in == out) {
         EXPECT_EQ(gains[in], -std::numeric_limits<double>::infinity());
@@ -165,15 +159,18 @@ TEST(IncrementalEvaluatorTest, SwapScansMatchBruteForceDeltas) {
                   BruteSwapDelta(inst.problem, state.members(), out, in),
                   1e-9)
           << "swap " << out << " -> " << in;
+      // Scans and the single-pair gain share one expression: bitwise.
+      EXPECT_EQ(gains[in], state.SwapGain(out, in))
+          << "swap " << out << " -> " << in;
     }
-    const ScoredCandidate best = eval.BestSwapInFor(out, eval.Universe());
+    const ScoredCandidate best = state.BestSwapInFor(out, state.Universe());
     ASSERT_TRUE(best.valid());
     EXPECT_NEAR(best.gain, *std::max_element(gains.begin(), gains.end()),
                 1e-12);
   }
   // BestSwapOver agrees with the max over all (out, in) pairs.
   const BestSwapResult best =
-      eval.BestSwapOver(state.members(), eval.Universe());
+      state.BestSwapOver(state.members(), state.Universe());
   ASSERT_TRUE(best.valid());
   double expected = -std::numeric_limits<double>::infinity();
   for (int out : state.members()) {
@@ -186,7 +183,7 @@ TEST(IncrementalEvaluatorTest, SwapScansMatchBruteForceDeltas) {
   EXPECT_NEAR(best.gain, expected, 1e-9);
 }
 
-TEST(IncrementalEvaluatorTest, SwapScansWorkWithSubmodularQuality) {
+TEST(SolutionScansTest, SwapScansWorkWithSubmodularQuality) {
   Rng rng(24);
   Dataset data = MakeUniformSynthetic(12, rng);
   std::vector<std::vector<int>> covers(12);
@@ -196,12 +193,11 @@ TEST(IncrementalEvaluatorTest, SwapScansWorkWithSubmodularQuality) {
   const CoverageFunction coverage(covers, std::vector<double>(8, 1.0));
   const DiversificationProblem problem(&data.metric, &coverage, 0.3);
   SolutionState state(&problem);
-  const IncrementalEvaluator eval(&state);
   for (int v : {0, 4, 8}) state.Add(v);
   const double objective_before = state.objective();
   std::vector<double> gains(12);
   for (int out : {0, 4, 8}) {
-    eval.ScoreSwapsFor(out, eval.Universe(), gains);
+    state.ScoreSwapsFor(out, state.Universe(), gains);
     for (int in = 0; in < 12; ++in) {
       if (state.Contains(in) || in == out) continue;
       EXPECT_NEAR(gains[in],
@@ -213,17 +209,16 @@ TEST(IncrementalEvaluatorTest, SwapScansWorkWithSubmodularQuality) {
   EXPECT_NEAR(state.quality_value(), coverage.Value(state.members()), 1e-9);
 }
 
-TEST(IncrementalEvaluatorTest, BestDensityAddOverRespectsBudgetAndCosts) {
+TEST(SolutionScansTest, BestDensityAddOverRespectsBudgetAndCosts) {
   Instance inst(20, 0.2, 25);
   Rng rng(26);
   std::vector<double> costs(20);
   for (double& c : costs) c = rng.Uniform(0.5, 2.0);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   state.Add(4);
   const double budget_left = 1.4;
   const ScoredCandidate best =
-      eval.BestDensityAddOver(eval.Universe(), costs, budget_left);
+      state.BestDensityAddOver(state.Universe(), costs, budget_left);
   int expected = -1;
   double expected_density = 0.0;
   for (int u = 0; u < 20; ++u) {
@@ -240,13 +235,12 @@ TEST(IncrementalEvaluatorTest, BestDensityAddOverRespectsBudgetAndCosts) {
     EXPECT_NEAR(best.gain, expected_density, 1e-12);
   }
   // An empty budget admits nothing.
-  EXPECT_FALSE(eval.BestDensityAddOver(eval.Universe(), costs, 0.0).valid());
+  EXPECT_FALSE(state.BestDensityAddOver(state.Universe(), costs, 0.0).valid());
 }
 
-TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
+TEST(SolutionScansTest, BlockPrimeAddGainMatchesFromScratch) {
   Instance inst(15, 0.3, 27);
   SolutionState state(&inst.problem);
-  const IncrementalEvaluator eval(&state);
   for (int v : {0, 7}) state.Add(v);
   const std::vector<int> block = {2, 5, 11};
   std::vector<int> extended = state.members();
@@ -261,7 +255,7 @@ TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
     }
   }
   const double expected = 0.5 * f_gain + inst.problem.lambda() * dist;
-  EXPECT_NEAR(eval.BlockPrimeAddGain(block), expected, 1e-9);
+  EXPECT_NEAR(state.BlockPrimeAddGain(block), expected, 1e-9);
   // No net state change.
   EXPECT_NEAR(state.objective(), inst.problem.Objective(state.members()),
               1e-9);
@@ -269,7 +263,7 @@ TEST(IncrementalEvaluatorTest, BlockPrimeAddGainMatchesFromScratch) {
 
 // Equal gains go to the earliest candidate *position*, not the smallest
 // id: every algorithm's determinism rests on this rule.
-TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
+TEST(SolutionScansTest, TiesKeepEarliestPosition) {
   const int n = 6;
   std::vector<double> matrix(n * n, 1.0);
   for (int i = 0; i < n; ++i) matrix[i * n + i] = 0.0;
@@ -278,13 +272,12 @@ TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
   const DiversificationProblem problem(&metric, &weights, 0.3);
   SolutionState state(&problem);
   state.Add(0);
-  const IncrementalEvaluator eval(&state);
 
   // Every non-member has the same gain; the member 0 is skipped.
   const std::vector<int> reversed = {5, 4, 3, 2, 1, 0};
-  EXPECT_EQ(eval.BestAddOver(reversed).element, 5);
-  EXPECT_EQ(eval.BestPrimeAddOver(reversed).element, 5);
-  EXPECT_EQ(eval.BestSwapInFor(0, reversed).element, 5);
+  EXPECT_EQ(state.BestAddOver(reversed).element, 5);
+  EXPECT_EQ(state.BestPrimeAddOver(reversed).element, 5);
+  EXPECT_EQ(state.BestSwapInFor(0, reversed).element, 5);
 
   // Pair scan: every pair with a == 2 or b == 4 ties at the top. The
   // lexicographically earliest positions (0, 3) hold (7, 4); a column-first
@@ -299,26 +292,25 @@ TEST(IncrementalEvaluatorTest, TiesKeepEarliestPosition) {
 
 // Regression for a lazy-rebuild race: Universe() used to resize a mutable
 // cache vector inside a const method, so two threads scanning the same
-// (const) evaluator raced on the resize. The universe list is now built
+// (const) state raced on the resize. The universe list is now built
 // eagerly at construction; this test hammers Universe() and the read-only
 // add scans that consume it from many threads — under TSan it fails
 // loudly if the lazy rebuild ever comes back. (Swap scans stay out of the
 // threaded section on purpose: BestSwapInFor scopes a quality-evaluator
-// mutation, so concurrent swap scans on one evaluator instance were never
-// a supported pattern — every engine query owns its own evaluator.)
-TEST(IncrementalEvaluatorTest, UniverseIsSafeUnderConcurrentScans) {
+// mutation, so concurrent swap scans on one state were never a supported
+// pattern — every engine query owns its own state.)
+TEST(SolutionScansTest, UniverseIsSafeUnderConcurrentScans) {
   Instance inst(80, 0.3, 91);
   SolutionState state(&inst.problem);
   for (int v : {3, 17, 42, 61}) state.Add(v);
-  const IncrementalEvaluator eval(&state);
-  const ScoredCandidate expected_add = eval.BestAddOver(eval.Universe());
+  const ScoredCandidate expected_add = state.BestAddOver(state.Universe());
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 20; ++i) {
-        const std::span<const int> universe = eval.Universe();
+        const std::span<const int> universe = state.Universe();
         ASSERT_EQ(static_cast<int>(universe.size()), 80);
-        const ScoredCandidate add = eval.BestAddOver(universe);
+        const ScoredCandidate add = state.BestAddOver(universe);
         EXPECT_EQ(add.element, expected_add.element);
         EXPECT_EQ(add.gain, expected_add.gain);
       }
@@ -414,6 +406,51 @@ TEST_P(DynamicPathFuzz, UpdaterObjectiveMatchesFromScratch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicPathFuzz, ::testing::Range(1, 11));
+
+// Scans run on the object's own state, so a copy taken mid-stream and the
+// source it was copied from evolve independently: the copy must end where
+// a fresh diversifier fed the same prefix and suffix ends.
+TEST(CopySafetyTest, CopiedStreamingDiversifierMatchesFreshOne) {
+  Instance inst(40, 0.3, 31);
+  Rng rng(32);
+  std::vector<int> stream(40);
+  for (int i = 0; i < 40; ++i) stream[i] = i;
+  rng.Shuffle(&stream);
+  const std::vector<int> prefix(stream.begin(), stream.begin() + 10);
+  const std::vector<int> suffix(stream.begin() + 10, stream.begin() + 30);
+
+  StreamingDiversifier source(&inst.problem, 5);
+  source.ObserveAll(prefix);
+  StreamingDiversifier copy = source;
+  source.ObserveAll(std::vector<int>(stream.begin() + 30, stream.end()));
+  copy.ObserveAll(suffix);
+
+  StreamingDiversifier fresh(&inst.problem, 5);
+  fresh.ObserveAll(prefix);
+  fresh.ObserveAll(suffix);
+  EXPECT_EQ(copy.current(), fresh.current());
+  EXPECT_EQ(copy.objective(), fresh.objective());
+  EXPECT_EQ(copy.swaps_performed(), fresh.swaps_performed());
+}
+
+TEST(CopySafetyTest, CopiedDynamicUpdaterMatchesFreshOne) {
+  Rng rng(33);
+  Dataset data = MakeUniformSynthetic(30, rng);
+  ModularFunction weights(data.weights);
+  DiversificationProblem problem(&data.metric, &weights, 0.4);
+  const std::vector<int> initial = {0, 1, 2, 3, 4};
+
+  DynamicUpdater source(&problem, &weights, &data.metric, initial);
+  DynamicUpdater copy = source;
+  for (int i = 0; i < 3; ++i) source.ObliviousUpdate();
+  DynamicUpdater fresh(&problem, &weights, &data.metric, initial);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(copy.ObliviousUpdate(), fresh.ObliviousUpdate()) << i;
+  }
+  EXPECT_EQ(copy.solution(), fresh.solution());
+  EXPECT_EQ(copy.objective(), fresh.objective());
+  EXPECT_EQ(copy.total_swaps(), fresh.total_swaps());
+}
 
 }  // namespace
 }  // namespace diverse
