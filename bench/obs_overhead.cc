@@ -7,7 +7,8 @@
 // and remote-traced (same cluster, a QueryTrace per query, so node-side
 // spans ride the wire back and get aligned) — and reports
 //
-//   overhead_x = median(arm round seconds) / median(baseline seconds)
+//   overhead_x = median over rounds of (arm round seconds / baseline
+//                seconds in the same round)
 //   bit_equal  = arm answers identical to baseline answers (elements,
 //                objective, corpus version) for every query
 //
@@ -19,12 +20,15 @@
 // each arm's overhead_x must stay <= --max_overhead (default 1.05)
 // unless DIVERSE_BENCH_NO_GATE is set — instrumentation that perturbs
 // answers or costs more than ~5% is a bug, not a tuning knob. Rounds
-// interleave the arms so slow drift (thermal, noisy neighbors) hits all
-// of them symmetrically.
+// interleave the arms, in forward order on even rounds and reverse order
+// on odd ones, and each ratio pairs an arm with its baseline from the
+// same round, so slow drift (thermal, noisy neighbors) cancels instead
+// of landing on whichever arm ran during a slow stretch.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -170,39 +174,37 @@ int Run(int n, int p, int queries, int rounds, double lambda,
   std::cout << "obs overhead: n = " << n << ", p = " << p << ", " << queries
             << " queries x " << rounds << " rounds per arm\n";
 
+  constexpr Arm kArms[] = {Arm::kPlain, Arm::kInstrumented, Arm::kSampled,
+                           Arm::kRemotePlain, Arm::kRemoteTraced};
+  constexpr int kNumArms = static_cast<int>(std::size(kArms));
   // Warm-up pass (all arms) so first-touch costs are off the clock.
-  RunRound(data, queries, p, lambda, update_every, seed, Arm::kPlain);
-  RunRound(data, queries, p, lambda, update_every, seed, Arm::kInstrumented);
-  RunRound(data, queries, p, lambda, update_every, seed, Arm::kSampled);
-  RunRound(data, queries, p, lambda, update_every, seed, Arm::kRemotePlain);
-  RunRound(data, queries, p, lambda, update_every, seed, Arm::kRemoteTraced);
+  for (const Arm arm : kArms) {
+    RunRound(data, queries, p, lambda, update_every, seed, arm);
+  }
 
-  std::vector<double> plain_seconds;
-  std::vector<double> instr_seconds;
-  std::vector<double> sampled_seconds;
-  std::vector<double> remote_plain_seconds;
-  std::vector<double> remote_traced_seconds;
+  std::vector<double> seconds[kNumArms];
+  std::vector<double> instr_ratios;
+  std::vector<double> sampled_ratios;
+  std::vector<double> remote_ratios;
   bool instr_bit_equal = true;
   bool sampled_bit_equal = true;
   bool remote_bit_equal = true;
   for (int r = 0; r < rounds; ++r) {
-    const RoundResult plain =
-        RunRound(data, queries, p, lambda, update_every, seed, Arm::kPlain);
-    const RoundResult instr = RunRound(data, queries, p, lambda, update_every,
-                                       seed, Arm::kInstrumented);
-    const RoundResult sampled =
-        RunRound(data, queries, p, lambda, update_every, seed, Arm::kSampled);
-    const RoundResult remote_plain = RunRound(data, queries, p, lambda,
-                                              update_every, seed,
-                                              Arm::kRemotePlain);
-    const RoundResult remote_traced = RunRound(data, queries, p, lambda,
-                                               update_every, seed,
-                                               Arm::kRemoteTraced);
-    plain_seconds.push_back(plain.seconds);
-    instr_seconds.push_back(instr.seconds);
-    sampled_seconds.push_back(sampled.seconds);
-    remote_plain_seconds.push_back(remote_plain.seconds);
-    remote_traced_seconds.push_back(remote_traced.seconds);
+    RoundResult round[kNumArms];
+    for (int k = 0; k < kNumArms; ++k) {
+      const int a = r % 2 == 0 ? k : kNumArms - 1 - k;
+      round[a] = RunRound(data, queries, p, lambda, update_every, seed,
+                          kArms[a]);
+      seconds[a].push_back(round[a].seconds);
+    }
+    const RoundResult& plain = round[0];
+    const RoundResult& instr = round[1];
+    const RoundResult& sampled = round[2];
+    const RoundResult& remote_plain = round[3];
+    const RoundResult& remote_traced = round[4];
+    instr_ratios.push_back(instr.seconds / plain.seconds);
+    sampled_ratios.push_back(sampled.seconds / plain.seconds);
+    remote_ratios.push_back(remote_traced.seconds / remote_plain.seconds);
     instr_bit_equal =
         instr_bit_equal && SameAnswers(plain.answers, instr.answers);
     sampled_bit_equal =
@@ -214,14 +216,14 @@ int Run(int n, int p, int queries, int rounds, double lambda,
                        SameAnswers(remote_plain.answers,
                                    remote_traced.answers);
   }
-  const double plain_median = Median(plain_seconds);
-  const double instr_median = Median(instr_seconds);
-  const double sampled_median = Median(sampled_seconds);
-  const double remote_plain_median = Median(remote_plain_seconds);
-  const double remote_traced_median = Median(remote_traced_seconds);
-  const double instr_overhead_x = instr_median / plain_median;
-  const double sampled_overhead_x = sampled_median / plain_median;
-  const double remote_overhead_x = remote_traced_median / remote_plain_median;
+  const double plain_median = Median(seconds[0]);
+  const double instr_median = Median(seconds[1]);
+  const double sampled_median = Median(seconds[2]);
+  const double remote_plain_median = Median(seconds[3]);
+  const double remote_traced_median = Median(seconds[4]);
+  const double instr_overhead_x = Median(instr_ratios);
+  const double sampled_overhead_x = Median(sampled_ratios);
+  const double remote_overhead_x = Median(remote_ratios);
   std::cout << "plain median:         " << plain_median * 1e3 << " ms\n"
             << "instrumented median:  " << instr_median * 1e3 << " ms"
             << " (overhead_x " << instr_overhead_x << ", bit_equal "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "core/solution_state.h"
 #include "util/check.h"
@@ -19,6 +20,19 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// The one partition loop: appends each candidate, in input order, to
+// out[shard - first] when its shard lies in [first, first + out.size()).
+void PartitionInto(std::span<const int> candidates, int num_shards,
+                   std::uint64_t salt, int first,
+                   std::span<std::vector<int>> out) {
+  for (int e : candidates) {
+    const int slot = ShardOf(salt, e, num_shards) - first;
+    if (slot >= 0 && slot < static_cast<int>(out.size())) {
+      out[slot].push_back(e);
+    }
+  }
+}
+
 }  // namespace
 
 int ShardOf(std::uint64_t salt, int element, int num_shards) {
@@ -32,8 +46,18 @@ std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
                                            std::uint64_t salt) {
   DIVERSE_CHECK_MSG(num_shards >= 1, "need at least one shard");
   std::vector<std::vector<int>> shards(num_shards);
-  for (int e : candidates) shards[ShardOf(salt, e, num_shards)].push_back(e);
+  PartitionInto(candidates, num_shards, salt, 0, shards);
   return shards;
+}
+
+std::vector<int> ShardCandidates(std::span<const int> candidates,
+                                 int num_shards, std::uint64_t salt,
+                                 int shard_index) {
+  DIVERSE_CHECK(shard_index >= 0 && shard_index < num_shards);
+  std::vector<int> shard;
+  PartitionInto(candidates, num_shards, salt, shard_index,
+                std::span<std::vector<int>>(&shard, 1));
+  return shard;
 }
 
 AlgorithmResult GreedyVertexOnCandidates(
@@ -89,34 +113,42 @@ AlgorithmResult MergeShardSolutions(
   return merged;
 }
 
+std::vector<std::vector<int>> RunShardRound(
+    const DiversificationProblem& problem, std::span<const int> candidates,
+    int p, int num_shards, int per_shard, std::uint64_t salt,
+    const RemoteShardRound& remote, long long* steps) {
+  if (per_shard <= 0) per_shard = p;
+  const std::vector<std::vector<int>> shards =
+      AssignShards(candidates, num_shards, salt);
+  std::vector<std::optional<ShardSolution>> arrived(shards.size());
+  if (remote) arrived = remote(shards, per_shard);
+  DIVERSE_CHECK(arrived.size() == shards.size());
+  std::vector<std::vector<int>> local_solutions;
+  local_solutions.reserve(shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (shards[s].empty()) continue;
+    if (!arrived[s]) {
+      AlgorithmResult local =
+          GreedyVertexOnCandidates(problem, shards[s], per_shard);
+      arrived[s] = ShardSolution{std::move(local.elements), local.steps};
+    }
+    *steps += arrived[s]->steps;
+    local_solutions.push_back(std::move(arrived[s]->elements));
+  }
+  return local_solutions;
+}
+
 AlgorithmResult ShardedGreedy(const DiversificationProblem& problem,
                               std::span<const int> candidates, int p,
                               int num_shards, int per_shard,
                               std::uint64_t salt) {
   DIVERSE_CHECK(p >= 0);
-  if (per_shard <= 0) per_shard = p;
   WallTimer timer;
-
-  // Round 1: hash partition, local greedy per shard.
-  const std::vector<std::vector<int>> shards =
-      AssignShards(candidates, num_shards, salt);
-  AlgorithmResult result;
-  std::vector<std::vector<int>> local_solutions;
-  local_solutions.reserve(shards.size());
-  for (const std::vector<int>& shard : shards) {
-    if (shard.empty()) continue;
-    AlgorithmResult local =
-        GreedyVertexOnCandidates(problem, shard, per_shard);
-    result.steps += local.steps;
-    local_solutions.push_back(std::move(local.elements));
-  }
-
-  // Round 2 + safeguard (shared with the RPC coordinator).
-  AlgorithmResult merged =
-      MergeShardSolutions(problem, local_solutions, p);
-  result.steps += merged.steps;
-  result.elements = std::move(merged.elements);
-  result.objective = merged.objective;
+  long long shard_steps = 0;
+  const std::vector<std::vector<int>> local_solutions = RunShardRound(
+      problem, candidates, p, num_shards, per_shard, salt, {}, &shard_steps);
+  AlgorithmResult result = MergeShardSolutions(problem, local_solutions, p);
+  result.steps += shard_steps;
   result.elapsed_seconds = timer.Seconds();
   return result;
 }

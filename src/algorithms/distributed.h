@@ -16,11 +16,12 @@
 // guarantee on top: within each shard, elements keep the relative order
 // of the input candidate list. Callers may therefore reconstruct a
 // shard's candidate range independently (as the RPC shard nodes do from
-// their replicas in src/rpc/shard_node.cc) and obtain byte-identical
-// kernel inputs, provided they filter an identical candidate list. This
-// is what makes the serving engine's sharded plans (in-process and
-// cross-node) pure functions of (snapshot, query), independent of
-// worker-pool size and node placement; tests/rpc_test.cc asserts both.
+// their replicas with ShardCandidates, in src/rpc/shard_node.cc) and
+// obtain byte-identical kernel inputs, provided they filter an identical
+// candidate list. This is what makes the serving engine's sharded plans
+// (in-process and cross-node) pure functions of (snapshot, query),
+// independent of worker-pool size and node placement; tests/rpc_test.cc
+// asserts both.
 // Changing Mix64, the salt mixing, or the mod reduction is a
 // wire-protocol-level break: coordinator and shard nodes must be
 // upgraded together (bump rpc::kWireVersion to force it).
@@ -35,6 +36,8 @@
 #define DIVERSE_ALGORITHMS_DISTRIBUTED_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -62,6 +65,14 @@ int ShardOf(std::uint64_t salt, int element, int num_shards);
 std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
                                            int num_shards, std::uint64_t salt);
 
+// Exactly AssignShards(candidates, num_shards, salt)[shard_index] (the two
+// share one partition loop), without materializing the other shards, so a
+// num_shards that arrived over the wire costs nothing to honour. Requires
+// 0 <= shard_index < num_shards.
+std::vector<int> ShardCandidates(std::span<const int> candidates,
+                                 int num_shards, std::uint64_t salt,
+                                 int shard_index);
+
 // Runs Greedy B restricted to `candidates` (exposed for reuse/testing).
 // Scans run through SolutionState::BestPrimeAddOver; ties keep the
 // earliest candidate position, matching GreedyVertex on the full universe.
@@ -69,15 +80,40 @@ AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
                                          const std::vector<int>& candidates,
                                          int p);
 
-// Round 2 of the two-round scheme, shared verbatim by ShardedGreedy and
-// the RPC coordinator (src/rpc/coordinator.cc) so the two paths cannot
-// drift apart — their bit-equality IS the RPC layer's correctness
-// contract. `local_solutions` holds the per-shard greedy solutions in
-// shard order (skip empty shards, exactly as ShardedGreedy does): each is
-// scored truncated to its best p-prefix, their union forms the kernel for
-// the final Greedy B run, and the better of kernel solution and best
-// truncated local solution wins (strict >, earlier shard wins ties).
-// steps counts the kernel run only; callers add the per-shard steps.
+// One shard's round-1 kernel solution.
+struct ShardSolution {
+  std::vector<int> elements;
+  long long steps = 0;
+};
+
+// Computes round 1 off-box (the RPC coordinator's node fan-out): called
+// once with every shard (empty ones included, so indices are shard ids)
+// and the resolved per_shard, it returns one entry per shard, engaged
+// where a solution arrived.
+using RemoteShardRound =
+    std::function<std::vector<std::optional<ShardSolution>>(
+        const std::vector<std::vector<int>>& shards, int per_shard)>;
+
+// Round 1 of the two-round scheme, shared by ShardedGreedy and the RPC
+// coordinator (src/rpc/coordinator.cc) so the round structure exists
+// once: AssignShards, per_shard <= 0 defaulting to p, empty shards
+// skipped, and each non-empty shard's GreedyVertexOnCandidates run here
+// unless `remote` (may be empty) delivered its solution. Returns the
+// non-empty shards' solutions in shard order, ready for
+// MergeShardSolutions, and adds every shard's steps to *steps.
+std::vector<std::vector<int>> RunShardRound(
+    const DiversificationProblem& problem, std::span<const int> candidates,
+    int p, int num_shards, int per_shard, std::uint64_t salt,
+    const RemoteShardRound& remote, long long* steps);
+
+// Round 2, shared verbatim by ShardedGreedy and the RPC coordinator so the
+// two paths cannot drift apart — their bit-equality IS the RPC layer's
+// correctness contract. `local_solutions` is RunShardRound's output: each
+// solution is scored truncated to its best p-prefix, their union forms
+// the kernel for the final Greedy B run, and the better of kernel
+// solution and best truncated local solution wins (strict >, earlier
+// shard wins ties). steps counts the kernel run only; callers add the
+// per-shard steps.
 AlgorithmResult MergeShardSolutions(
     const DiversificationProblem& problem,
     const std::vector<std::vector<int>>& local_solutions, int p);

@@ -207,7 +207,7 @@ Corpus::Corpus(std::vector<double> weights, DenseMetric metric,
   DIVERSE_CHECK(metric_->size() == static_cast<int>(weights_.size()));
   DIVERSE_CHECK(lambda_ >= 0.0);
   std::lock_guard<std::mutex> lock(writer_mu_);
-  current_.store(Build(), std::memory_order_release);
+  Publish(Build());
 }
 
 Corpus::Corpus(std::vector<double> weights, VectorMetric vectors,
@@ -221,7 +221,7 @@ Corpus::Corpus(std::vector<double> weights, VectorMetric vectors,
   DIVERSE_CHECK(vectors_->dim() >= 1 && vectors_->dim() <= kMaxVectorDim);
   DIVERSE_CHECK(lambda_ >= 0.0);
   std::lock_guard<std::mutex> lock(writer_mu_);
-  current_.store(Build(), std::memory_order_release);
+  Publish(Build());
 }
 
 Corpus::Corpus(CorpusState state) : lambda_(0.0) {
@@ -248,7 +248,7 @@ std::uint64_t Corpus::RestoreLocked(CorpusState state) {
   alive_ = std::move(state.alive);
   lambda_ = state.lambda;
   version_ = state.version;
-  current_.store(Build(), std::memory_order_release);
+  Publish(Build());
   return version_;
 }
 
@@ -260,6 +260,15 @@ Corpus Corpus::FromBaseMetric(const MetricSpace& base,
 SnapshotPtr Corpus::Build() const {
   return SnapshotPtr(new CorpusSnapshot(version_, weights_, repr_, metric_,
                                         vectors_, alive_, lambda_));
+}
+
+void Corpus::Publish(SnapshotPtr next) {
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_.swap(next);
+  }
+  // `next` now holds the previous snapshot; it is released here, outside
+  // current_mu_.
 }
 
 std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
@@ -353,8 +362,7 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   if (owned_vectors) vectors_ = std::move(owned_vectors);
 
   ++version_;
-  SnapshotPtr next = Build();
-  current_.store(next, std::memory_order_release);
+  Publish(Build());
   return version_;
 }
 

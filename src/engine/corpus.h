@@ -5,13 +5,15 @@
 // immutable, versioned CorpusSnapshots. The protocol is epoch-based
 // copy-on-write:
 //
-//   * readers (query workers) acquire the current snapshot with one atomic
-//     shared_ptr load and never take a lock; the snapshot pins every
-//     object a query touches for as long as the query runs;
+//   * readers (query workers) copy the current snapshot's shared_ptr
+//     under a small publication mutex and never take the writer mutex;
+//     the snapshot pins every object a query touches for as long as the
+//     query runs;
 //   * writers serialize on a writer mutex, apply a batch of CorpusUpdates
-//     to the master copy, build the next snapshot, and publish it with one
-//     atomic store. In-flight queries keep reading the version they
-//     started on — pre- or post-update, never a torn mix.
+//     to the master copy, build the next snapshot, and publish it with
+//     one pointer swap under the publication mutex (the old snapshot is
+//     released after it). In-flight queries keep reading the version
+//     they started on — pre- or post-update, never a torn mix.
 //
 // The metric payload comes in two representations (MetricRepr):
 //
@@ -32,7 +34,6 @@
 #ifndef DIVERSE_ENGINE_CORPUS_H_
 #define DIVERSE_ENGINE_CORPUS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -228,16 +229,18 @@ class Corpus {
   static Corpus FromBaseMetric(const MetricSpace& base,
                                std::vector<double> weights, double lambda);
 
-  // Lock-free acquisition of the current version.
+  // The current version: a pointer copy under current_mu_, which no
+  // writer holds for longer than a pointer swap.
   SnapshotPtr snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
   std::uint64_t version() const { return snapshot()->version(); }
 
   // Applies one update epoch and publishes the next snapshot. Serializes
-  // with other writers; never blocks readers. Returns the new version.
-  // CHECK-aborts on updates invalid for the corpus representation (use
-  // ValidUpdate first for untrusted input).
+  // with other writers; readers wait at most for the pointer swap.
+  // Returns the new version. CHECK-aborts on updates invalid for the
+  // corpus representation (use ValidUpdate first for untrusted input).
   std::uint64_t Apply(std::span<const CorpusUpdate> updates);
   std::uint64_t Apply(const CorpusUpdate& update) {
     return Apply(std::span<const CorpusUpdate>(&update, 1));
@@ -255,6 +258,10 @@ class Corpus {
 
  private:
   SnapshotPtr Build() const;             // caller holds writer_mu_
+  // Swaps `next` in as current_ and drops the previous snapshot after
+  // releasing current_mu_, so freeing a large metric never stalls a
+  // reader. Caller holds writer_mu_.
+  void Publish(SnapshotPtr next);
   std::uint64_t RestoreLocked(CorpusState state);
 
   mutable std::mutex writer_mu_;
@@ -268,7 +275,10 @@ class Corpus {
   double lambda_;
   std::uint64_t version_ = 0;
 
-  std::atomic<SnapshotPtr> current_;
+  // The published snapshot, guarded by current_mu_ alone; readers never
+  // take writer_mu_.
+  mutable std::mutex current_mu_;
+  SnapshotPtr current_;
 };
 
 }  // namespace engine

@@ -50,9 +50,11 @@ ProblemView MakeProblemView(const CorpusSnapshot& snapshot,
 
 // Executes the sharded two-round plan with per-shard kernels off-box.
 // Implementations must be pure functions of (snapshot, query, num_shards)
-// — rpc::Coordinator achieves this by enforcing snapshot-version agreement
-// with its replicas and falling back to local kernel execution when a node
-// cannot serve the version.
+// — rpc::Coordinator, the one implementation, achieves this by running
+// both rounds through algorithms/distributed.h's RunShardRound and
+// MergeShardSolutions, enforcing snapshot-version agreement with its
+// replicas, and running a shard's kernel locally when a node cannot serve
+// the version.
 class RemoteExecutor {
  public:
   virtual ~RemoteExecutor() = default;

@@ -71,9 +71,9 @@ struct Query {
 struct QueryResult {
   std::vector<int> elements;
   double objective = 0.0;
-  // kRemoteSharded only: false when a shard RPC failed and the
-  // coordinator's failure policy is kFail (elements is empty then). Every
-  // other plan always answers, so this stays true.
+  // Always true: every plan answers, and the remote plan runs a failed
+  // shard's kernel locally. Kept only because servebench reads it; listed
+  // for deletion with the other servebench-only stubs (ROADMAP item 8).
   bool ok = true;
   // Corpus version the query was served from — the snapshot-isolation
   // witness: the result is exactly what the chosen algorithm produces on

@@ -6,13 +6,13 @@
 // traced, every recording site no-ops). Spans carry monotonic-clock
 // offsets relative to the trace's construction instant, so a rendered
 // trace reads as a timeline. AddSpan is mutex-protected because the
-// router's fan-out records from one thread per busy node; everything
+// coordinator's fan-out records from one thread per busy node; everything
 // else about tracing is observation-only — no span ever influences an
 // answer, so traced and untraced runs of the same query are bit-equal.
 //
 // The trace id crosses the wire on ShardQueryRequest so a shard node
 // knows to record its own span block (decode/wait/kernel/encode) on the
-// response; the router aligns those into the parent timeline via
+// response; the coordinator aligns those into the parent timeline via
 // AddSpanAt. Ids are process-local, unique, and never 0 (0 on the wire
 // means untraced).
 #ifndef DIVERSE_OBS_QUERY_TRACE_H_

@@ -73,9 +73,9 @@ ReplicaSyncService::ReplicaSyncService(ReplicationLog* log,
     acked_[i] = seeds[i].acked;
     needs_reimage_[i] = seeds[i].needs_reimage;
   }
-  if (options_.trace_buffer != nullptr) {
-    sampler_ =
-        std::make_unique<obs::TraceSampler>(options_.trace_sample_every);
+  if (options_.replication_traces != nullptr) {
+    sampler_ = std::make_unique<obs::TraceSampler>(
+        options_.replication_trace_sample_every);
   }
 }
 
@@ -159,7 +159,7 @@ void ReplicaSyncService::Publish(
     SyncAckedTable();
   }
   if (trace != nullptr) {
-    options_.trace_buffer->Add(
+    options_.replication_traces->Add(
         *trace, "publish v" + std::to_string(version),
         std::chrono::duration<double>(obs::QueryTrace::Clock::now() -
                                       publish_start)
@@ -175,7 +175,7 @@ void ReplicaSyncService::SyncAckedTable() {
   for (int i = num_nodes_; i < num_targets(); ++i) {
     std::vector<std::uint8_t> reply;
     if (!targets_[i]->Call(encoded, &reply)) continue;
-    acked_syncs_sent_.Inc();
+    counters_.acked_syncs_sent.Inc();
   }
 }
 
@@ -189,7 +189,7 @@ ReplicaSyncService::EpochSendResult ReplicaSyncService::SendEpochs(
   // concurrent publish has not landed yet cannot be replayed; the shard
   // falls back to local execution (still bit-equal).
   if (!log_->Slice(from, to, &batch)) return EpochSendResult::kFailed;
-  catchup_batches_.Inc();
+  counters_.catchup_batches.Inc();
   obs::ScopedSpan span(trace, "replay." + TargetLabel(target) + " " +
                                   std::to_string(from) + "->" +
                                   std::to_string(to));
@@ -253,7 +253,7 @@ bool ReplicaSyncService::SendSnapshot(int target,
       ack.next_chunk >= num_chunks) {
     return false;
   }
-  snapshots_sent_.Inc();
+  counters_.snapshots_sent.Inc();
 
   // Stream from wherever the target's partial image ends (resume point).
   // The first kMaxChunkSpans chunks get individual spans; a longer
@@ -286,7 +286,7 @@ bool ReplicaSyncService::SendSnapshot(int target,
         ack.next_chunk != c + 1) {
       return false;
     }
-    snapshot_chunks_sent_.Inc();
+    counters_.snapshot_chunks_sent.Inc();
   }
   // The final ack reported the post-install replica version; the install
   // replaced the replica wholesale, so any divergence quarantine lifts.
@@ -301,9 +301,9 @@ bool ReplicaSyncService::SendSnapshot(int target,
 
 bool ReplicaSyncService::CatchUpTarget(int target, std::uint64_t from,
                                        std::uint64_t to) {
-  // Sampled replication trace for catch-ups reached directly (query
-  // router's proactive/mismatch paths); publish-path catch-ups ride the
-  // publish trace via CatchUpTraced instead.
+  // Sampled replication trace for catch-ups reached directly (the
+  // coordinator's proactive/mismatch query paths); publish-path catch-ups
+  // ride the publish trace via CatchUpTraced instead.
   std::unique_ptr<obs::QueryTrace> trace;
   if (sampler_ != nullptr && sampler_->Sample()) {
     trace = std::make_unique<obs::QueryTrace>();
@@ -311,7 +311,7 @@ bool ReplicaSyncService::CatchUpTarget(int target, std::uint64_t from,
   const auto catchup_start = obs::QueryTrace::Clock::now();
   const bool ok = CatchUpTraced(target, from, to, trace.get());
   if (trace != nullptr) {
-    options_.trace_buffer->Add(
+    options_.replication_traces->Add(
         *trace,
         "catchup " + TargetLabel(target) + " " + std::to_string(from) +
             "->" + std::to_string(to) + (ok ? "" : " failed"),
@@ -385,27 +385,17 @@ bool ReplicaSyncService::CatchUpTraced(int target, std::uint64_t from,
          EpochSendResult::kOk;
 }
 
-ReplicaSyncService::Stats ReplicaSyncService::stats() const {
-  Stats stats;
-  stats.catchup_batches = catchup_batches_.value();
-  stats.snapshots_sent = snapshots_sent_.value();
-  stats.snapshot_chunks_sent =
-      snapshot_chunks_sent_.value();
-  stats.acked_syncs_sent =
-      acked_syncs_sent_.value();
-  return stats;
-}
-
 void ReplicaSyncService::RegisterMetrics(obs::MetricRegistry* registry) {
   registrations_.clear();
   registrations_.push_back(registry->RegisterCounter(
-      "diverse_sync_catchup_batches_total", &catchup_batches_));
+      "diverse_sync_catchup_batches_total", &counters_.catchup_batches));
   registrations_.push_back(registry->RegisterCounter(
-      "diverse_sync_snapshots_sent_total", &snapshots_sent_));
+      "diverse_sync_snapshots_sent_total", &counters_.snapshots_sent));
+  registrations_.push_back(
+      registry->RegisterCounter("diverse_sync_snapshot_chunks_sent_total",
+                                &counters_.snapshot_chunks_sent));
   registrations_.push_back(registry->RegisterCounter(
-      "diverse_sync_snapshot_chunks_sent_total", &snapshot_chunks_sent_));
-  registrations_.push_back(registry->RegisterCounter(
-      "diverse_sync_acked_syncs_sent_total", &acked_syncs_sent_));
+      "diverse_sync_acked_syncs_sent_total", &counters_.acked_syncs_sent));
   // Per-target replication lag: the last acked replica version and how
   // many published epochs it trails by (floored at 0 — a target probed
   // ahead of the log is a quarantine case, not negative lag).

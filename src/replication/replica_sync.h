@@ -1,13 +1,13 @@
-// ReplicaSyncService — the "who syncs replicas" third of the former
-// monolithic rpc::Coordinator: per-target acked-version tracking, epoch
+// ReplicaSyncService — the "who syncs replicas" half of
+// rpc::Coordinator: per-target acked-version tracking, epoch
 // publish fan-out, catch-up (epoch replay and/or snapshot transfer), and
 // the acked-table mirror that keeps standby coordinators promotable.
 //
 // The service is parameterized over a ReplicationLog (the epoch/image
 // source) and two lists of transports:
 //
-//   * nodes   — shard replicas, indices [0, num_nodes()); the query
-//     router fans kernel requests across exactly these.
+//   * nodes   — shard replicas, indices [0, num_nodes()); the
+//     coordinator fans kernel requests across exactly these.
 //   * mirrors — sync-only targets (standby coordinators), indices
 //     [num_nodes(), num_targets()). A standby is literally a sync target
 //     that also receives the acked table: Publish pushes every epoch to
@@ -74,23 +74,29 @@ std::vector<ReplicaSeed> BuildPromotionSeeds(
 
 class ReplicaSyncService {
  public:
+  // The one options struct of the coordinator side; rpc::Coordinator
+  // takes it as is.
   struct Options {
     // Slice size for snapshot transfers; must leave frame headroom
     // (clamped to wire.h kMaxFrameBytes - 64).
     std::uint32_t snapshot_chunk_bytes = 1u << 20;
     // Replication-trace sink (must outlive the service): roughly 1 in
-    // trace_sample_every publishes and query-path catch-ups records its
-    // fan-out/replay/snapshot-chunk timeline here, feeding the
-    // coordinator's /tracez?kind=replication. Observation-only.
-    obs::TraceBuffer* trace_buffer = nullptr;
-    std::uint32_t trace_sample_every = 8;  // <= 1 traces every operation
+    // replication_trace_sample_every publishes and query-path catch-ups
+    // records its fan-out/replay/snapshot-chunk timeline here, feeding
+    // the coordinator's /tracez?kind=replication. Observation-only.
+    // Null = untraced.
+    obs::TraceBuffer* replication_traces = nullptr;
+    // <= 1 traces every operation.
+    std::uint32_t replication_trace_sample_every = 8;
   };
 
-  struct Stats {
-    long long catchup_batches = 0;      // replay batches sent
-    long long snapshots_sent = 0;       // bootstrap transfers started
-    long long snapshot_chunks_sent = 0; // chunk frames sent
-    long long acked_syncs_sent = 0;     // acked-table frames mirrored
+  // The service's counters, published as diverse_sync_* by
+  // RegisterMetrics.
+  struct Counters {
+    obs::Counter catchup_batches;       // replay batches sent
+    obs::Counter snapshots_sent;        // bootstrap transfers started
+    obs::Counter snapshot_chunks_sent;  // chunk frames sent
+    obs::Counter acked_syncs_sent;      // acked-table frames mirrored
   };
 
   // `log` and every transport must outlive the service; `nodes` holds at
@@ -115,8 +121,8 @@ class ReplicaSyncService {
   // Brings the target from `from` to exactly `to`: snapshot transfer
   // when the log no longer reaches back to `from`, the target refuses
   // replay outright (bootstrap node), or the target is quarantined;
-  // epoch replay for the rest. False means the caller's failure policy
-  // decides.
+  // epoch replay for the rest. False leaves the caller to run the
+  // target's shard kernel locally.
   bool CatchUpTarget(int target, std::uint64_t from, std::uint64_t to);
 
   void SetAcked(int target, std::uint64_t version);
@@ -129,7 +135,7 @@ class ReplicaSyncService {
   // The node entries of the tracking table (what AckedTableSync carries).
   std::vector<std::uint64_t> acked_table() const;
 
-  Stats stats() const;
+  const Counters& counters() const { return counters_; }
 
   // Publishes the service's counters into `registry` (diverse_sync_*),
   // plus per-target replication-lag gauges:
@@ -167,7 +173,7 @@ class ReplicaSyncService {
   const std::vector<rpc::Transport*> targets_;  // nodes, then mirrors
   const int num_nodes_;
   const Options options_;
-  std::unique_ptr<obs::TraceSampler> sampler_;  // iff trace_buffer set
+  std::unique_ptr<obs::TraceSampler> sampler_;  // iff replication_traces set
 
   mutable std::mutex mu_;
   // Last authoritative replica version per target (acks + query replies);
@@ -176,10 +182,7 @@ class ReplicaSyncService {
   std::vector<std::uint64_t> acked_;
   std::vector<bool> needs_reimage_;
 
-  mutable obs::Counter catchup_batches_;
-  mutable obs::Counter snapshots_sent_;
-  mutable obs::Counter snapshot_chunks_sent_;
-  mutable obs::Counter acked_syncs_sent_;
+  Counters counters_;
   // Declared last so the views unregister before anything they read dies.
   std::vector<obs::MetricRegistry::Registration> registrations_;
 };

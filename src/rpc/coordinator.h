@@ -1,12 +1,9 @@
-// Coordinator — the query-side composition of the replication layers
-// (src/replication): one ReplicationLog (epoch log + retained bootstrap
-// image), one ReplicaSyncService (per-target acked tracking, publish
-// fan-out, catch-up, snapshot transfer, standby mirroring), and one
-// QueryRouter (the engine::RemoteExecutor that fans kernel requests out
-// and merges, bit-equal to the in-process sharded plan).
-//
-// This facade exists so call sites — the engine, the CLIs, the tests —
-// see one object with the same contract the pre-split Coordinator had:
+// Coordinator — the coordinator side of cross-node sharding: one
+// ReplicationLog (epoch log + retained bootstrap image), one
+// ReplicaSyncService (per-target acked tracking, publish fan-out,
+// catch-up, snapshot transfer, standby mirroring), and the
+// engine::RemoteExecutor itself, which fans shard kernels out to the
+// nodes and merges, bit-equal to the in-process sharded plan.
 //
 //   * PublishEpoch appends the epoch that advanced the corpus owner to
 //     `version` and pushes it to every target best-effort (standby
@@ -15,9 +12,19 @@
 //   * CompactLog folds a corpus snapshot into the retained bootstrap
 //     image and truncates the epoch log below min(every target's acked
 //     version, image version, contiguous published prefix).
-//   * ExecuteSharded answers kRemoteSharded queries, a pure function of
-//     (snapshot, query, num_shards) by construction (version check +
-//     local fallback); ok = false only under FailurePolicy::kFail.
+//   * ExecuteSharded answers kRemoteSharded queries through
+//     algorithms/distributed.h's RunShardRound and MergeShardSolutions,
+//     the two rounds ShardedGreedy runs. Shard s goes to node s mod N in
+//     parallel (one thread per busy node). When the tracked version says
+//     a node is behind the query's snapshot, it is caught up BEFORE the
+//     ask; the kVersionMismatch round-trip only fires when the tracking
+//     is stale (a silently restarted node). A node that cannot serve the
+//     exact version, is unreachable, or answers with something its shard
+//     could not produce has that shard's kernel run on the coordinator
+//     instead. Every scoring decision uses the coordinator's own problem
+//     view of the query's snapshot, so the answer is a pure function of
+//     (snapshot, query, num_shards), bit-equal to PlanKind::kSharded —
+//     the property tests/rpc_test.cc asserts.
 //
 // Active/standby: construct with `mirrors` naming the standby
 // coordinators to keep in sync; a replication::StandbyCoordinator on the
@@ -41,8 +48,9 @@
 #include "engine/corpus.h"
 #include "engine/execution_plan.h"
 #include "engine/query.h"
-#include "obs/trace_buffer.h"
-#include "replication/query_router.h"
+#include "obs/metric_registry.h"
+#include "obs/metrics.h"
+#include "obs/query_trace.h"
 #include "replication/replica_sync.h"
 #include "replication/replication_log.h"
 #include "rpc/transport.h"
@@ -53,22 +61,7 @@ namespace rpc {
 
 class Coordinator : public engine::RemoteExecutor {
  public:
-  using FailurePolicy = replication::QueryRouter::FailurePolicy;
-
-  struct Options {
-    FailurePolicy on_unreachable = FailurePolicy::kFallbackLocal;
-    // Catch-up attempts per shard per query before the failure policy
-    // applies: each round replays the node's missing epochs and re-asks.
-    int max_catchup_rounds = 3;
-    // Slice size for snapshot transfers; must leave frame headroom
-    // (clamped to wire.h kMaxFrameBytes - 64).
-    std::uint32_t snapshot_chunk_bytes = 1u << 20;
-    // Replication-trace sink (must outlive the coordinator): sampled
-    // publish/catch-up/snapshot-transfer timelines from the sync
-    // service, exposed at /tracez?kind=replication. Null = untraced.
-    obs::TraceBuffer* replication_traces = nullptr;
-    std::uint32_t replication_trace_sample_every = 8;
-  };
+  using Options = replication::ReplicaSyncService::Options;
 
   // `nodes` (one transport per shard node, all distinct) must outlive the
   // coordinator and hold at least one entry; `mirrors` (possibly empty)
@@ -125,14 +118,11 @@ class Coordinator : public engine::RemoteExecutor {
     return log_->retained_version();
   }
 
-  // engine::RemoteExecutor, delegated to the QueryRouter.
+  // engine::RemoteExecutor (see the file comment). Always answers.
   engine::QueryResult ExecuteSharded(const engine::CorpusSnapshot& snapshot,
                                      const engine::Query& query,
-                                     int num_shards) override {
-    return router_.ExecuteSharded(snapshot, query, num_shards);
-  }
+                                     int num_shards) override;
 
-  // Merged view over the three layers (field set predates the split).
   struct Stats {
     long long remote_shards = 0;      // shard kernels answered by a node
     long long local_fallbacks = 0;    // shard kernels run on-box instead
@@ -144,13 +134,12 @@ class Coordinator : public engine::RemoteExecutor {
     long long snapshots_sent = 0;       // bootstrap transfers started
     long long snapshot_chunks_sent = 0; // chunk frames sent
     long long compactions = 0;          // CompactLog calls
-    long long failed_queries = 0;       // queries answered ok = false
     long long acked_syncs_sent = 0;     // acked-table frames mirrored
   };
   Stats stats() const;
 
-  // Publishes every layer's metrics into `registry`: fans out to the
-  // router (diverse_router_*) and sync service (diverse_sync_*), and adds
+  // Publishes the coordinator's metrics into `registry`: its query-path
+  // counters (diverse_router_*), the sync service's (diverse_sync_*), and
   // the log's gauges (diverse_log_published_version, diverse_log_start,
   // diverse_log_retained_snapshot_version, diverse_log_compactions). The
   // registry must outlive the coordinator.
@@ -162,9 +151,24 @@ class Coordinator : public engine::RemoteExecutor {
   replication::ReplicaSyncService& sync() { return sync_; }
 
  private:
+  // One shard's remote round-trip including proactive catch-up and
+  // mismatch-driven rounds; false leaves the shard to run locally. On
+  // success *elements/*steps hold the validated kernel solution. `trace`
+  // (nullable) collects catchup.node<k> spans plus the node-recorded
+  // span block aligned into this trace's timeline
+  // ("rpc.shard<s>/<name> node=<k>" — see RecordRemoteSpans in the .cc).
+  bool RunShardRemote(const engine::CorpusSnapshot& snapshot,
+                      const ShardQueryRequest& request,
+                      obs::QueryTrace* trace, std::vector<int>* elements,
+                      long long* steps);
+
   std::shared_ptr<replication::ReplicationLog> log_;
   replication::ReplicaSyncService sync_;
-  replication::QueryRouter router_;
+
+  obs::Counter remote_shards_;
+  obs::Counter local_fallbacks_;
+  obs::Counter version_mismatches_;
+  obs::Counter proactive_catchups_;
   // Declared last so the views unregister before anything they read dies.
   std::vector<obs::MetricRegistry::Registration> registrations_;
 };

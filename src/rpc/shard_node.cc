@@ -146,17 +146,12 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
     return Encode(response);
   }
 
-  // This shard's candidate range, derived exactly as AssignShards does:
-  // filter the snapshot's live candidates (ascending) through the pure
-  // (salt, id) hash. Version agreement guarantees the coordinator's
-  // AssignShards produced the identical list.
-  std::vector<int> shard;
-  for (int id : snapshot->candidates()) {
-    if (ShardOf(request.shard_salt, id, request.num_shards) ==
-        request.shard_index) {
-      shard.push_back(id);
-    }
-  }
+  // This shard's candidate range through AssignShards' own partition
+  // loop. Version agreement guarantees the coordinator partitioned the
+  // identical candidate list.
+  const std::vector<int> shard =
+      ShardCandidates(snapshot->candidates(), request.num_shards,
+                      request.shard_salt, request.shard_index);
 
   // Observation only: the trace id correlates this kernel run with the
   // coordinator-side trace; it never influences the kernel.

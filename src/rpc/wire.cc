@@ -4,32 +4,13 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/bytes.h"
+
 namespace diverse {
 namespace rpc {
 namespace {
 
 // ---- Encoding ------------------------------------------------------------
-
-void AppendU8(std::vector<std::uint8_t>* out, std::uint8_t value) {
-  out->push_back(value);
-}
-
-void AppendU16(std::vector<std::uint8_t>* out, std::uint16_t value) {
-  out->push_back(static_cast<std::uint8_t>(value));
-  out->push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void AppendU32(std::vector<std::uint8_t>* out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-void AppendU64(std::vector<std::uint8_t>* out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
 
 void AppendI32(std::vector<std::uint8_t>* out, std::int32_t value) {
   AppendU32(out, static_cast<std::uint32_t>(value));
@@ -37,13 +18,6 @@ void AppendI32(std::vector<std::uint8_t>* out, std::int32_t value) {
 
 void AppendI64(std::vector<std::uint8_t>* out, std::int64_t value) {
   AppendU64(out, static_cast<std::uint64_t>(value));
-}
-
-void AppendF64(std::vector<std::uint8_t>* out, double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
 }
 
 void AppendHeader(std::vector<std::uint8_t>* out, MessageType type) {

@@ -135,7 +135,7 @@ struct ShardQueryRequest {
 // One node-side trace span riding back on a ShardQueryResponse. Offsets
 // are seconds on the *node's* steady clock, relative to the instant the
 // node received the request; the coordinator aligns them into its own
-// timeline (replication/query_router). Observation-only — never consulted
+// timeline (rpc/coordinator.cc). Observation-only — never consulted
 // by the kernel or the merge.
 struct WireSpan {
   std::string name;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "rpc/wire.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace diverse {
@@ -23,29 +24,6 @@ constexpr std::uint64_t kMaxUniverse = std::uint64_t{1} << 17;
 
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 8 + 4 + 1;
 constexpr std::size_t kTrailerBytes = 4;
-
-void AppendU16(std::vector<std::uint8_t>* out, std::uint16_t value) {
-  out->push_back(static_cast<std::uint8_t>(value));
-  out->push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void AppendU32(std::vector<std::uint8_t>* out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-void AppendU64(std::vector<std::uint8_t>* out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-void AppendF64(std::vector<std::uint8_t>* out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
-}
 
 // Appends `count` doubles starting at `values`. The image is defined as
 // little-endian; on little-endian hosts (every supported target) the IEEE

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -761,6 +762,71 @@ TEST(ObsIntegrationTest, EngineMetricsLandInTheRegistry) {
   EXPECT_NE(text.find("diverse_log_published_version"), std::string::npos);
   EXPECT_NE(text.find("diverse_engine_query_latency_seconds_bucket"),
             std::string::npos);
+}
+
+// The router counters reach the registry through the coordinator's own
+// registrations, so after a run that takes every query path — a killed
+// node (failed proactive catch-up, local fallback), its revival (proactive
+// catch-up) and a silent restart (version mismatch) — each
+// diverse_router_*_total line of the scrape equals its stats() field.
+TEST(ObsIntegrationTest, RouterCountersInTheScrapeMatchCoordinatorStats) {
+  MetricRegistry registry;
+  Cluster cluster = MakeCluster(/*n=*/80, /*num_nodes=*/2, &registry,
+                                /*seed=*/55);
+  Rng rng(56);
+  const auto run_query = [&] {
+    ASSERT_TRUE(cluster.engine->RunSync(MakeRemoteQuery(80, 4, 4, rng)).ok);
+  };
+  cluster.transports[1]->set_down(true);
+  const std::vector<engine::CorpusUpdate> updates = {
+      engine::CorpusUpdate::SetWeight(3, 0.75)};
+  cluster.coordinator->PublishEpoch(cluster.engine->ApplyUpdates(updates),
+                                    updates);
+  run_query();
+  run_query();
+  cluster.transports[1]->set_down(false);
+  run_query();
+  // A fresh replica at version 0 behind the same address, while the
+  // coordinator's tracking says node 1 is current.
+  Rng data_rng(55);
+  Dataset data = MakeUniformSynthetic(80, data_rng);
+  cluster.nodes.push_back(std::make_unique<rpc::ShardNode>(
+      data.weights, std::move(data.metric), 0.2));
+  cluster.transports[1]->set_node(cluster.nodes.back().get());
+  run_query();
+
+  const rpc::Coordinator::Stats stats = cluster.coordinator->stats();
+  EXPECT_GT(stats.remote_shards, 0);
+  EXPECT_GT(stats.local_fallbacks, 0);
+  EXPECT_GT(stats.version_mismatches, 0);
+  EXPECT_GT(stats.proactive_catchups, 0);
+  const std::vector<std::pair<std::string, long long>> expected = {
+      {"diverse_router_remote_shards_total", stats.remote_shards},
+      {"diverse_router_local_fallbacks_total", stats.local_fallbacks},
+      {"diverse_router_version_mismatches_total", stats.version_mismatches},
+      {"diverse_router_proactive_catchups_total", stats.proactive_catchups},
+  };
+  const std::string text = RenderPrometheusText(registry);
+  std::size_t router_lines = 0;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.rfind("diverse_router_", 0) != 0) continue;
+    ++router_lines;
+    const std::size_t space = line.find(' ');
+    const std::string name = line.substr(0, space);
+    bool known = false;
+    for (const auto& [metric, value] : expected) {
+      if (metric != name) continue;
+      known = true;
+      EXPECT_EQ(line.substr(space + 1), std::to_string(value)) << line;
+    }
+    EXPECT_TRUE(known) << line;
+  }
+  EXPECT_EQ(router_lines, expected.size()) << text;
 }
 
 TEST(ObsIntegrationTest, ShardNodeIsScrapeableInBothFormats) {
