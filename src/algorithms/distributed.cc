@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -58,25 +57,6 @@ std::vector<int> ShardCandidates(std::span<const int> candidates,
   PartitionInto(candidates, num_shards, salt, shard_index,
                 std::span<std::vector<int>>(&shard, 1));
   return shard;
-}
-
-AlgorithmResult GreedyVertexOnCandidates(
-    const DiversificationProblem& problem, const std::vector<int>& candidates,
-    int p) {
-  WallTimer timer;
-  SolutionState state(&problem);
-  AlgorithmResult result;
-  const int target = std::min<int>(p, static_cast<int>(candidates.size()));
-  while (state.size() < target) {
-    const ScoredCandidate best = state.BestPrimeAddOver(candidates);
-    DIVERSE_CHECK(best.valid());
-    state.Add(best.element);
-    ++result.steps;
-  }
-  result.elements = state.members();
-  result.objective = state.objective();
-  result.elapsed_seconds = timer.Seconds();
-  return result;
 }
 
 AlgorithmResult MergeShardSolutions(

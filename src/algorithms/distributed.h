@@ -26,8 +26,8 @@
 // wire-protocol-level break: coordinator and shard nodes must be
 // upgraded together (bump rpc::kWireVersion to force it).
 //
-// Every greedy run here, per shard and on the kernel, is the plain
-// BestPrimeAddOver + SolutionState::Add scan.
+// Every greedy run here, per shard and on the kernel, is
+// GreedyVertexOnCandidates (algorithms/greedy_vertex.h).
 //
 // No worst-case guarantee is claimed here (that is the cited follow-up
 // work); tests and bench/ablation_distributed measure empirical quality
@@ -41,6 +41,7 @@
 #include <span>
 #include <vector>
 
+#include "algorithms/greedy_vertex.h"  // GreedyVertexOnCandidates
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
 #include "util/random.h"
@@ -72,13 +73,6 @@ std::vector<std::vector<int>> AssignShards(std::span<const int> candidates,
 std::vector<int> ShardCandidates(std::span<const int> candidates,
                                  int num_shards, std::uint64_t salt,
                                  int shard_index);
-
-// Runs Greedy B restricted to `candidates` (exposed for reuse/testing).
-// Scans run through SolutionState::BestPrimeAddOver; ties keep the
-// earliest candidate position, matching GreedyVertex on the full universe.
-AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
-                                         const std::vector<int>& candidates,
-                                         int p);
 
 // One shard's round-1 kernel solution.
 struct ShardSolution {

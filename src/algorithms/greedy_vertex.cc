@@ -7,6 +7,21 @@
 #include "util/timer.h"
 
 namespace diverse {
+namespace {
+
+// Greedy B's step loop: adds the best-potential candidate until |S| =
+// target.
+void GreedySteps(std::span<const int> candidates, int target,
+                 SolutionState* state, long long* steps) {
+  while (state->size() < target) {
+    const ScoredCandidate best = state->BestPrimeAddOver(candidates);
+    DIVERSE_CHECK(best.valid());
+    state->Add(best.element);
+    ++*steps;
+  }
+}
+
+}  // namespace
 
 AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
                              const GreedyVertexOptions& options) {
@@ -42,13 +57,23 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
     result.steps += 2;
   }
 
-  while (state.size() < p) {
-    const ScoredCandidate best = state.BestPrimeAddOver(state.Universe());
-    DIVERSE_CHECK(best.valid());
-    state.Add(best.element);
-    ++result.steps;
-  }
+  GreedySteps(state.Universe(), p, &state, &result.steps);
 
+  result.elements = state.members();
+  result.objective = state.objective();
+  result.elapsed_seconds = timer.Seconds();
+  return result;
+}
+
+AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
+                                         std::span<const int> candidates,
+                                         int p) {
+  WallTimer timer;
+  SolutionState state(&problem);
+  AlgorithmResult result;
+  GreedySteps(candidates,
+              std::min<int>(p, static_cast<int>(candidates.size())), &state,
+              &result.steps);
   result.elements = state.members();
   result.objective = state.objective();
   result.elapsed_seconds = timer.Seconds();

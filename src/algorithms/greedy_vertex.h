@@ -14,6 +14,8 @@
 #ifndef DIVERSE_ALGORITHMS_GREEDY_VERTEX_H_
 #define DIVERSE_ALGORITHMS_GREEDY_VERTEX_H_
 
+#include <span>
+
 #include "algorithms/result.h"
 #include "core/diversification_problem.h"
 
@@ -29,6 +31,14 @@ struct GreedyVertexOptions {
 
 AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
                              const GreedyVertexOptions& options);
+
+// Greedy B restricted to `candidates`, returning min(p, |candidates|)
+// elements (the serving engine's single-node and per-shard kernel). Runs
+// GreedyVertex's step loop over the list; ties keep the earliest
+// candidate position, so over all ids it matches GreedyVertex.
+AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
+                                         std::span<const int> candidates,
+                                         int p);
 
 }  // namespace diverse
 

@@ -9,6 +9,7 @@
 #ifndef DIVERSE_ALGORITHMS_KNAPSACK_GREEDY_H_
 #define DIVERSE_ALGORITHMS_KNAPSACK_GREEDY_H_
 
+#include <span>
 #include <vector>
 
 #include "algorithms/result.h"
@@ -17,7 +18,8 @@
 namespace diverse {
 
 struct KnapsackOptions {
-  // Non-negative per-element costs; size must equal the ground size.
+  // Non-negative per-element costs, indexed by element id; size must equal
+  // the ground size.
   std::vector<double> costs;
   double budget = 0.0;
   // Enumerate all seed sets of size <= seed_size (0, 1 or 2), complete each
@@ -25,8 +27,16 @@ struct KnapsackOptions {
   int seed_size = 1;
 };
 
+// Enumerates and completes over every id.
 AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,
                                const KnapsackOptions& options);
+
+// Seeds and completes from `candidates` only (the serving engine passes a
+// snapshot's live ids): ascending, distinct ids below problem.size(). The
+// answer equals KnapsackGreedy on the problem rebuilt from those ids alone.
+AlgorithmResult KnapsackGreedyOnCandidates(
+    const DiversificationProblem& problem, std::span<const int> candidates,
+    const KnapsackOptions& options);
 
 // Exact knapsack-constrained optimum by DFS; exponential, for tests and
 // small ablations only (n <= ~24).

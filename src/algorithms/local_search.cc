@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 #include <vector>
 
 #include "core/solution_state.h"
@@ -11,17 +13,18 @@
 namespace diverse {
 namespace {
 
-// Best independent pair {x,y} maximizing phi({x,y}).
+// Best independent pair {x,y} over `candidates` maximizing phi({x,y}).
 std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
-                                     const Matroid& matroid) {
-  const int n = problem.size();
+                                     const Matroid& matroid,
+                                     std::span<const int> candidates) {
+  const std::size_t n = candidates.size();
   std::vector<int> best;
   double best_value = -1.0;
   std::vector<int> pair(2);
-  for (int x = 0; x < n; ++x) {
-    for (int y = x + 1; y < n; ++y) {
-      pair[0] = x;
-      pair[1] = y;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      pair[0] = candidates[i];
+      pair[1] = candidates[j];
       if (!matroid.IsIndependent(pair)) continue;
       const double value = problem.Objective(pair);
       if (value > best_value) {
@@ -33,7 +36,7 @@ std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
   if (best.empty()) {
     // Rank < 2: fall back to the best independent singleton, if any.
     std::vector<int> single(1);
-    for (int x = 0; x < n; ++x) {
+    for (int x : candidates) {
       single[0] = x;
       if (!matroid.IsIndependent(single)) continue;
       const double value = problem.Objective(single);
@@ -46,21 +49,20 @@ std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
   return best;
 }
 
-// Extends `state` to a basis of `matroid`.
-void CompleteToBasis(const Matroid& matroid, bool greedy,
-                     SolutionState* state) {
-  const int n = state->universe_size();
+// Extends `state` to a basis of `matroid` restricted to `candidates`.
+void CompleteToBasis(const Matroid& matroid, std::span<const int> candidates,
+                     bool greedy, SolutionState* state) {
   std::vector<int> feasible;
-  feasible.reserve(n);
+  feasible.reserve(candidates.size());
   while (true) {
     const std::vector<int>& members = state->members();
     feasible.clear();
     int pick = -1;
-    for (int e = 0; e < n; ++e) {
+    for (int e : candidates) {
       if (state->Contains(e)) continue;
       if (!matroid.CanAdd(members, e)) continue;
       if (!greedy) {
-        pick = e;  // lowest feasible index suffices
+        pick = e;  // first feasible candidate suffices
         break;
       }
       feasible.push_back(e);
@@ -85,22 +87,39 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
                             const LocalSearchOptions& options) {
   DIVERSE_CHECK_MSG(matroid.ground_size() == problem.size(),
                     "matroid and problem ground sets differ");
+  std::vector<int> all(problem.size());
+  std::iota(all.begin(), all.end(), 0);
+  return LocalSearchOnCandidates(problem, matroid, all, options);
+}
+
+AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
+                                        const Matroid& matroid,
+                                        std::span<const int> candidates,
+                                        const LocalSearchOptions& options) {
+  DIVERSE_CHECK_MSG(std::adjacent_find(candidates.begin(), candidates.end(),
+                                       std::greater_equal<int>()) ==
+                        candidates.end(),
+                    "candidates must be ascending and distinct");
+  DIVERSE_CHECK_MSG(
+      candidates.empty() ||
+          (candidates.front() >= 0 &&
+           candidates.back() < std::min(problem.size(), matroid.ground_size())),
+      "candidates must lie in the problem's and the matroid's ground sets");
   WallTimer timer;
   AlgorithmResult result;
   SolutionState state(&problem);
 
   if (options.initial.empty()) {
-    state.Assign(BestIndependentPair(problem, matroid));
+    state.Assign(BestIndependentPair(problem, matroid, candidates));
   } else {
     DIVERSE_CHECK_MSG(matroid.IsIndependent(options.initial),
                       "initial set must be independent");
     state.Assign(options.initial);
   }
-  CompleteToBasis(matroid, options.greedy_completion, &state);
+  CompleteToBasis(matroid, candidates, options.greedy_completion, &state);
 
-  const int n = problem.size();
-  std::vector<double> gains(n);
-  std::vector<SwapCandidate> candidates;
+  std::vector<double> gains(candidates.size());
+  std::vector<SwapCandidate> swaps;
   while (options.max_swaps < 0 || result.steps < options.max_swaps) {
     if (options.time_limit_seconds > 0.0 &&
         timer.Seconds() >= options.time_limit_seconds) {
@@ -112,16 +131,16 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
     // Batch-score every exchange, then test the (expensive) matroid oracle
     // in descending-gain order: the first feasible candidate is the best
     // feasible exchange, matching the scalar scan's result.
-    candidates.clear();
+    swaps.clear();
     for (int rank = 0; rank < static_cast<int>(members.size()); ++rank) {
-      state.ScoreSwapsFor(members[rank], state.Universe(), gains);
-      for (int in = 0; in < n; ++in) {
-        const double gain = gains[in];
+      state.ScoreSwapsFor(members[rank], candidates, gains);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const double gain = gains[i];
         if (gain <= threshold || gain <= 1e-12) continue;
-        candidates.push_back({gain, rank, in});
+        swaps.push_back({gain, rank, candidates[i]});
       }
     }
-    std::sort(candidates.begin(), candidates.end(),
+    std::sort(swaps.begin(), swaps.end(),
               [](const SwapCandidate& a, const SwapCandidate& b) {
                 if (a.gain != b.gain) return a.gain > b.gain;
                 if (a.out_rank != b.out_rank) return a.out_rank < b.out_rank;
@@ -129,7 +148,7 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
               });
     int best_out = -1;
     int best_in = -1;
-    for (const SwapCandidate& c : candidates) {
+    for (const SwapCandidate& c : swaps) {
       if (!matroid.CanExchange(members, members[c.out_rank], c.in)) continue;
       best_out = members[c.out_rank];
       best_in = c.in;

@@ -13,6 +13,7 @@
 #ifndef DIVERSE_ALGORITHMS_LOCAL_SEARCH_H_
 #define DIVERSE_ALGORITHMS_LOCAL_SEARCH_H_
 
+#include <span>
 #include <vector>
 
 #include "algorithms/result.h"
@@ -34,14 +35,25 @@ struct LocalSearchOptions {
   // independent; it is extended to a basis before searching.
   std::vector<int> initial;
   // When extending the initial set to a basis, add elements by best
-  // objective gain (true) or by lowest index (false, the paper's
-  // "arbitrary" completion).
+  // objective gain (true) or by first feasible candidate (false, the
+  // paper's "arbitrary" completion).
   bool greedy_completion = true;
 };
 
+// Search over every id; the matroid's ground set must equal the problem's.
 AlgorithmResult LocalSearch(const DiversificationProblem& problem,
                             const Matroid& matroid,
                             const LocalSearchOptions& options);
+
+// Search over `candidates` only (the serving engine passes a snapshot's
+// live ids): ascending, distinct ids below both problem.size() and
+// matroid.ground_size(). The pair scan, basis completion and swap scan walk
+// only the list, so the answer equals LocalSearch on the problem rebuilt
+// from those ids alone.
+AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
+                                        const Matroid& matroid,
+                                        std::span<const int> candidates,
+                                        const LocalSearchOptions& options);
 
 }  // namespace diverse
 

@@ -162,9 +162,6 @@ class CorpusSnapshot {
   // from; retired ids never appear.
   const std::vector<int>& candidates() const { return candidates_; }
   bool alive(int id) const { return alive_[id]; }
-  bool has_retired() const {
-    return static_cast<int>(candidates_.size()) < universe_size();
-  }
 
   const ModularFunction& weights() const { return weights_; }
   MetricRepr repr() const { return repr_; }

@@ -26,8 +26,8 @@ void ValidateQuery(const Query& query, const PlanDefaults& defaults) {
   DIVERSE_CHECK_MSG(query.num_shards >= 0,
                     "query.num_shards must be non-negative");
   // Checked here, on the submitting thread: a non-finite value would
-  // abort a worker (relevance), answer NaN (lambda) or defeat the erased-id
-  // cost mask (budget).
+  // abort a worker (relevance), answer NaN (lambda) or lift the knapsack
+  // constraint altogether, so that every live id fits (budget).
   DIVERSE_CHECK_MSG(std::isfinite(query.lambda),
                     "query.lambda must be finite (negative: corpus default)");
   for (double r : query.relevance) {

@@ -1,11 +1,11 @@
 #include "engine/execution_plan.h"
 
 #include <algorithm>
-#include <limits>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "algorithms/distributed.h"
+#include "algorithms/greedy_vertex.h"
 #include "algorithms/knapsack_greedy.h"
 #include "algorithms/local_search.h"
 #include "algorithms/result.h"
@@ -16,85 +16,13 @@ namespace diverse {
 namespace engine {
 namespace {
 
-// Restriction of a matroid to the snapshot's live ids: a set is
-// independent iff it avoids retired ids and is independent in the inner
-// matroid. Keeps full-universe algorithms (local search) from ever
-// touching an erased element.
-class LiveMatroid : public Matroid {
- public:
-  LiveMatroid(const Matroid* inner, const CorpusSnapshot* snapshot)
-      : inner_(inner), snapshot_(snapshot) {}
-
-  int ground_size() const override { return inner_->ground_size(); }
-
-  bool IsIndependent(std::span<const int> set) const override {
-    for (int e : set) {
-      if (!snapshot_->alive(e)) return false;
-    }
-    return inner_->IsIndependent(set);
-  }
-
-  int rank() const override {
-    return std::min(inner_->rank(),
-                    static_cast<int>(snapshot_->candidates().size()));
-  }
-
-  bool CanAdd(std::span<const int> set, int e) const override {
-    return snapshot_->alive(e) && inner_->CanAdd(set, e);
-  }
-
-  bool CanExchange(std::span<const int> set, int out, int in) const override {
-    return snapshot_->alive(in) && inner_->CanExchange(set, out, in);
-  }
-
- private:
-  const Matroid* inner_;
-  const CorpusSnapshot* snapshot_;
-};
-
-// Adapts a client matroid built for a different id-space size to the
-// snapshot's: ids outside the inner matroid's ground set (inserts that
-// raced the request) are simply infeasible, mirroring how relevance and
-// costs treat them. Without this, a racing insert epoch would trip
-// LocalSearch's ground-size CHECK on a worker thread.
-class BoundedMatroid : public Matroid {
- public:
-  BoundedMatroid(const Matroid* inner, int ground_size)
-      : inner_(inner), n_(ground_size) {}
-
-  int ground_size() const override { return n_; }
-
-  bool IsIndependent(std::span<const int> set) const override {
-    for (int e : set) {
-      if (e >= inner_->ground_size()) return false;
-    }
-    return inner_->IsIndependent(set);
-  }
-
-  int rank() const override { return std::min(inner_->rank(), n_); }
-
-  bool CanAdd(std::span<const int> set, int e) const override {
-    return e < inner_->ground_size() && inner_->CanAdd(set, e);
-  }
-
-  bool CanExchange(std::span<const int> set, int out, int in) const override {
-    return in < inner_->ground_size() &&
-           inner_->CanExchange(set, out, in);
-  }
-
- private:
-  const Matroid* inner_;
-  int n_;
-};
-
 // Per-id vector resized to the snapshot's id space: inserts that raced the
-// request contribute `fill`, stale tail entries are dropped.
-std::vector<double> FitToUniverse(const std::vector<double>& values, int n,
-                                  double fill) {
+// request contribute 0, stale tail entries are dropped.
+std::vector<double> FitToUniverse(const std::vector<double>& values, int n) {
   std::vector<double> fitted(values.begin(),
                              values.begin() +
                                  std::min<std::size_t>(values.size(), n));
-  fitted.resize(n, fill);
+  fitted.resize(n, 0.0);
   return fitted;
 }
 
@@ -106,7 +34,7 @@ ProblemView MakeProblemView(const CorpusSnapshot& snapshot,
   ProblemView view{nullptr, snapshot.problem()};
   if (!relevance.empty()) {
     view.relevance = std::make_unique<ModularFunction>(
-        FitToUniverse(relevance, snapshot.universe_size(), 0.0));
+        FitToUniverse(relevance, snapshot.universe_size()));
     view.problem = view.problem.WithQuality(view.relevance.get());
   }
   if (lambda >= 0.0) view.problem = view.problem.WithLambda(lambda);
@@ -149,38 +77,24 @@ QueryResult ExecuteQuery(const CorpusSnapshot& snapshot, const Query& query,
         algo = GreedyVertexOnCandidates(problem, candidates, p);
         break;
       case QueryAlgorithm::kLocalSearch: {
-        std::optional<UniformMatroid> uniform;
-        const Matroid* constraint = query.matroid;
-        if (constraint == nullptr) {
-          uniform.emplace(n, p);
-          constraint = &*uniform;
-        }
-        std::optional<BoundedMatroid> bounded;
-        if (constraint->ground_size() != n) {
-          bounded.emplace(constraint, n);
-          constraint = &*bounded;
-        }
-        std::optional<LiveMatroid> live;
-        if (snapshot.has_retired()) {
-          live.emplace(constraint, &snapshot);
-          constraint = &*live;
-        }
-        algo = LocalSearch(problem, *constraint, LocalSearchOptions{});
+        // A client matroid built before an insert epoch covers fewer ids
+        // than the snapshot: ids beyond its ground set are never picked.
+        const UniformMatroid uniform(n, p);
+        const Matroid& matroid =
+            query.matroid != nullptr ? *query.matroid : uniform;
+        const auto end = std::lower_bound(
+            candidates.begin(), candidates.end(), matroid.ground_size());
+        algo = LocalSearchOnCandidates(
+            problem, matroid,
+            std::span<const int>(candidates.begin(), end),
+            LocalSearchOptions{});
         break;
       }
       case QueryAlgorithm::kKnapsack: {
         KnapsackOptions options;
-        options.costs = FitToUniverse(query.costs, n, 0.0);
+        options.costs = FitToUniverse(query.costs, n);
         options.budget = query.budget;
-        // Retired ids are masked by an infinite cost: infeasible both as
-        // enumeration seeds and for the density completion (budget + 1.0
-        // would round back to budget for budgets beyond 2^53).
-        for (int id = 0; id < n; ++id) {
-          if (!snapshot.alive(id)) {
-            options.costs[id] = std::numeric_limits<double>::infinity();
-          }
-        }
-        algo = KnapsackGreedy(problem, options);
+        algo = KnapsackGreedyOnCandidates(problem, candidates, options);
         break;
       }
     }

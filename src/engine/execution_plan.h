@@ -2,11 +2,15 @@
 //
 // ExecuteQuery is a pure function of (snapshot, query): it builds the
 // per-query problem view (relevance + lambda rebinding via the
-// DiversificationProblem snapshot hooks), restricts every algorithm to the
-// snapshot's live candidates, and dispatches on the plan:
+// DiversificationProblem snapshot hooks) and dispatches on the plan. Every
+// algorithm runs over one candidate list, snapshot.candidates() (the live
+// ids, ascending); retired ids are never scanned, so an answer equals the
+// same query on the corpus rebuilt from the live ids alone:
 //
-//   * kSingleNode — one run of SolutionState's batched scans (Greedy B
-//     over candidates, matroid local search, or density knapsack greedy);
+//   * kSingleNode — GreedyVertexOnCandidates, LocalSearchOnCandidates (over
+//     the candidates below the matroid's ground size, so a matroid built
+//     before an insert epoch never admits the new ids), or
+//     KnapsackGreedyOnCandidates;
 //   * kSharded — the deterministic hash-partitioned two-round plan
 //     (algorithms/distributed.h), reusing GreedyVertexOnCandidates as the
 //     per-shard kernel and the composable-core-set safeguard as merge;

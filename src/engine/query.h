@@ -54,8 +54,9 @@ struct Query {
   int per_shard = 0;
   std::uint64_t shard_salt = 0;
 
-  // kLocalSearch: optional constraint; must cover the snapshot's id space
-  // and outlive the query. Null: uniform matroid of rank p.
+  // kLocalSearch: optional constraint; must outlive the query. Ids beyond
+  // its ground set (inserts that raced the query) are never picked. Null:
+  // uniform matroid of rank p over the snapshot's id space.
   const Matroid* matroid = nullptr;
 
   // kKnapsack: per-id costs and budget (ids beyond costs.size() cost 0).

@@ -8,6 +8,7 @@
 #include "algorithms/brute_force.h"
 #include "algorithms/greedy_edge.h"
 #include "algorithms/greedy_vertex.h"
+#include "algorithms/knapsack_greedy.h"
 #include "algorithms/local_search.h"
 #include "algorithms/matching.h"
 #include "algorithms/streaming.h"
@@ -139,6 +140,26 @@ TEST(EdgeCasesDeathTest, LocalSearchRejectsDependentInitialSet) {
   LocalSearchOptions options;
   options.initial = {0, 1, 2};  // size 3 > rank 2
   EXPECT_DEATH(LocalSearch(problem, matroid, options), "independent");
+}
+
+TEST(EdgeCasesDeathTest, CandidateEntriesRejectMalformedLists) {
+  Rng rng(9);
+  Dataset data = MakeUniformSynthetic(6, rng);
+  const ModularFunction weights(data.weights);
+  const DiversificationProblem problem(&data.metric, &weights, 0.2);
+  // A matroid over the first four ids only: id 4 lies beyond it.
+  const UniformMatroid matroid(4, 2);
+  const std::vector<int> beyond = {0, 2, 4};
+  EXPECT_DEATH(LocalSearchOnCandidates(problem, matroid, beyond, {}),
+               "matroid's ground set");
+  const std::vector<int> unordered = {2, 0, 3};
+  EXPECT_DEATH(LocalSearchOnCandidates(problem, matroid, unordered, {}),
+               "ascending and distinct");
+  KnapsackOptions knapsack;
+  knapsack.costs.assign(6, 1.0);
+  knapsack.budget = 2.0;
+  EXPECT_DEATH(KnapsackGreedyOnCandidates(problem, unordered, knapsack),
+               "ascending and distinct");
 }
 
 TEST(EdgeCasesDeathTest, StreamRejectsDuplicateObservation) {

@@ -9,7 +9,9 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/distributed.h"
@@ -19,6 +21,7 @@
 #include "engine/engine.h"
 #include "matroid/partition_matroid.h"
 #include "matroid/uniform_matroid.h"
+#include "metric/vector_metric.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
 
@@ -173,8 +176,8 @@ TEST(EngineTest, KnapsackQueryRespectsBudget) {
 
 // Non-finite query inputs are rejected on the submitting thread. Accepted,
 // an infinite relevance aborted a worker (and the process), an infinite
-// lambda answered NaN, and an infinite budget let an erased id through the
-// knapsack cost mask.
+// lambda answered NaN, and an infinite budget lifted the knapsack
+// constraint altogether.
 TEST(EngineDeathTest, NonFiniteQueryInputsRejectedAtSubmit) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DiversificationEngine engine = MakeEngine(12, 7, 0.3, {.num_workers = 1});
@@ -249,6 +252,154 @@ TEST(EngineTest, ErasedElementsNeverReturned) {
     EXPECT_NE(e, 3);
     EXPECT_NE(e, 11);
     EXPECT_NE(e, 17);
+  }
+}
+
+// The corpus holding exactly `snapshot`'s live ids, in ascending order:
+// rebuilt id i is live id snapshot.candidates()[i]. Same representation,
+// weights, distances (or vectors) and lambda.
+Corpus RebuildFromLive(const CorpusSnapshot& snapshot) {
+  const std::vector<int>& live = snapshot.candidates();
+  const int m = static_cast<int>(live.size());
+  std::vector<double> weights(m);
+  for (int i = 0; i < m; ++i) weights[i] = snapshot.weights().weight(live[i]);
+  if (snapshot.repr() == MetricRepr::kVector) {
+    std::vector<double> rows;
+    for (int id : live) {
+      const std::span<const double> row = snapshot.vectors().row(id);
+      rows.insert(rows.end(), row.begin(), row.end());
+    }
+    return Corpus(std::move(weights),
+                  VectorMetric::FromRows(snapshot.dim(), std::move(rows)),
+                  snapshot.lambda());
+  }
+  DenseMetric metric(m);
+  for (int i = 0; i < m; ++i) {
+    for (int j = i + 1; j < m; ++j) {
+      metric.SetDistance(i, j, snapshot.metric().Distance(live[i], live[j]));
+    }
+  }
+  return Corpus(std::move(weights), std::move(metric), snapshot.lambda());
+}
+
+// Erases several ids and inserts one, then checks that local search (with
+// a partition matroid and with the default uniform one) and knapsack
+// answer exactly as on the corpus rebuilt from the live ids: same
+// elements (mapped back), same objective bits, same steps. Retired ids
+// are absent from every scan, not merely rejected by one.
+void ExpectAnswersEqualLiveRestriction(Corpus* corpus,
+                                       const CorpusUpdate& insert) {
+  std::vector<CorpusUpdate> churn = {CorpusUpdate::Erase(1),
+                                     CorpusUpdate::Erase(6),
+                                     CorpusUpdate::Erase(7),
+                                     CorpusUpdate::Erase(13),
+                                     CorpusUpdate::Erase(20), insert};
+  corpus->Apply(churn);
+  const SnapshotPtr snapshot = corpus->snapshot();
+  const std::vector<int>& live = snapshot->candidates();
+  ASSERT_EQ(static_cast<int>(live.size()), snapshot->universe_size() - 5);
+  const Corpus rebuilt = RebuildFromLive(*snapshot);
+
+  const int n = snapshot->universe_size();
+  std::vector<int> block_of(n);
+  std::vector<double> costs(n);
+  for (int id = 0; id < n; ++id) {
+    block_of[id] = id % 3;
+    costs[id] = 0.5 + 0.25 * (id % 4);
+  }
+  std::vector<int> live_block_of;
+  std::vector<double> live_costs;
+  for (int id : live) {
+    live_block_of.push_back(block_of[id]);
+    live_costs.push_back(costs[id]);
+  }
+  const PartitionMatroid matroid(block_of, {2, 2, 2});
+  const PartitionMatroid live_matroid(live_block_of, {2, 2, 2});
+
+  Query partition;
+  partition.p = 6;
+  partition.algorithm = QueryAlgorithm::kLocalSearch;
+  partition.matroid = &matroid;
+  Query live_partition = partition;
+  live_partition.matroid = &live_matroid;
+
+  Query uniform;
+  uniform.p = 6;
+  uniform.algorithm = QueryAlgorithm::kLocalSearch;
+
+  Query knapsack;
+  knapsack.algorithm = QueryAlgorithm::kKnapsack;
+  knapsack.costs = costs;
+  knapsack.budget = 3.0;
+  Query live_knapsack = knapsack;
+  live_knapsack.costs = live_costs;
+
+  const std::pair<Query, Query> cases[] = {{partition, live_partition},
+                                           {uniform, uniform},
+                                           {knapsack, live_knapsack}};
+  for (const auto& [query, live_query] : cases) {
+    const QueryResult answer = ExecuteQuery(*snapshot, query);
+    const QueryResult expected = ExecuteQuery(*rebuilt.snapshot(), live_query);
+    std::vector<int> mapped_back;
+    for (int e : expected.elements) mapped_back.push_back(live[e]);
+    EXPECT_FALSE(answer.elements.empty());
+    EXPECT_EQ(answer.elements, mapped_back);
+    EXPECT_EQ(answer.objective, expected.objective);
+    EXPECT_EQ(answer.steps, expected.steps);
+  }
+}
+
+TEST(EngineTest, RetiredIdsAnswerAsLiveRestrictionDense) {
+  Rng rng(31);
+  Dataset data = MakeUniformSynthetic(24, rng);
+  Corpus corpus(data.weights, std::move(data.metric), 0.3);
+  std::vector<double> distances(24);
+  for (double& d : distances) d = rng.Uniform(1.0, 2.0);
+  ExpectAnswersEqualLiveRestriction(
+      &corpus, CorpusUpdate::Insert(0.9, std::move(distances)));
+}
+
+TEST(EngineTest, RetiredIdsAnswerAsLiveRestrictionVector) {
+  Rng rng(32);
+  constexpr int kDim = 4;
+  std::vector<double> weights(24);
+  for (double& w : weights) w = rng.Uniform();
+  std::vector<double> rows(24 * kDim);
+  for (double& x : rows) x = rng.Uniform(-1.0, 1.0);
+  Corpus corpus(std::move(weights),
+                VectorMetric::FromRows(kDim, std::move(rows)), 0.3);
+  std::vector<double> vector(kDim);
+  for (double& x : vector) x = rng.Uniform(-1.0, 1.0);
+  ExpectAnswersEqualLiveRestriction(
+      &corpus, CorpusUpdate::InsertVector(0.9, std::move(vector)));
+}
+
+// Every id retired: each algorithm and plan answers the empty set, with
+// objective 0, at the erasing version.
+TEST(EngineTest, AllRetiredCorpusAnswersEmpty) {
+  DiversificationEngine engine = MakeEngine(8, 33, 0.3, {.num_workers = 2});
+  std::vector<CorpusUpdate> erase_all;
+  for (int id = 0; id < 8; ++id) erase_all.push_back(CorpusUpdate::Erase(id));
+  engine.ApplyUpdates(erase_all);
+  const std::uint64_t version = engine.corpus().version();
+  ASSERT_TRUE(engine.corpus().snapshot()->candidates().empty());
+
+  Query greedy;
+  greedy.p = 3;
+  Query local_search = greedy;
+  local_search.algorithm = QueryAlgorithm::kLocalSearch;
+  Query knapsack;
+  knapsack.algorithm = QueryAlgorithm::kKnapsack;
+  knapsack.costs.assign(8, 1.0);
+  knapsack.budget = 3.0;
+  Query sharded = greedy;
+  sharded.plan = PlanKind::kSharded;
+  sharded.num_shards = 3;
+  for (const Query& query : {greedy, local_search, knapsack, sharded}) {
+    const QueryResult result = engine.Submit(query).get();
+    EXPECT_TRUE(result.elements.empty());
+    EXPECT_EQ(result.objective, 0.0);
+    EXPECT_EQ(result.corpus_version, version);
   }
 }
 

@@ -249,6 +249,30 @@ TEST(AppendixCounterexampleTest, GreedyFailsLocalSearchSucceeds) {
   EXPECT_GE(ls.objective * 2.0 + 1e-9, opt.objective);
 }
 
+// The candidate entry over every id is the plain entry, bit for bit, under
+// both basis completions.
+TEST(LocalSearchTest, CandidateEntryOverAllIdsMatchesPlainEntry) {
+  Rng rng(7);
+  Dataset data = MakeUniformSynthetic(20, rng);
+  const ModularFunction weights(data.weights);
+  const DiversificationProblem problem(&data.metric, &weights, 0.3);
+  std::vector<int> block_of(20);
+  for (int e = 0; e < 20; ++e) block_of[e] = e % 4;
+  const PartitionMatroid matroid(block_of, {2, 1, 2, 1});
+  std::vector<int> all(20);
+  for (int e = 0; e < 20; ++e) all[e] = e;
+  for (bool greedy_completion : {true, false}) {
+    LocalSearchOptions options;
+    options.greedy_completion = greedy_completion;
+    const AlgorithmResult plain = LocalSearch(problem, matroid, options);
+    const AlgorithmResult listed =
+        LocalSearchOnCandidates(problem, matroid, all, options);
+    EXPECT_EQ(listed.elements, plain.elements);
+    EXPECT_EQ(listed.objective, plain.objective);
+    EXPECT_EQ(listed.steps, plain.steps);
+  }
+}
+
 TEST(LocalSearchTest, ImprovesOnGreedyInitialization) {
   // The paper's §7 protocol: LS initialized from Greedy B can only improve.
   Rng rng(6);
