@@ -1,4 +1,4 @@
-// MetricBackend seam bench — emits BENCH_metric.json.
+// Metric row bench (MetricSpace's batched calls) — emits BENCH_metric.json.
 //
 // Three records:
 //
@@ -7,7 +7,7 @@
 //                 at a time. `kernel_speedup` (scalar_seconds /
 //                 batched_seconds) is the machine-relative headline: both
 //                 timings come from the same run on the same data, so the
-//                 ratio isolates what the batched seam buys the hot loops.
+//                 ratio isolates what the row kernel buys the hot loops.
 //   * snapshot  — encoded image bytes per element for the dense (O(n^2))
 //                 and feature-vector (O(n * d)) payloads at two corpus
 //                 sizes. Exact arithmetic, no timing: the vector
@@ -17,9 +17,9 @@
 //                 a feature-vector corpus versus the dense oracle
 //                 materialized from the very same vectors, including an
 //                 insert/erase epoch on both. `bit_equal` checks the
-//                 vector-backend answers (elements and objective) are
+//                 feature-vector answers (elements and objective) are
 //                 bitwise identical to the oracle's — a 0 is a
-//                 correctness regression in the seam.
+//                 correctness regression in the row kernel.
 //
 // Absolute seconds vary with CI hardware and stay advisory; the gated
 // fields are kernel_speedup and bit_equal.

@@ -10,7 +10,6 @@
 #define DIVERSE_CORE_ARGMAX_SCAN_H_
 
 #include <cstddef>
-#include <limits>
 #include <span>
 
 namespace diverse {
@@ -42,18 +41,6 @@ ScoredCandidate ArgmaxOver(std::span<const int> candidates, Score&& score) {
     if (!best.valid() || gain > best.gain) best = {e, gain};
   }
   return best;
-}
-
-// Fills out[i] with score(candidates[i]) or -infinity for skipped
-// candidates.
-template <typename Score>
-void ScoreAll(std::span<const int> candidates, std::span<double> out,
-              Score&& score) {
-  constexpr double kSkipped = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    double gain = 0.0;
-    out[i] = score(candidates[i], &gain) ? gain : kSkipped;
-  }
 }
 
 // Argmax of score(a, b) over all ordered pairs (items[i], items[j]), i < j.

@@ -1,6 +1,7 @@
 #include "core/solution_state.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "util/check.h"
@@ -17,10 +18,13 @@ double SwapDelta(double lambda, double f_in, double f_out, double d_in,
   return (f_in - f_out) + lambda * (d_in - d_in_out - d_out);
 }
 
+// ScoreSwapsFor's entry for members of S and `out` itself.
+constexpr double kSkippedSwap = -std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 SolutionState::SolutionState(const DiversificationProblem* problem)
-    : problem_(problem), backend_(AsBackend(&problem->metric())) {
+    : problem_(problem) {
   DIVERSE_CHECK(problem != nullptr);
   universe_.resize(problem->size());
   std::iota(universe_.begin(), universe_.end(), 0);
@@ -121,35 +125,37 @@ ScoredCandidate SolutionState::BestDensityAddOver(
   });
 }
 
-template <typename Scan>
-void SolutionState::ScanSwapsFor(int out, Scan&& scan) const {
+void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
+                                  std::span<double> gains) const {
+  DIVERSE_CHECK(gains.size() == ins.size());
   DIVERSE_DCHECK(in_set_[out]);
+  // One batched read of d(out, ins[i]) into gains[i]; each entry is then
+  // overwritten by its gain. Costs |ins| distances on every metric.
+  problem_->metric().DistancesTo(out, ins, gains);
   const double lambda = this->lambda();
-  const MetricSpace& metric = problem_->metric();
-  // Hoisting the row d(out, .) out of the scan replaces per-candidate
-  // virtual dispatch with contiguous reads, which feature-vector backends
-  // need to amortize their O(d) per-distance kernels.
-  std::vector<double> row_scratch;
-  const double* row_out = DistanceRowFor(out, &row_scratch);
   const double dist_out = dist_to_set_[out];
   SetFunctionEvaluator* eval = eval_.get();
   eval->Remove(out);
   const double f_out = eval->Gain(out);  // f(S) - f(S - out)
-  scan([&](int in, double* gain) {
-    if (in == out || in_set_[in]) return false;
-    const double d_in_out =
-        row_out != nullptr ? row_out[in] : metric.Distance(in, out);
-    *gain = SwapDelta(lambda, eval->Gain(in), f_out, dist_to_set_[in],
-                      d_in_out, dist_out);
-    return true;
-  });
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    const int in = ins[i];
+    gains[i] = in == out || in_set_[in]
+                   ? kSkippedSwap
+                   : SwapDelta(lambda, eval->Gain(in), f_out,
+                               dist_to_set_[in], gains[i], dist_out);
+  }
   eval->Add(out);
 }
 
 ScoredCandidate SolutionState::BestSwapInFor(int out,
                                              std::span<const int> ins) const {
+  std::vector<double> gains(ins.size());
+  ScoreSwapsFor(out, ins, gains);
   ScoredCandidate best;
-  ScanSwapsFor(out, [&](auto&& score) { best = ArgmaxOver(ins, score); });
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    if (ins[i] == out || in_set_[ins[i]]) continue;
+    if (!best.valid() || gains[i] > best.gain) best = {ins[i], gains[i]};
+  }
   return best;
 }
 
@@ -164,12 +170,6 @@ BestSwapResult SolutionState::BestSwapOver(std::span<const int> outs,
     }
   }
   return best;
-}
-
-void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
-                                  std::span<double> gains) const {
-  DIVERSE_CHECK(gains.size() == ins.size());
-  ScanSwapsFor(out, [&](auto&& score) { ScoreAll(ins, gains, score); });
 }
 
 double SolutionState::BlockPrimeAddGain(std::span<const int> block) const {
@@ -192,13 +192,12 @@ double SolutionState::BlockPrimeAddGain(std::span<const int> block) const {
   return 0.5 * f_gain + lambda() * dist;
 }
 
-const double* SolutionState::DistanceRowFor(
-    int v, std::vector<double>* scratch) const {
-  if (backend_ == nullptr) return nullptr;
-  if (const double* row = backend_->TryRow(v)) return row;
-  scratch->resize(universe_size());
-  backend_->DistanceRow(v, *scratch);
-  return scratch->data();
+const double* SolutionState::DistanceRowFor(int v) {
+  const MetricSpace& metric = problem_->metric();
+  if (const double* row = metric.TryRow(v)) return row;
+  row_scratch_.resize(universe_size());
+  metric.DistanceRow(v, row_scratch_);
+  return row_scratch_.data();
 }
 
 void SolutionState::Add(int v) {
@@ -209,27 +208,15 @@ void SolutionState::Add(int v) {
   eval_->Add(v);
   members_.push_back(v);
   in_set_[v] = true;
-  if (const double* row = DistanceRowFor(v, &row_scratch_)) {
-    for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += row[u];
-    return;
-  }
-  const MetricSpace& metric = problem_->metric();
-  for (int u = 0; u < universe_size(); ++u) {
-    dist_to_set_[u] += metric.Distance(u, v);
-  }
+  const double* row = DistanceRowFor(v);
+  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += row[u];
 }
 
 void SolutionState::Remove(int v) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(in_set_[v], "Remove of an element not in S");
-  if (const double* row = DistanceRowFor(v, &row_scratch_)) {
-    for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] -= row[u];
-  } else {
-    const MetricSpace& metric = problem_->metric();
-    for (int u = 0; u < universe_size(); ++u) {
-      dist_to_set_[u] -= metric.Distance(u, v);
-    }
-  }
+  const double* row = DistanceRowFor(v);
+  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] -= row[u];
   eval_->Remove(v);
   // After the update, dist_to_set_[v] = d(v, S - v).
   objective_ -= lambda() * dist_to_set_[v];

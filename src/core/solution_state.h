@@ -16,20 +16,19 @@
 //
 // On top of those sums it runs the batched argmax scans every algorithm
 // uses: BestAddOver, BestPrimeAddOver (Greedy B), BestDensityAddOver
-// (knapsack), BestSwapInFor / BestSwapOver / ScoreSwapsFor (local search,
-// streaming, dynamic updates) and BlockPrimeAddGain (batch greedy). Scans
-// are const and ties keep the earliest candidate position. Swap scans
-// position the quality evaluator at S - out once per scan, so each
-// candidate costs one Gain() query plus contiguous reads; the net state
-// is unchanged.
+// (knapsack), the swap kernel ScoreSwapsFor with its argmaxes
+// BestSwapInFor / BestSwapOver (local search, streaming, dynamic updates)
+// and BlockPrimeAddGain (batch greedy). Scans are const and ties keep the
+// earliest candidate position. The swap kernel positions the quality
+// evaluator at S - out once per scan and reads d(out, .) over the scanned
+// list with one DistancesTo call, so each candidate costs one Gain()
+// query plus contiguous reads; the net state is unchanged.
 //
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
-// row d(v, .). When the problem's metric is a MetricBackend (dense matrix
-// or feature-vector backend), the row comes from one batched
-// kernel call — zero-copy for stored rows — instead of n virtual
-// Distance() calls. Plain MetricSpace metrics keep the scalar path; both
-// paths accumulate in the same order, so results are bit-identical when
-// the backend's values match the scalar ones.
+// row d(v, .): the metric's stored row when TryRow has one (DenseMetric),
+// else one DistanceRow call into scratch. Rows hold exactly the scalar
+// Distance() values (metric/metric_space.h), so every metric's answers
+// are bit-equal to those over its DenseMetric::Materialize.
 #ifndef DIVERSE_CORE_SOLUTION_STATE_H_
 #define DIVERSE_CORE_SOLUTION_STATE_H_
 
@@ -39,7 +38,6 @@
 
 #include "core/argmax_scan.h"
 #include "core/diversification_problem.h"
-#include "metric/metric_backend.h"
 
 namespace diverse {
 
@@ -111,7 +109,7 @@ class SolutionState {
                                      double cost_floor = 1e-12) const;
 
   // Best swap partner for a fixed out in S over `ins` (members and `out`
-  // skipped): argmax of SwapGain(out, in).
+  // skipped): argmax of ScoreSwapsFor's gains.
   ScoredCandidate BestSwapInFor(int out, std::span<const int> ins) const;
 
   // Best swap over outs x ins; `outs` must all be members. Ties keep the
@@ -119,9 +117,9 @@ class SolutionState {
   BestSwapResult BestSwapOver(std::span<const int> outs,
                               std::span<const int> ins) const;
 
-  // Fills gains[i] = SwapGain(out, ins[i]), or -infinity for skipped
-  // candidates (members of S and `out` itself). gains.size() must equal
-  // ins.size().
+  // The swap kernel: fills gains[i] = SwapGain(out, ins[i]), or -infinity
+  // for skipped candidates (members of S and `out` itself). gains.size()
+  // must equal ins.size().
   void ScoreSwapsFor(int out, std::span<const int> ins,
                      std::span<double> gains) const;
 
@@ -161,20 +159,12 @@ class SolutionState {
 
  private:
   void RebuildFrom(const std::vector<int>& members);
-  // Row d(v, .): a stored backend row when available, else `scratch`
-  // filled by one batched kernel call, else nullptr (caller falls back to
-  // scalar Distance()). Add/Remove pass row_scratch_; const swap scans
-  // pass a local buffer so they touch no shared state.
-  const double* DistanceRowFor(int v, std::vector<double>* scratch) const;
-  // Runs scan(score) with the quality evaluator positioned at S - out,
-  // where score(in, &gain) yields SwapGain(out, in) or skips members and
-  // `out`. Shared by BestSwapInFor and ScoreSwapsFor.
-  template <typename Scan>
-  void ScanSwapsFor(int out, Scan&& scan) const;
+  // Row d(v, .) for Add/Remove: the metric's stored row when it has one,
+  // else row_scratch_ filled by one DistanceRow call.
+  const double* DistanceRowFor(int v);
 
   const DiversificationProblem* problem_;
-  const MetricBackend* backend_;  // nullptr for scalar-only metrics
-  std::vector<int> universe_;     // {0, .., n-1}
+  std::vector<int> universe_;  // {0, .., n-1}
   std::vector<double> row_scratch_;
   std::vector<int> members_;
   std::vector<bool> in_set_;

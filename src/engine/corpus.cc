@@ -150,15 +150,14 @@ CorpusSnapshot::CorpusSnapshot(std::uint64_t version,
       repr_(repr),
       metric_(std::move(metric)),
       vectors_(std::move(vectors)),
-      backend_(repr == MetricRepr::kDense
-                   ? static_cast<const MetricBackend*>(metric_.get())
-                   : static_cast<const MetricBackend*>(vectors_.get())),
       alive_(std::move(alive)),
-      problem_(backend_, &weights_, lambda) {
+      problem_(repr == MetricRepr::kDense
+                   ? static_cast<const MetricSpace*>(metric_.get())
+                   : vectors_.get(),
+               &weights_, lambda) {
   const int n = weights_.ground_size();
-  DIVERSE_CHECK(backend_ != nullptr);
   DIVERSE_CHECK((metric_ != nullptr) != (vectors_ != nullptr));
-  DIVERSE_CHECK(backend_->size() == n);
+  DIVERSE_CHECK(problem_.metric().size() == n);
   DIVERSE_CHECK(static_cast<int>(alive_.size()) == n);
   candidates_.reserve(n);
   for (int id = 0; id < n; ++id) {
@@ -276,18 +275,22 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   int n = static_cast<int>(weights_.size());
   const bool dense = repr_ == MetricRepr::kDense;
 
+  // ValidUpdate is the one rule set: the whole batch passes it before
+  // anything is mutated.
+  UpdateContext ctx{n, repr_, dense ? 0 : vectors_->dim()};
+  for (const CorpusUpdate& update : updates) {
+    DIVERSE_CHECK_MSG(ValidUpdate(update, &ctx),
+                      "update invalid for this corpus");
+  }
+
   // Published snapshots share the metric payload, so mutating epochs work
   // on a private copy — made exactly once per epoch. Dense inserts
   // pre-grow to the epoch's final size so a batch of k inserts costs one
   // O((n+k)^2) copy, not k of them; vector inserts copy O(n * d) once and
   // append O(d) per insert.
-  int inserts = 0;
+  const int inserts = ctx.n - n;  // validation grew ctx.n per insert
   bool writes_distances = false;
   for (const CorpusUpdate& update : updates) {
-    if (update.kind == CorpusUpdate::Kind::kInsert ||
-        update.kind == CorpusUpdate::Kind::kInsertVector) {
-      ++inserts;
-    }
     if (update.kind == CorpusUpdate::Kind::kSetDistance) {
       writes_distances = true;
     }
@@ -312,23 +315,12 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   for (const CorpusUpdate& update : updates) {
     switch (update.kind) {
       case CorpusUpdate::Kind::kSetWeight:
-        DIVERSE_CHECK(0 <= update.u && update.u < n);
-        DIVERSE_CHECK(update.value >= 0.0 && std::isfinite(update.value));
         weights_[update.u] = update.value;
         break;
       case CorpusUpdate::Kind::kSetDistance:
-        DIVERSE_CHECK_MSG(dense,
-                          "kSetDistance on a feature-vector corpus");
-        DIVERSE_CHECK(0 <= update.u && update.u < n);
-        DIVERSE_CHECK(0 <= update.v && update.v < n);
         owned->SetDistance(update.u, update.v, update.value);
         break;
       case CorpusUpdate::Kind::kInsert:
-        DIVERSE_CHECK_MSG(dense, "kInsert on a feature-vector corpus");
-        DIVERSE_CHECK_MSG(
-            static_cast<int>(update.distances.size()) == n,
-            "insert needs one distance per existing id");
-        DIVERSE_CHECK(update.value >= 0.0 && std::isfinite(update.value));
         for (int u = 0; u < n; ++u) {
           owned->SetDistance(u, n, update.distances[u]);
         }
@@ -337,25 +329,14 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
         ++n;
         break;
       case CorpusUpdate::Kind::kErase:
-        DIVERSE_CHECK(0 <= update.u && update.u < n);
         alive_[update.u] = 0;
         break;
-      case CorpusUpdate::Kind::kInsertVector: {
-        DIVERSE_CHECK_MSG(!dense, "kInsertVector on a dense corpus");
-        DIVERSE_CHECK_MSG(
-            static_cast<int>(update.distances.size()) == vectors_->dim(),
-            "insert-vector needs exactly dim components");
-        DIVERSE_CHECK(update.value >= 0.0 && std::isfinite(update.value));
-        for (double x : update.distances) {
-          DIVERSE_CHECK_MSG(ValidVectorComponent(x),
-                            "non-finite or oversized vector component");
-        }
+      case CorpusUpdate::Kind::kInsertVector:
         owned_vectors->AppendRow(update.distances);
         weights_.push_back(update.value);
         alive_.push_back(1);
         ++n;
         break;
-      }
     }
   }
   if (owned) metric_ = std::move(owned);

@@ -43,7 +43,6 @@
 #include "core/diversification_problem.h"
 #include "dynamic/perturbation.h"
 #include "metric/dense_metric.h"
-#include "metric/metric_backend.h"
 #include "metric/metric_space.h"
 #include "metric/pruning_index.h"
 #include "metric/vector_metric.h"
@@ -119,12 +118,12 @@ struct CorpusState {
   VectorMetric vectors{0, 0};   // kVector payload
 };
 
-// Shared value/update validation — the single path both epoch replay
-// (rpc::ShardNode) and snapshot/checkpoint load go through, so no
-// checkpoint can round-trip into a state an epoch replay would have
-// rejected. All of these mirror Corpus::Apply's CHECK preconditions but
-// report instead of aborting: the data crossed a trust boundary (wire,
-// disk).
+// Shared value/update validation — the one rule set Corpus::Apply, epoch
+// replay (rpc::ShardNode) and snapshot/checkpoint load all go through, so
+// no checkpoint can round-trip into a state an epoch replay would have
+// rejected. Apply CHECK-aborts on the first invalid update of a batch;
+// the boundary paths report instead, because their data crossed a trust
+// boundary (wire, disk).
 bool ValidWeight(double value);
 bool ValidDistance(double value);
 // Feature-vector component: finite and |x| <= kMaxVectorComponent, so all
@@ -139,7 +138,7 @@ struct UpdateContext {
   int dim = 0;  // kVector only
 };
 
-// Would `update` pass Corpus::Apply against `ctx`? Representation-aware:
+// Is `update` valid against `ctx`? Representation-aware:
 // kSetDistance/kInsert are only valid under kDense, kInsertVector only
 // under kVector (with exactly ctx->dim valid components).
 bool ValidUpdate(const CorpusUpdate& update, UpdateContext* ctx);
@@ -167,9 +166,9 @@ class CorpusSnapshot {
   MetricRepr repr() const { return repr_; }
   // Feature-vector dimension; 0 under kDense.
   int dim() const;
-  // The metric payload as a batched backend — what queries evaluate
-  // against, whichever representation backs it.
-  const MetricBackend& backend() const { return *backend_; }
+  // The metric payload queries evaluate against, whichever representation
+  // backs it: the base problem's metric.
+  const MetricSpace& backend() const { return problem_.metric(); }
   // Representation-specific accessors; CHECK-abort on the wrong repr.
   const DenseMetric& metric() const;
   const VectorMetric& vectors() const;
@@ -196,7 +195,6 @@ class CorpusSnapshot {
   MetricRepr repr_;
   std::shared_ptr<const DenseMetric> metric_;    // kDense only
   std::shared_ptr<const VectorMetric> vectors_;  // kVector only
-  const MetricBackend* backend_;  // whichever payload is populated
   std::vector<char> alive_;
   std::vector<int> candidates_;
   DiversificationProblem problem_;  // must follow weights_/metric payloads
@@ -221,8 +219,8 @@ class Corpus {
 
   // Materializes `base` into the dense master copy with
   // DenseMetric::Materialize (each unordered pair is pulled from the base
-  // metric exactly once, or whole rows through the backend seam), for
-  // corpora whose natural metric is expensive (graph, cosine, ...).
+  // metric exactly once), for corpora whose natural metric is expensive
+  // (graph, cosine, ...).
   static Corpus FromBaseMetric(const MetricSpace& base,
                                std::vector<double> weights, double lambda);
 

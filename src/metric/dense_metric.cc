@@ -30,16 +30,6 @@ DenseMetric DenseMetric::FromMatrix(int n, std::vector<double> matrix) {
 DenseMetric DenseMetric::Materialize(const MetricSpace& metric) {
   const int n = metric.size();
   DenseMetric m(n);
-  if (const MetricBackend* backend = AsBackend(&metric)) {
-    // Whole rows through the batched kernel; symmetry holds because the
-    // kernel itself is bitwise symmetric in (u, v).
-    for (int u = 0; u < n; ++u) {
-      backend->DistanceRow(
-          u, {m.matrix_.data() + static_cast<std::size_t>(u) * n,
-              static_cast<std::size_t>(n)});
-    }
-    return m;
-  }
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
       m.SetDistance(u, v, metric.Distance(u, v));

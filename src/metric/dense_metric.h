@@ -1,19 +1,19 @@
 // Mutable dense (n x n) distance matrix. This is the workhorse metric for
 // the synthetic experiments, the only metric supporting dynamic distance
-// perturbations (paper §6, types III/IV), and — through the MetricBackend
-// batched queries, which it serves as zero-copy row pointers — the
-// bit-equality oracle any other backend is checked against.
+// perturbations (paper §6, types III/IV), and — serving MetricSpace's
+// batched queries as zero-copy row pointers — the bit-equality oracle any
+// other metric is checked against.
 #ifndef DIVERSE_METRIC_DENSE_METRIC_H_
 #define DIVERSE_METRIC_DENSE_METRIC_H_
 
 #include <span>
 #include <vector>
 
-#include "metric/metric_backend.h"
+#include "metric/metric_space.h"
 
 namespace diverse {
 
-class DenseMetric : public MetricBackend {
+class DenseMetric : public MetricSpace {
  public:
   // All distances zero.
   explicit DenseMetric(int n);
@@ -22,9 +22,8 @@ class DenseMetric : public MetricBackend {
   // (checked).
   static DenseMetric FromMatrix(int n, std::vector<double> matrix);
 
-  // Materializes any metric into a dense matrix (O(n^2) Distance calls;
-  // row-batched through the backend seam when `metric` provides it, with
-  // bit-identical values either way).
+  // Materializes any metric into a dense matrix: one Distance(u, v) per
+  // unordered pair u < v, mirrored into d(v, u).
   static DenseMetric Materialize(const MetricSpace& metric);
 
   int size() const override { return n_; }

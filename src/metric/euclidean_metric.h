@@ -1,6 +1,7 @@
 // Point-set metric under an Lp norm (L1, L2 or L-infinity). Distances are
-// computed on demand from stored points; use DenseMetric::Materialize when a
-// matrix is preferable.
+// computed on demand from stored points, and rows by MetricSpace's default
+// loops over Distance(); use DenseMetric::Materialize when a matrix is
+// preferable.
 #ifndef DIVERSE_METRIC_EUCLIDEAN_METRIC_H_
 #define DIVERSE_METRIC_EUCLIDEAN_METRIC_H_
 

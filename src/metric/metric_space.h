@@ -5,8 +5,22 @@
 // guarantee symmetry and d(u,u) == 0; the triangle inequality is a semantic
 // requirement of the approximation guarantees (it can be checked with
 // metric_validation.h) but is not enforced on every call for performance.
+//
+// Besides the scalar Distance(), every metric answers the batched queries
+// the hot loops consume (SolutionState's row updates and swap scans):
+// DistanceRow, DistancesTo and TryRow. The defaults loop Distance();
+// DenseMetric serves stored rows and VectorMetric runs a fixed-order
+// kernel over feature vectors.
+//
+// Contract: every batched query returns exactly the values the scalar
+// Distance() would, bit for bit, and Distance() is bitwise symmetric.
+// DenseMetric::Materialize stores Distance(u, v), u < v, in both
+// orientations, so together these keep a materialized matrix usable as
+// the bit-equality oracle of the metric it came from.
 #ifndef DIVERSE_METRIC_METRIC_SPACE_H_
 #define DIVERSE_METRIC_METRIC_SPACE_H_
+
+#include <span>
 
 namespace diverse {
 
@@ -24,6 +38,20 @@ class MetricSpace {
   // read distances concurrently); DenseMetric::Materialize turns an
   // expensive implementation into contiguous storage once.
   virtual double Distance(int u, int v) const = 0;
+
+  // Fills row[v] = Distance(u, v) for every v; row.size() must be size().
+  // Default: one scalar Distance() per element.
+  virtual void DistanceRow(int u, std::span<double> row) const;
+
+  // Fills out[i] = Distance(u, ids[i]); out.size() must equal ids.size().
+  // Default: one scalar Distance() per id.
+  virtual void DistancesTo(int u, std::span<const int> ids,
+                           std::span<double> out) const;
+
+  // Contiguous stored row d(u, .) of length size() when the metric
+  // stores one (dense matrix); nullptr when rows are computed on demand.
+  // Callers that get a pointer skip the copy.
+  virtual const double* TryRow(int /*u*/) const { return nullptr; }
 };
 
 }  // namespace diverse

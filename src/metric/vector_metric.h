@@ -1,11 +1,11 @@
-// Feature-vector metric backend: stores one d-dimensional embedding per
-// element (row-major n x d) and computes Euclidean distances on demand
-// through batched, SIMD-friendly kernels.
+// Feature-vector metric: stores one d-dimensional embedding per element
+// (row-major n x d) and computes Euclidean distances on demand through
+// batched, SIMD-friendly kernels.
 //
 // This is the O(n * d) representation that replaces the O(n^2) dense
 // matrix end-to-end (engine snapshots, checkpoint images, replica wire
-// traffic) while serving the same hot-loop queries through the
-// MetricBackend seam. The kernel's accumulation order is fixed (four
+// traffic) while serving the same hot-loop queries through MetricSpace's
+// batched calls. The kernel's accumulation order is fixed (four
 // independent lanes combined in a fixed tree), so
 //
 //   * results are bit-reproducible across calls, hosts, and both
@@ -13,7 +13,7 @@
 //     the same differences), and
 //   * a DenseMetric materialized from the same vectors stores bit-identical
 //     distances — the dense matrix stays the bit-equality oracle for every
-//     answer computed over this backend.
+//     answer computed over this metric.
 //
 // Euclidean distance is a genuine metric, so the paper's approximation
 // guarantees carry over unchanged. Mutators (SetRow/AppendRow) exist for
@@ -25,11 +25,11 @@
 #include <span>
 #include <vector>
 
-#include "metric/metric_backend.h"
+#include "metric/metric_space.h"
 
 namespace diverse {
 
-class VectorMetric : public MetricBackend {
+class VectorMetric : public MetricSpace {
  public:
   // n elements, all at the origin.
   VectorMetric(int n, int dim);

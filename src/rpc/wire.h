@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "engine/corpus.h"
+#include "obs/query_trace.h"
 
 namespace diverse {
 namespace rpc {
@@ -132,16 +133,12 @@ struct ShardQueryRequest {
   std::vector<double> relevance;
 };
 
-// One node-side trace span riding back on a ShardQueryResponse. Offsets
-// are seconds on the *node's* steady clock, relative to the instant the
-// node received the request; the coordinator aligns them into its own
-// timeline (rpc/coordinator.cc). Observation-only — never consulted
-// by the kernel or the merge.
-struct WireSpan {
-  std::string name;
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
-};
+// One node-side trace span riding back on a ShardQueryResponse: the
+// recorder's own span type. Offsets are seconds on the *node's* steady
+// clock, relative to the instant the node received the request; the
+// coordinator aligns them into its own timeline (rpc/coordinator.cc).
+// Observation-only — never consulted by the kernel or the merge.
+using WireSpan = obs::QueryTrace::Span;
 
 // Caps on the response span block: a traced request gets at most
 // kMaxResponseSpans spans of at most kMaxSpanNameBytes name bytes each.

@@ -3,6 +3,7 @@
 // degenerate metrics, and the death paths of every precondition check.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "algorithms/brute_force.h"
@@ -15,10 +16,12 @@
 #include "core/diversification_problem.h"
 #include "core/solution_state.h"
 #include "data/synthetic.h"
+#include "engine/corpus.h"
 #include "matroid/matroid.h"
 #include "matroid/partition_matroid.h"
 #include "matroid/uniform_matroid.h"
 #include "metric/dense_metric.h"
+#include "metric/vector_metric.h"
 #include "submodular/modular_function.h"
 #include "submodular/set_function.h"
 #include "util/random.h"
@@ -184,6 +187,27 @@ TEST(EdgeCasesDeathTest, DenseMetricValidation) {
   EXPECT_DEATH(m.SetDistance(0, 0, 1.0), "");
   EXPECT_DEATH(m.SetDistance(0, 1, -1.0), "");
   EXPECT_DEATH(m.SetDistance(0, 5, 1.0), "");
+}
+
+// Corpus::Apply runs engine::ValidUpdate over the whole batch before it
+// mutates anything, and aborts on the first invalid update.
+TEST(EdgeCasesDeathTest, CorpusApplyRejectsInvalidUpdates) {
+  using engine::CorpusUpdate;
+  engine::Corpus vectors({0.5, 0.25},
+                         VectorMetric::FromRows(2, {0.0, 1.0, 1.0, 0.0}),
+                         0.3);
+  EXPECT_DEATH(vectors.Apply(CorpusUpdate::SetDistance(0, 1, 1.0)),
+               "update invalid");
+  EXPECT_DEATH(vectors.Apply(CorpusUpdate::InsertVector(0.5, {1.0})),
+               "update invalid");
+
+  engine::Corpus dense({0.5, 0.25, 0.75}, DenseMetric(3), 0.3);
+  EXPECT_DEATH(dense.Apply(CorpusUpdate::SetWeight(1, std::nan(""))),
+               "update invalid");
+  EXPECT_DEATH(dense.Apply(CorpusUpdate::Erase(3)), "update invalid");
+  const std::vector<CorpusUpdate> valid_then_invalid = {
+      CorpusUpdate::SetWeight(0, 0.9), CorpusUpdate::Erase(-1)};
+  EXPECT_DEATH(dense.Apply(valid_then_invalid), "update invalid");
 }
 
 TEST(EdgeCasesTest, LargePGreedyEdgeOddEven) {

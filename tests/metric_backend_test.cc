@@ -1,23 +1,32 @@
-// MetricBackend seam tests: the batched-kernel contract (every batched
-// query bit-equal to scalar Distance()), the VectorMetric kernel's
-// bit-reproducibility and symmetry, DenseMetric::Materialize as a
-// bit-equality oracle, repr-aware update / state validation, and
-// end-to-end engine answers over the vector backend matching the dense
-// oracle bitwise across churn epochs.
+// Metric row tests: the batched-query contract (every DistanceRow /
+// DistancesTo value bit-equal to scalar Distance()), the VectorMetric
+// kernel's bit-reproducibility and symmetry, DenseMetric::Materialize as a
+// bit-equality oracle for the vector kernel and for every scalar metric,
+// repr-aware update / state validation, and end-to-end engine answers over
+// the vector backend matching the dense oracle bitwise across churn epochs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
+#include "algorithms/greedy_vertex.h"
+#include "algorithms/local_search.h"
+#include "algorithms/streaming.h"
 #include "engine/corpus.h"
 #include "engine/engine.h"
 #include "engine/query.h"
+#include "matroid/partition_matroid.h"
+#include "metric/cosine_metric.h"
 #include "metric/dense_metric.h"
+#include "metric/euclidean_metric.h"
 #include "metric/graph_metric.h"
 #include "metric/jaccard_metric.h"
-#include "metric/metric_backend.h"
+#include "metric/relaxed_metric.h"
 #include "metric/vector_metric.h"
+#include "submodular/modular_function.h"
 #include "util/random.h"
 
 namespace diverse {
@@ -63,7 +72,7 @@ TEST(VectorMetricTest, MatchesNaiveEuclidean) {
   }
 }
 
-// The MetricBackend contract: batched queries return exactly what scalar
+// The MetricSpace row contract: batched queries return exactly what scalar
 // Distance() returns, bit for bit.
 TEST(VectorMetricTest, BatchedQueriesBitEqualScalar) {
   const VectorMetric vectors = MakeVectors(31, 9, 7);
@@ -128,31 +137,13 @@ TEST(MetricBackendTest, MaterializedDenseIsBitEqualOracle) {
   }
 }
 
-TEST(MetricBackendTest, AsBackendSeesBackendsOnly) {
-  const VectorMetric vectors = MakeVectors(4, 2, 17);
-  const DenseMetric dense(4);
-  EXPECT_NE(AsBackend(&vectors), nullptr);
-  EXPECT_NE(AsBackend(&dense), nullptr);
-}
+// ---- Default batched queries over plain scalar metrics --------------------
 
-// ---- Default batched fallbacks over plain scalar metrics -------------------
-
-// The thinnest possible backend: nothing overridden beyond the scalar
-// interface, so DistanceRow/DistancesTo run MetricBackend's own default
-// loops. Wrapping metrics that are NOT backends (graph shortest paths,
-// Jaccard sets) proves the defaults hold the bit-equality contract for
-// arbitrary scalar implementations, not just the vector kernel.
-class ScalarOnlyBackend : public MetricBackend {
- public:
-  explicit ScalarOnlyBackend(const MetricSpace* base) : base_(base) {}
-  int size() const override { return base_->size(); }
-  double Distance(int u, int v) const override {
-    return base_->Distance(u, v);
-  }
-
- private:
-  const MetricSpace* base_;
-};
+// GraphMetric and JaccardMetric override only Distance(), so their
+// DistanceRow/DistancesTo/TryRow are MetricSpace's default loops. Graph
+// shortest paths and Jaccard sets prove the defaults hold the
+// bit-equality contract for arbitrary scalar implementations, not just
+// the vector kernel.
 
 TEST(MetricBackendDefaultsTest, GraphMetricRowsBitEqualScalar) {
   // A connected weighted graph whose shortest paths are served per-pair.
@@ -168,24 +159,22 @@ TEST(MetricBackendDefaultsTest, GraphMetricRowsBitEqualScalar) {
     if (a != b) edges.push_back({a, b, rng.Uniform(0.5, 3.0)});
   }
   const GraphMetric graph(n, edges);
-  ASSERT_EQ(AsBackend(&graph), nullptr);  // plain MetricSpace, no backend
-  const ScalarOnlyBackend backend(&graph);
 
   std::vector<double> row(n);
   for (int u = 0; u < n; ++u) {
-    backend.DistanceRow(u, row);
+    graph.DistanceRow(u, row);
     for (int v = 0; v < n; ++v) {
       EXPECT_EQ(row[v], graph.Distance(u, v));
     }
   }
   const std::vector<int> ids = {3, 0, 11, 3, 7};
   std::vector<double> out(ids.size());
-  backend.DistancesTo(5, ids, out);
+  graph.DistancesTo(5, ids, out);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(out[i], graph.Distance(5, ids[i]));
   }
-  // The default backend stores nothing, so there is no resident row.
-  EXPECT_EQ(backend.TryRow(0), nullptr);
+  // The default stores nothing, so there is no resident row.
+  EXPECT_EQ(graph.TryRow(0), nullptr);
 }
 
 TEST(MetricBackendDefaultsTest, JaccardMetricRowsBitEqualScalar) {
@@ -198,20 +187,18 @@ TEST(MetricBackendDefaultsTest, JaccardMetricRowsBitEqualScalar) {
     attributes.push_back(std::move(attrs));
   }
   const JaccardMetric jaccard(std::move(attributes));
-  ASSERT_EQ(AsBackend(&jaccard), nullptr);
-  const ScalarOnlyBackend backend(&jaccard);
 
-  const int n = backend.size();
+  const int n = jaccard.size();
   std::vector<double> row(n);
   for (int u = 0; u < n; ++u) {
-    backend.DistanceRow(u, row);
+    jaccard.DistanceRow(u, row);
     for (int v = 0; v < n; ++v) {
       EXPECT_EQ(row[v], jaccard.Distance(u, v));
     }
   }
   const std::vector<int> ids = {0, 14, 7, 7, 2, 0};
   std::vector<double> out(ids.size());
-  backend.DistancesTo(9, ids, out);
+  jaccard.DistancesTo(9, ids, out);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(out[i], jaccard.Distance(9, ids[i]));
   }
@@ -220,11 +207,89 @@ TEST(MetricBackendDefaultsTest, JaccardMetricRowsBitEqualScalar) {
 // Empty id lists and empty metrics must be no-ops, not UB.
 TEST(MetricBackendDefaultsTest, DegenerateShapes) {
   const JaccardMetric jaccard({{1}, {2}});
-  const ScalarOnlyBackend backend(&jaccard);
-  backend.DistancesTo(0, {}, {});
+  jaccard.DistancesTo(0, {}, {});
   std::vector<double> row(2);
-  backend.DistanceRow(1, row);
+  jaccard.DistanceRow(1, row);
   EXPECT_EQ(row[1], 0.0);
+}
+
+// ---- Scalar metrics vs their materialized dense oracle ---------------------
+
+void ExpectSameResult(const AlgorithmResult& a, const AlgorithmResult& b) {
+  EXPECT_EQ(a.elements, b.elements);
+  EXPECT_EQ(a.objective, b.objective);  // exact: objective bits
+  EXPECT_EQ(a.steps, b.steps);
+}
+
+// Every shipped scalar metric serves rows through MetricSpace's default
+// loops. Greedy B, partition-matroid local search and a streaming pass
+// over it must answer exactly as over DenseMetric::Materialize of it.
+TEST(ScalarMetricParityTest, AnswersBitEqualOverMaterializedDense) {
+  const int n = 40;
+  Rng rng(53);
+  std::vector<std::vector<double>> points(n, std::vector<double>(5));
+  for (auto& point : points) {
+    for (double& x : point) x = rng.Uniform(0.0, 1.0);
+  }
+  std::vector<std::vector<int>> attributes(n);
+  for (auto& attrs : attributes) {
+    const int count = rng.UniformInt(1, 6);
+    for (int j = 0; j < count; ++j) attrs.push_back(rng.UniformInt(0, 11));
+  }
+  std::vector<WeightedEdge> edges;
+  for (int i = 1; i < n; ++i) {
+    edges.push_back({rng.UniformInt(0, i - 1), i, rng.Uniform(0.5, 2.0)});
+  }
+  for (int extra = 0; extra < 30; ++extra) {
+    const int a = rng.UniformInt(0, n - 1);
+    const int b = rng.UniformInt(0, n - 1);
+    if (a != b) edges.push_back({a, b, rng.Uniform(0.5, 3.0)});
+  }
+  const EuclideanMetric l1(points, Norm::kL1);
+  const EuclideanMetric l2(points, Norm::kL2);
+  const CosineMetric cosine(points);
+  const JaccardMetric jaccard(std::move(attributes));
+  const GraphMetric graph(n, edges);
+  const PowerRelaxedMetric relaxed(&l2, 1.5);
+  const std::vector<std::pair<const char*, const MetricSpace*>> metrics = {
+      {"euclidean_l1", &l1}, {"euclidean_l2", &l2},
+      {"cosine", &cosine},   {"jaccard", &jaccard},
+      {"graph", &graph},     {"power_relaxed_l2", &relaxed}};
+
+  std::vector<double> weights(n);
+  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
+  const ModularFunction quality(weights);
+  std::vector<int> block_of(n);
+  for (int i = 0; i < n; ++i) block_of[i] = i % 4;
+  const PartitionMatroid matroid(block_of, {2, 3, 2, 3});
+  std::vector<int> stream(n);
+  std::iota(stream.begin(), stream.end(), 0);
+  rng.Shuffle(&stream);
+
+  for (const auto& [name, metric] : metrics) {
+    SCOPED_TRACE(name);
+    const DenseMetric dense = DenseMetric::Materialize(*metric);
+    const DiversificationProblem scalar(metric, &quality, 0.4);
+    const DiversificationProblem oracle(&dense, &quality, 0.4);
+    for (int p : {3, 6, 9}) {
+      ExpectSameResult(GreedyVertex(scalar, {.p = p}),
+                       GreedyVertex(oracle, {.p = p}));
+    }
+    // The arbitrary completion leaves swaps for the search to make.
+    const LocalSearchOptions options{.greedy_completion = false};
+    const AlgorithmResult local = LocalSearch(scalar, matroid, options);
+    EXPECT_GT(local.steps, 0);
+    ExpectSameResult(local, LocalSearch(oracle, matroid, options));
+
+    StreamingDiversifier over_scalar(&scalar, 6);
+    StreamingDiversifier over_oracle(&oracle, 6);
+    over_scalar.ObserveAll(stream);
+    over_oracle.ObserveAll(stream);
+    EXPECT_GT(over_scalar.swaps_performed(), 0);
+    EXPECT_EQ(over_scalar.current(), over_oracle.current());
+    EXPECT_EQ(over_scalar.objective(), over_oracle.objective());
+    EXPECT_EQ(over_scalar.swaps_performed(), over_oracle.swaps_performed());
+  }
 }
 
 // ---- Repr-aware validation -------------------------------------------------
@@ -366,9 +431,9 @@ TEST(EngineVectorBackendTest, AnswersBitEqualToDenseOracleAcrossChurn) {
   }
 }
 
-// Local search refines through the same seam: swap scans pull rows via
-// TryRow/DistanceRow, and the vector backend's answers must match the
-// oracle's bitwise there too.
+// Local search refines through the same row calls: the swap kernel reads
+// DistancesTo, and the vector corpus's answers must match the oracle's
+// bitwise there too.
 TEST(EngineVectorBackendTest, LocalSearchMatchesDenseOracle) {
   const int n = 40;
   Rng rng(31);
