@@ -5,7 +5,10 @@
 // In addition to the google-benchmark suite, main() times the incremental
 // evaluation path (SolutionState and its batched scans) against the
 // from-scratch DiversificationProblem::Objective path for greedy and
-// local search at n >= 2000, and writes the timings (and speedups) to
+// local search at n >= 2000, and the pruned best-pair scan that starts
+// matroid local search against the exhaustive scan on the serving
+// benchmark's swap_vector shape (record local_search_init: speedup and
+// bit_equal), and writes the timings (and speedups) to
 // BENCH_micro_algorithms.json. Pass --compare_only to skip the
 // google-benchmark suite.
 #include <benchmark/benchmark.h>
@@ -14,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -24,7 +28,9 @@
 #include "bench_json.h"
 #include "core/solution_state.h"
 #include "data/synthetic.h"
+#include "matroid/partition_matroid.h"
 #include "matroid/uniform_matroid.h"
+#include "metric/vector_metric.h"
 #include "submodular/coverage_function.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
@@ -220,6 +226,119 @@ AlgorithmResult ScratchLocalSearch(const DiversificationProblem& problem,
   return result;
 }
 
+// Forwards every query to `base` but does not declare the triangle
+// inequality, so BestIndependentPair runs its exhaustive scan: the
+// reference the pruned scan must match pair for pair and bit for bit.
+// (The forwarding adds one virtual hop per distance to the reference.)
+class UndeclaredMetric : public MetricSpace {
+ public:
+  explicit UndeclaredMetric(const MetricSpace* base) : base_(base) {}
+  int size() const override { return base_->size(); }
+  double Distance(int u, int v) const override {
+    return base_->Distance(u, v);
+  }
+  void DistanceRow(int u, std::span<double> row) const override {
+    base_->DistanceRow(u, row);
+  }
+  void DistancesTo(int u, std::span<const int> ids,
+                   std::span<double> out) const override {
+    base_->DistancesTo(u, ids, out);
+  }
+
+ private:
+  const MetricSpace* base_;
+};
+
+// Local search's initial pair on the swap_vector shape: n = 1000 vectors
+// in 64 dimensions around 10 cluster centres ~ U[0, 10]^64 (N(0, 0.4)
+// noise), a partition matroid of 10 blocks (id mod 10) of capacity 1,
+// lambda = 0.2 and one U[0, 1] modular weighting per query. Each scan is
+// timed as the minimum of three calls; bit_equal also requires the whole
+// LocalSearchOnCandidates answer (elements, objective bits, swaps) to
+// match between the two metrics.
+void RunLocalSearchInit(bench::BenchJson& json) {
+  const int n = 1000;
+  const int dim = 64;
+  const int clusters = 10;
+  const int weightings = 8;
+  const double lambda = 0.2;
+  Rng rng(2012);
+  std::vector<std::vector<double>> centres(clusters,
+                                           std::vector<double>(dim));
+  for (auto& centre : centres) {
+    for (double& x : centre) x = rng.Uniform(0.0, 10.0);
+  }
+  std::vector<double> rows;
+  rows.reserve(static_cast<std::size_t>(n) * dim);
+  for (int i = 0; i < n; ++i) {
+    for (double c : centres[i % clusters]) {
+      rows.push_back(c + rng.Gaussian(0.0, 0.4));
+    }
+  }
+  const VectorMetric metric = VectorMetric::FromRows(dim, std::move(rows));
+  const UndeclaredMetric reference(&metric);
+  std::vector<int> block_of(n);
+  for (int id = 0; id < n; ++id) block_of[id] = id % clusters;
+  const PartitionMatroid matroid(block_of, std::vector<int>(clusters, 1));
+  std::vector<int> candidates(n);
+  std::iota(candidates.begin(), candidates.end(), 0);
+
+  const auto fastest = [](auto&& run) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      WallTimer timer;
+      run();
+      const double seconds = timer.Seconds();
+      if (rep == 0 || seconds < best) best = seconds;
+    }
+    return best;
+  };
+  double pruned_s = 0.0;
+  double exhaustive_s = 0.0;
+  bool bit_equal = true;
+  for (int w = 0; w < weightings; ++w) {
+    std::vector<double> relevance(n);
+    for (double& r : relevance) r = rng.Uniform(0.0, 1.0);
+    const ModularFunction weights(relevance);
+    const DiversificationProblem pruned(&metric, &weights, lambda);
+    const DiversificationProblem exhaustive(&reference, &weights, lambda);
+    std::vector<int> pruned_pair;
+    std::vector<int> exhaustive_pair;
+    pruned_s += fastest([&] {
+      pruned_pair = BestIndependentPair(pruned, matroid, candidates);
+    });
+    exhaustive_s += fastest([&] {
+      exhaustive_pair = BestIndependentPair(exhaustive, matroid, candidates);
+    });
+    const AlgorithmResult pruned_ls =
+        LocalSearchOnCandidates(pruned, matroid, candidates, {});
+    const AlgorithmResult exhaustive_ls =
+        LocalSearchOnCandidates(exhaustive, matroid, candidates, {});
+    bit_equal = bit_equal && pruned_pair == exhaustive_pair &&
+                pruned.Objective(pruned_pair) ==
+                    exhaustive.Objective(exhaustive_pair) &&
+                pruned_ls.elements == exhaustive_ls.elements &&
+                pruned_ls.objective == exhaustive_ls.objective &&
+                pruned_ls.steps == exhaustive_ls.steps;
+  }
+  if (!bit_equal) {
+    std::cerr << "warning: pruned and exhaustive pair scans disagree\n";
+  }
+  const double speedup = exhaustive_s / std::max(pruned_s, 1e-12);
+  json.NewRecord("local_search_init")
+      .Add("n", static_cast<long long>(n))
+      .Add("dim", static_cast<long long>(dim))
+      .Add("weightings", static_cast<long long>(weightings))
+      .Add("pruned_seconds", pruned_s / weightings)
+      .Add("exhaustive_seconds", exhaustive_s / weightings)
+      .Add("speedup", speedup)
+      .Add("bit_equal", static_cast<long long>(bit_equal ? 1 : 0));
+  std::cout << "  local_search_init n=" << n << ": exhaustive "
+            << exhaustive_s / weightings << "s, pruned "
+            << pruned_s / weightings << "s (" << speedup << "x, bit_equal "
+            << (bit_equal ? "yes" : "NO") << ")\n";
+}
+
 void RunEvaluatorComparison() {
   bench::BenchJson json("micro_algorithms");
   std::cout << "\nIncremental evaluation vs from-scratch objective "
@@ -283,6 +402,7 @@ void RunEvaluatorComparison() {
               << "s, incremental " << fast_ls_s << "s ("
               << scratch_ls_s / std::max(fast_ls_s, 1e-12) << "x)\n";
   }
+  RunLocalSearchInit(json);
   json.WriteFile();
 }
 

@@ -1,11 +1,12 @@
 // Observation-only contract check for the obs layer: replays the same
-// synthetic query/update trace through the engine five times per round —
-// plain, fully instrumented (MetricRegistry attached + a QueryTrace on
-// every query), sampled (registry + TraceBuffer with the production
-// default of ~1/64 engine-owned traces, the /tracez feed), remote-plain
-// (an in-process two-node shard cluster behind a Coordinator, untraced),
-// and remote-traced (same cluster, a QueryTrace per query, so node-side
-// spans ride the wire back and get aligned) — and reports
+// synthetic query/update trace through engines with and without
+// instrumentation — plain, fully instrumented (MetricRegistry attached + a
+// QueryTrace on every query), sampled (registry + TraceBuffer with the
+// production default of ~1/64 engine-owned traces, the /tracez feed),
+// remote-plain (an in-process two-node shard cluster behind a
+// Coordinator, untraced), and remote-traced (same cluster, a QueryTrace
+// per query, so node-side spans ride the wire back and get aligned) — and
+// reports
 //
 //   overhead_x = median over rounds of (arm round seconds / baseline
 //                seconds in the same round)
@@ -19,20 +20,23 @@
 // the contract: bit_equal must hold unconditionally for every arm, and
 // each arm's overhead_x must stay <= --max_overhead (default 1.05)
 // unless DIVERSE_BENCH_NO_GATE is set — instrumentation that perturbs
-// answers or costs more than ~5% is a bug, not a tuning knob. Rounds
-// interleave the arms, in forward order on even rounds and reverse order
-// on odd ones, and each ratio pairs an arm with its baseline from the
-// same round, so slow drift (thermal, noisy neighbors) cancels instead
-// of landing on whichever arm ran during a slow stretch.
+// answers or costs more than ~5% is a bug, not a tuning knob. Each round
+// runs every arm side by side with its own baseline on two live engines,
+// interleaved one update block at a time in ABBA order (RunPair), so host
+// noise lasting longer than a block (noisy neighbours, frequency changes)
+// lands on both sides of a ratio alike.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "bench_json.h"
 #include "data/synthetic.h"
@@ -51,11 +55,6 @@
 namespace diverse {
 namespace {
 
-struct RoundResult {
-  double seconds = 0.0;
-  std::vector<engine::QueryResult> answers;
-};
-
 enum class Arm {
   kPlain,         // no registry, no traces
   kInstrumented,  // registry + a caller-attached QueryTrace per query
@@ -65,88 +64,155 @@ enum class Arm {
                   // the wire, aligned into the coordinator timeline
 };
 
-// One full trace replay on a fresh engine built from `data`. The Rng is
-// re-seeded per round, so every round sees the identical query stream
-// and identical update epochs — the only difference between arms is the
-// instrumentation.
-RoundResult RunRound(const Dataset& data, int queries, int p, double lambda,
-                     int update_every, std::uint64_t seed, Arm arm) {
-  const bool instrumented =
-      arm == Arm::kInstrumented || arm == Arm::kRemoteTraced;
-  const bool remote =
-      arm == Arm::kRemotePlain || arm == Arm::kRemoteTraced;
-  obs::MetricRegistry registry;
-  obs::TraceBuffer trace_buffer;
-  // Remote arms: two full-replica shard nodes behind in-process
-  // transports, updates fanned out through the coordinator after each
-  // local apply — the same topology the obs integration tests use.
-  std::vector<std::unique_ptr<rpc::ShardNode>> nodes;
-  std::vector<std::unique_ptr<rpc::InProcessTransport>> transports;
-  std::unique_ptr<rpc::Coordinator> coordinator;
-  if (remote) {
-    std::vector<rpc::Transport*> raw;
-    for (int i = 0; i < 2; ++i) {
-      Dataset replica = data;
-      nodes.push_back(std::make_unique<rpc::ShardNode>(
-          replica.weights, std::move(replica.metric), lambda));
-      transports.push_back(
-          std::make_unique<rpc::InProcessTransport>(nodes.back().get()));
-      raw.push_back(transports.back().get());
+// One arm's replay of the trace on a fresh engine built from `data`. The
+// Rng is seeded identically for every arm and round, so every replay sees
+// the identical query stream and identical update epochs — the only
+// difference between arms is the instrumentation.
+class ArmReplay {
+ public:
+  ArmReplay(const Dataset& data, int queries, int p, double lambda,
+            int update_every, std::uint64_t seed, Arm arm)
+      : update_every_(update_every), n_(data.size()), rng_(seed) {
+    const bool instrumented =
+        arm == Arm::kInstrumented || arm == Arm::kRemoteTraced;
+    const bool remote =
+        arm == Arm::kRemotePlain || arm == Arm::kRemoteTraced;
+    // Remote arms: two full-replica shard nodes behind in-process
+    // transports, updates fanned out through the coordinator after each
+    // local apply — the same topology the obs integration tests use.
+    if (remote) {
+      std::vector<rpc::Transport*> raw;
+      for (int i = 0; i < 2; ++i) {
+        Dataset replica = data;
+        nodes_.push_back(std::make_unique<rpc::ShardNode>(
+            replica.weights, std::move(replica.metric), lambda));
+        transports_.push_back(
+            std::make_unique<rpc::InProcessTransport>(nodes_.back().get()));
+        raw.push_back(transports_.back().get());
+      }
+      coordinator_ = std::make_unique<rpc::Coordinator>(raw);
     }
-    coordinator = std::make_unique<rpc::Coordinator>(raw);
-  }
-  engine::DiversificationEngine::Options options;
-  options.num_workers = 1;
-  options.remote = coordinator.get();
-  if (arm != Arm::kPlain && arm != Arm::kRemotePlain) {
-    options.registry = &registry;
-  }
-  if (arm == Arm::kSampled) {
-    options.trace_buffer = &trace_buffer;
-    options.trace_sample_every = 64;
-  }
-  Dataset copy = data;
-  engine::DiversificationEngine server(copy.weights, std::move(copy.metric),
-                                       lambda, options);
-  const int n = data.size();
+    engine::DiversificationEngine::Options options;
+    options.num_workers = 1;
+    options.remote = coordinator_.get();
+    if (arm != Arm::kPlain && arm != Arm::kRemotePlain) {
+      options.registry = &registry_;
+    }
+    if (arm == Arm::kSampled) {
+      options.trace_buffer = &trace_buffer_;
+      options.trace_sample_every = 64;
+    }
+    Dataset copy = data;
+    server_ = std::make_unique<engine::DiversificationEngine>(
+        copy.weights, std::move(copy.metric), lambda, options);
 
-  Rng rng(seed);
-  engine::SyntheticQueryConfig query_config;
-  query_config.p = p;
-  query_config.lambda = lambda;
-  query_config.universe = n;
-  query_config.sharded = remote;
-  query_config.remote = remote;
-  query_config.num_shards = 4;
-  std::vector<engine::Query> trace;
-  trace.reserve(queries);
-  for (int i = 0; i < queries; ++i) {
-    trace.push_back(engine::MakeSyntheticQuery(query_config, rng));
-  }
-  std::vector<std::unique_ptr<obs::QueryTrace>> query_traces;
-  if (instrumented) {
-    query_traces.reserve(queries);
+    engine::SyntheticQueryConfig query_config;
+    query_config.p = p;
+    query_config.lambda = lambda;
+    query_config.universe = n_;
+    query_config.sharded = remote;
+    query_config.remote = remote;
+    query_config.num_shards = 4;
+    trace_.reserve(queries);
     for (int i = 0; i < queries; ++i) {
-      query_traces.push_back(std::make_unique<obs::QueryTrace>());
-      trace[i].trace = query_traces.back().get();
+      trace_.push_back(engine::MakeSyntheticQuery(query_config, rng_));
     }
+    if (instrumented) {
+      query_traces_.reserve(queries);
+      for (int i = 0; i < queries; ++i) {
+        query_traces_.push_back(std::make_unique<obs::QueryTrace>());
+        trace_[i].trace = query_traces_.back().get();
+      }
+    }
+    answers_.reserve(queries);
   }
 
-  int epoch = 0;
-  RoundResult result;
-  result.answers.reserve(queries);
-  WallTimer wall;
-  for (int i = 0; i < queries; ++i) {
-    if (update_every > 0 && i > 0 && i % update_every == 0) {
+  // Applies the update epoch due before query i, then answers query i;
+  // returns the wall seconds of both. Queries must come in order.
+  double Step(int i) {
+    WallTimer wall;
+    if (update_every_ > 0 && i > 0 && i % update_every_ == 0) {
       const std::vector<engine::CorpusUpdate> updates =
-          engine::MakeSyntheticEpoch(n, /*churn=*/false, epoch++, rng);
-      const std::uint64_t version = server.ApplyUpdates(updates);
-      if (coordinator) coordinator->PublishEpoch(version, updates);
+          engine::MakeSyntheticEpoch(n_, /*churn=*/false, epoch_++, rng_);
+      const std::uint64_t version = server_->ApplyUpdates(updates);
+      if (coordinator_) coordinator_->PublishEpoch(version, updates);
     }
-    result.answers.push_back(server.RunSync(trace[i]));
+    answers_.push_back(server_->RunSync(trace_[i]));
+    return wall.Seconds();
   }
-  result.seconds = wall.Seconds();
+
+  const std::vector<engine::QueryResult>& answers() const { return answers_; }
+
+ private:
+  const int update_every_;
+  const int n_;
+  Rng rng_;
+  int epoch_ = 0;
+  obs::MetricRegistry registry_;
+  obs::TraceBuffer trace_buffer_;
+  std::vector<std::unique_ptr<rpc::ShardNode>> nodes_;
+  std::vector<std::unique_ptr<rpc::InProcessTransport>> transports_;
+  std::unique_ptr<rpc::Coordinator> coordinator_;
+  std::unique_ptr<engine::DiversificationEngine> server_;
+  std::vector<engine::Query> trace_;
+  std::vector<std::unique_ptr<obs::QueryTrace>> query_traces_;
+  std::vector<engine::QueryResult> answers_;
+};
+
+// Seconds and answers of an arm and its baseline over one replay.
+struct PairResult {
+  double base_seconds = 0.0;
+  double arm_seconds = 0.0;
+  std::vector<engine::QueryResult> base_answers;
+  std::vector<engine::QueryResult> arm_answers;
+};
+
+// Replays the trace on `base` and `arm` interleaved block by block, one
+// block being the update epoch and the queries up to the next one. Blocks
+// alternate in ABBA order (base first in even blocks, arm first in odd
+// ones), so each side's epoch follows its own queries as often as the
+// other side's: cloning the corpus right after querying it runs faster,
+// and per-query alternation, which gave this only to the base, read
+// 1.09-1.17 in an A/A run of plain against plain. Host noise lasting
+// longer than a block lands on both sides alike.
+PairResult RunPair(const Dataset& data, int queries, int p, double lambda,
+                   int update_every, std::uint64_t seed, Arm base, Arm arm) {
+  ArmReplay base_replay(data, queries, p, lambda, update_every, seed, base);
+  ArmReplay arm_replay(data, queries, p, lambda, update_every, seed, arm);
+  PairResult result;
+  const int block = update_every > 0 ? update_every : 1;
+  for (int start = 0; start < queries; start += block) {
+    const int end = std::min(queries, start + block);
+    const bool base_first = (start / block) % 2 == 0;
+    for (int side = 0; side < 2; ++side) {
+      const bool run_base = (side == 0) == base_first;
+      ArmReplay& replay = run_base ? base_replay : arm_replay;
+      double& seconds = run_base ? result.base_seconds : result.arm_seconds;
+      for (int i = start; i < end; ++i) seconds += replay.Step(i);
+    }
+  }
+  result.base_answers = base_replay.answers();
+  result.arm_answers = arm_replay.answers();
   return result;
+}
+
+// The three measured pairs: each instrumented arm against its baseline.
+struct Round {
+  PairResult instrumented;  // plain vs instrumented
+  PairResult sampled;       // plain vs sampled
+  PairResult remote;        // remote-plain vs remote-traced
+};
+
+Round RunRound(const Dataset& data, int queries, int p, double lambda,
+               int update_every, std::uint64_t seed) {
+  Round round;
+  round.instrumented = RunPair(data, queries, p, lambda, update_every, seed,
+                               Arm::kPlain, Arm::kInstrumented);
+  round.sampled = RunPair(data, queries, p, lambda, update_every, seed,
+                          Arm::kPlain, Arm::kSampled);
+  round.remote = RunPair(data, queries, p, lambda, update_every, seed,
+                         Arm::kRemotePlain, Arm::kRemoteTraced);
+  return round;
 }
 
 double Median(std::vector<double> values) {
@@ -174,15 +240,11 @@ int Run(int n, int p, int queries, int rounds, double lambda,
   std::cout << "obs overhead: n = " << n << ", p = " << p << ", " << queries
             << " queries x " << rounds << " rounds per arm\n";
 
-  constexpr Arm kArms[] = {Arm::kPlain, Arm::kInstrumented, Arm::kSampled,
-                           Arm::kRemotePlain, Arm::kRemoteTraced};
-  constexpr int kNumArms = static_cast<int>(std::size(kArms));
-  // Warm-up pass (all arms) so first-touch costs are off the clock.
-  for (const Arm arm : kArms) {
-    RunRound(data, queries, p, lambda, update_every, seed, arm);
-  }
+  // Warm-up round (all arms) so first-touch costs are off the clock.
+  RunRound(data, queries, p, lambda, update_every, seed);
 
-  std::vector<double> seconds[kNumArms];
+  std::vector<double> seconds[5];  // plain, instrumented, sampled, remote
+                                   // plain, remote traced
   std::vector<double> instr_ratios;
   std::vector<double> sampled_ratios;
   std::vector<double> remote_ratios;
@@ -190,31 +252,30 @@ int Run(int n, int p, int queries, int rounds, double lambda,
   bool sampled_bit_equal = true;
   bool remote_bit_equal = true;
   for (int r = 0; r < rounds; ++r) {
-    RoundResult round[kNumArms];
-    for (int k = 0; k < kNumArms; ++k) {
-      const int a = r % 2 == 0 ? k : kNumArms - 1 - k;
-      round[a] = RunRound(data, queries, p, lambda, update_every, seed,
-                          kArms[a]);
-      seconds[a].push_back(round[a].seconds);
-    }
-    const RoundResult& plain = round[0];
-    const RoundResult& instr = round[1];
-    const RoundResult& sampled = round[2];
-    const RoundResult& remote_plain = round[3];
-    const RoundResult& remote_traced = round[4];
-    instr_ratios.push_back(instr.seconds / plain.seconds);
-    sampled_ratios.push_back(sampled.seconds / plain.seconds);
-    remote_ratios.push_back(remote_traced.seconds / remote_plain.seconds);
+    const Round round = RunRound(data, queries, p, lambda, update_every, seed);
+    seconds[0].push_back(round.instrumented.base_seconds);
+    seconds[1].push_back(round.instrumented.arm_seconds);
+    seconds[2].push_back(round.sampled.arm_seconds);
+    seconds[3].push_back(round.remote.base_seconds);
+    seconds[4].push_back(round.remote.arm_seconds);
+    instr_ratios.push_back(round.instrumented.arm_seconds /
+                           round.instrumented.base_seconds);
+    sampled_ratios.push_back(round.sampled.arm_seconds /
+                             round.sampled.base_seconds);
+    remote_ratios.push_back(round.remote.arm_seconds /
+                            round.remote.base_seconds);
     instr_bit_equal =
-        instr_bit_equal && SameAnswers(plain.answers, instr.answers);
+        instr_bit_equal && SameAnswers(round.instrumented.base_answers,
+                                       round.instrumented.arm_answers);
     sampled_bit_equal =
-        sampled_bit_equal && SameAnswers(plain.answers, sampled.answers);
+        sampled_bit_equal && SameAnswers(round.sampled.base_answers,
+                                         round.sampled.arm_answers);
     // Remote arms compare against each other: the sharded plan's answers
     // differ from the single plan's by construction, but tracing must
     // not move them.
-    remote_bit_equal = remote_bit_equal &&
-                       SameAnswers(remote_plain.answers,
-                                   remote_traced.answers);
+    remote_bit_equal =
+        remote_bit_equal &&
+        SameAnswers(round.remote.base_answers, round.remote.arm_answers);
   }
   const double plain_median = Median(seconds[0]);
   const double instr_median = Median(seconds[1]);
@@ -310,10 +371,22 @@ int Run(int n, int p, int queries, int rounds, double lambda,
 }  // namespace diverse
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+  // Every update epoch clones a dense corpus (6.5 MB at n = 900). By
+  // default glibc adapts its mmap threshold to freed blocks, so whether a
+  // clone reuses faulted-in heap memory or maps fresh pages depends on
+  // what the other engine of the pair allocated before it: an A/A run of
+  // plain against plain read 1.00, but the sampled arm read 1.14 after an
+  // instrumented pair and 1.01 after a plain one. Fixed thresholds keep
+  // large blocks on the heap and untrimmed, so both sides reuse memory
+  // alike.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
   int n = 900;
   int p = 10;
-  int queries = 80;
-  int rounds = 15;
+  int queries = 160;
+  int rounds = 31;
   double lambda = 0.2;
   int update_every = 10;
   double max_overhead = 1.05;

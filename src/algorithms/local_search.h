@@ -6,6 +6,17 @@
 // submodular f. Each round batch-scores every exchange
 // (SolutionState::ScoreSwapsFor) and tests the matroid oracle in
 // descending-gain order, so the first feasible exchange is the best one.
+// Each member's distance row d(m, C) is kept across rounds, so a round
+// after an accepted swap reads one new row, not one per member.
+//
+// The initial pair is exact. On a metric that declares the triangle
+// inequality (MetricSpace::ObeysTriangleInequality) the O(n^2) pair scan
+// is pruned: f is normalized submodular, so f({x}) + f({y}) + lambda *
+// min_p (d(x, p) + d(p, y)) over a few farthest-point pivots p bounds
+// phi({x, y}), and only pairs whose bound can reach the best pay the
+// matroid oracle and phi. The pruned scan returns the exhaustive scan's
+// pair, with its earliest-(i, j) tie rule and the same value bits; other
+// metrics run the exhaustive scan.
 //
 // As the paper notes, polynomial running time requires accepting only
 // swaps that improve phi by a relative epsilon; epsilon = 0 accepts any
@@ -39,6 +50,15 @@ struct LocalSearchOptions {
   // paper's "arbitrary" completion).
   bool greedy_completion = true;
 };
+
+// The paper's initialization over `candidates`: the independent pair
+// {x, y} maximizing phi({x, y}), ties broken by the earliest (i, j) in
+// candidate order, returned as {candidates[i], candidates[j]}. When no
+// pair is independent (rank < 2), the best independent singleton; empty
+// when there is none.
+std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
+                                     const Matroid& matroid,
+                                     std::span<const int> candidates);
 
 // Search over every id; the matroid's ground set must equal the problem's.
 AlgorithmResult LocalSearch(const DiversificationProblem& problem,

@@ -126,12 +126,20 @@ ScoredCandidate SolutionState::BestDensityAddOver(
 }
 
 void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
-                                  std::span<double> gains) const {
+                                  std::span<double> gains,
+                                  std::span<const double> out_row) const {
   DIVERSE_CHECK(gains.size() == ins.size());
   DIVERSE_DCHECK(in_set_[out]);
-  // One batched read of d(out, ins[i]) into gains[i]; each entry is then
-  // overwritten by its gain. Costs |ins| distances on every metric.
-  problem_->metric().DistancesTo(out, ins, gains);
+  // Without a caller's row, one batched read of d(out, ins[i]) into
+  // gains[i]; each entry is then overwritten by its gain. Costs |ins|
+  // distances on every metric.
+  const double* dist_in_out = gains.data();
+  if (out_row.empty()) {
+    problem_->metric().DistancesTo(out, ins, gains);
+  } else {
+    DIVERSE_CHECK(out_row.size() == ins.size());
+    dist_in_out = out_row.data();
+  }
   const double lambda = this->lambda();
   const double dist_out = dist_to_set_[out];
   SetFunctionEvaluator* eval = eval_.get();
@@ -142,7 +150,7 @@ void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
     gains[i] = in == out || in_set_[in]
                    ? kSkippedSwap
                    : SwapDelta(lambda, eval->Gain(in), f_out,
-                               dist_to_set_[in], gains[i], dist_out);
+                               dist_to_set_[in], dist_in_out[i], dist_out);
   }
   eval->Add(out);
 }

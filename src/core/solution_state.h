@@ -21,8 +21,9 @@
 // and BlockPrimeAddGain (batch greedy). Scans are const and ties keep the
 // earliest candidate position. The swap kernel positions the quality
 // evaluator at S - out once per scan and reads d(out, .) over the scanned
-// list with one DistancesTo call, so each candidate costs one Gain()
-// query plus contiguous reads; the net state is unchanged.
+// list from the caller's row or one DistancesTo call, so each candidate
+// costs one Gain() query plus contiguous reads; the net state is
+// unchanged.
 //
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
 // row d(v, .): the metric's stored row when TryRow has one (DenseMetric),
@@ -119,9 +120,12 @@ class SolutionState {
 
   // The swap kernel: fills gains[i] = SwapGain(out, ins[i]), or -infinity
   // for skipped candidates (members of S and `out` itself). gains.size()
-  // must equal ins.size().
+  // must equal ins.size(). `out_row` holds d(out, ins[i]) when the caller
+  // keeps it (local search keeps each member's row across rounds); empty,
+  // the kernel reads it with one DistancesTo call.
   void ScoreSwapsFor(int out, std::span<const int> ins,
-                     std::span<double> gains) const;
+                     std::span<double> gains,
+                     std::span<const double> out_row = {}) const;
 
   // Batch greedy's block potential for a block B disjoint from S:
   //   1/2 [f(S + B) - f(S)] + lambda [d(B) + d(B, S)],

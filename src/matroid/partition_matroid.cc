@@ -40,4 +40,14 @@ bool PartitionMatroid::CanAdd(std::span<const int> set, int e) const {
   return used < capacities_[b];
 }
 
+bool PartitionMatroid::CanExchange(std::span<const int> set, int out,
+                                   int in) const {
+  const int b = block_of_[in];
+  int used = 0;
+  for (int u : set) {
+    if (u != out && block_of_[u] == b) ++used;
+  }
+  return used < capacities_[b];
+}
+
 }  // namespace diverse

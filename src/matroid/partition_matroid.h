@@ -23,6 +23,7 @@ class PartitionMatroid : public Matroid {
   bool IsIndependent(std::span<const int> set) const override;
   int rank() const override { return rank_; }
   bool CanAdd(std::span<const int> set, int e) const override;
+  bool CanExchange(std::span<const int> set, int out, int in) const override;
 
   int block_of(int e) const { return block_of_[e]; }
   int capacity(int block) const { return capacities_[block]; }

@@ -17,6 +17,15 @@
 // DenseMetric::Materialize stores Distance(u, v), u < v, in both
 // orientations, so together these keep a materialized matrix usable as
 // the bit-equality oracle of the metric it came from.
+//
+// ObeysTriangleInequality() is a declared property, not a check: true
+// promises d(x, y) <= d(x, z) + d(z, y) for every x, y, z up to a few ulps
+// of rounding, so bounds built from it may prune a search without changing
+// its answer (local search's best-pair scan, algorithms/local_search.cc).
+// Only VectorMetric declares it: its Euclidean kernel is a norm. Everything
+// else answers false, including DenseMetric (it stores arbitrary matrices),
+// CosineMetric's 1 - cos form and PowerRelaxedMetric with beta > 1, which
+// all may violate the inequality outright.
 #ifndef DIVERSE_METRIC_METRIC_SPACE_H_
 #define DIVERSE_METRIC_METRIC_SPACE_H_
 
@@ -52,6 +61,10 @@ class MetricSpace {
   // stores one (dense matrix); nullptr when rows are computed on demand.
   // Callers that get a pointer skip the copy.
   virtual const double* TryRow(int /*u*/) const { return nullptr; }
+
+  // True when the metric guarantees the triangle inequality (see the
+  // file comment). Default false: callers then take their exhaustive path.
+  virtual bool ObeysTriangleInequality() const { return false; }
 };
 
 }  // namespace diverse

@@ -44,6 +44,8 @@ class VectorMetric : public MetricSpace {
   void DistanceRow(int u, std::span<double> row) const override;
   void DistancesTo(int u, std::span<const int> ids,
                    std::span<double> out) const override;
+  // Euclidean distance is a norm; the kernel's rounding stays within ulps.
+  bool ObeysTriangleInequality() const override { return true; }
 
   std::span<const double> row(int u) const;
   const std::vector<double>& data() const { return data_; }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <vector>
 
 #include "algorithms/brute_force.h"
@@ -12,7 +14,11 @@
 #include "matroid/partition_matroid.h"
 #include "matroid/transversal_matroid.h"
 #include "matroid/uniform_matroid.h"
+#include "metric/dense_metric.h"
+#include "metric/relaxed_metric.h"
+#include "metric/vector_metric.h"
 #include "submodular/coverage_function.h"
+#include "submodular/facility_location.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
 
@@ -271,6 +277,347 @@ TEST(LocalSearchTest, CandidateEntryOverAllIdsMatchesPlainEntry) {
     EXPECT_EQ(listed.objective, plain.objective);
     EXPECT_EQ(listed.steps, plain.steps);
   }
+}
+
+// ---- The initial pair: pruned scan against an exhaustive reference ------
+
+// The exhaustive scan the pruned one must reproduce: every pair in (i, j)
+// candidate order, a strictly greater value replaces the best, and the
+// best independent singleton when no pair is independent.
+std::vector<int> ReferencePair(const DiversificationProblem& problem,
+                               const Matroid& matroid,
+                               std::span<const int> candidates) {
+  std::vector<int> best;
+  double best_value = -1.0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t j = i + 1; j < candidates.size(); ++j) {
+      const std::vector<int> pair = {candidates[i], candidates[j]};
+      if (!matroid.IsIndependent(pair)) continue;
+      const double value = problem.Objective(pair);
+      if (value > best_value) {
+        best_value = value;
+        best = pair;
+      }
+    }
+  }
+  if (!best.empty()) return best;
+  for (int x : candidates) {
+    const std::vector<int> single = {x};
+    if (!matroid.IsIndependent(single)) continue;
+    const double value = problem.Objective(single);
+    if (best.empty() || value > best_value) {
+      best_value = value;
+      best = single;
+    }
+  }
+  return best;
+}
+
+// BestIndependentPair returns the reference pair with the same value bits,
+// and LocalSearchOnCandidates answers exactly as it does when started from
+// the reference pair: elements, objective bits and swaps.
+void ExpectPairParity(const DiversificationProblem& problem,
+                      const Matroid& matroid,
+                      std::span<const int> candidates) {
+  const std::vector<int> expected =
+      ReferencePair(problem, matroid, candidates);
+  const std::vector<int> pair =
+      BestIndependentPair(problem, matroid, candidates);
+  ASSERT_EQ(pair, expected);
+  if (expected.empty()) return;
+  EXPECT_EQ(problem.Objective(pair), problem.Objective(expected));
+  LocalSearchOptions from_reference;
+  from_reference.initial = expected;
+  const AlgorithmResult want =
+      LocalSearchOnCandidates(problem, matroid, candidates, from_reference);
+  const AlgorithmResult got =
+      LocalSearchOnCandidates(problem, matroid, candidates, {});
+  EXPECT_EQ(got.elements, want.elements);
+  EXPECT_EQ(got.objective, want.objective);
+  EXPECT_EQ(got.steps, want.steps);
+}
+
+// n points in `dim` dimensions around `clusters` centres ~ U[0, 10]^dim,
+// point i near centre i mod clusters.
+VectorMetric ClusteredVectors(int n, int dim, int clusters, double spread,
+                              Rng& rng) {
+  std::vector<std::vector<double>> centres(clusters,
+                                           std::vector<double>(dim));
+  for (auto& centre : centres) {
+    for (double& x : centre) x = rng.Uniform(0.0, 10.0);
+  }
+  std::vector<double> rows;
+  for (int i = 0; i < n; ++i) {
+    for (double c : centres[i % clusters]) {
+      rows.push_back(c + rng.Gaussian(0.0, spread));
+    }
+  }
+  return VectorMetric::FromRows(dim, std::move(rows));
+}
+
+std::vector<double> UniformWeights(int n, Rng& rng) {
+  std::vector<double> weights(n);
+  for (double& w : weights) w = rng.Uniform(0.0, 1.0);
+  return weights;
+}
+
+std::vector<int> AllIds(int n) {
+  std::vector<int> ids(n);
+  for (int e = 0; e < n; ++e) ids[e] = e;
+  return ids;
+}
+
+PartitionMatroid ModuloPartition(int n, std::vector<int> capacities) {
+  std::vector<int> block_of(n);
+  for (int e = 0; e < n; ++e) {
+    block_of[e] = e % static_cast<int>(capacities.size());
+  }
+  return PartitionMatroid(block_of, std::move(capacities));
+}
+
+TEST(BestPairParityTest, ClusteredVectorsUnderPartitionAndUniform) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const int n = 150;
+    const VectorMetric metric = ClusteredVectors(n, 8, 5, 0.4, rng);
+    ASSERT_TRUE(metric.ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    const PartitionMatroid partition = ModuloPartition(n, {1, 1, 1, 1, 1});
+    const UniformMatroid uniform(n, 5);
+    const std::vector<int> all = AllIds(n);
+    for (double lambda : {0.2, 1.0}) {
+      const DiversificationProblem problem(&metric, &weights, lambda);
+      ExpectPairParity(problem, partition, all);
+      ExpectPairParity(problem, uniform, all);
+    }
+  }
+}
+
+// Duplicated points with equal weights: many pairs tie exactly, so the
+// winner is decided by the earliest-(i, j) rule alone. The points lie on
+// a line at decimal offsets, where computed distances miss the triangle
+// equality d(x, y) = d(x, p) + d(p, y) by an ulp either way.
+TEST(BestPairParityTest, TiesKeepEarliestPairOnDuplicatesAndEqualWeights) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const int distinct = 12;
+    const int copies = 3;
+    const int n = distinct * copies;
+    std::vector<int> order = AllIds(n);
+    rng.Shuffle(&order);
+    std::vector<double> rows(static_cast<std::size_t>(n) * 2);
+    for (int e = 0; e < n; ++e) {
+      const int point = order[e] % distinct;
+      rows[2 * e] = 0.1 * point;
+      rows[2 * e + 1] = 0.3 * point;
+    }
+    const VectorMetric line = VectorMetric::FromRows(2, std::move(rows));
+    const VectorMetric clustered = ClusteredVectors(n, 4, 3, 0.3, rng);
+    const ModularFunction equal(std::vector<double>(n, 0.5));
+    // Zero weights: phi is the distance alone, so an ulp lost in a bound
+    // is not absorbed by the f terms.
+    const ModularFunction zero(std::vector<double>(n, 0.0));
+    const UniformMatroid uniform(n, 4);
+    const PartitionMatroid partition = ModuloPartition(n, {1, 2, 1});
+    const std::vector<int> all = AllIds(n);
+    for (const VectorMetric* metric : {&line, &clustered}) {
+      for (const ModularFunction* weights : {&equal, &zero}) {
+        for (double lambda : {0.2, 1.0}) {
+          const DiversificationProblem problem(metric, weights, lambda);
+          ExpectPairParity(problem, uniform, all);
+          ExpectPairParity(problem, partition, all);
+        }
+      }
+    }
+  }
+}
+
+// A bound that falls an ulp below the exact value it bounds. Z = 1.3 lies
+// on the segment from H1 = 0.0 to H2 = 3.6, and the computed distances
+// give d(H1, Z) + d(Z, H2) = 3.5999999999999996 < d(H1, H2) = 3.6. The
+// pair {H1, H2} ties {G1, G2} one unit above it, and {G1, G2} is verified
+// first because G1 and G2 are pivots (nine far points and Z, all in a
+// block of capacity 0, take the other ten pivot rows). Only the bound's
+// slack keeps {H1, H2}, the earlier of the two, as the winner.
+TEST(BestPairParityTest, SlackCoversBoundsAnUlpBelowTheValue) {
+  const double pi = 3.14159265358979323846;
+  std::vector<double> rows = {1.3, 0.0,   // 0: Z, the only weight
+                              0.0, 0.0,   // 1: H1
+                              3.6, 0.0,   // 2: H2
+                              0.0, 1.0,   // 3: G1
+                              3.6, 1.0};  // 4: G2
+  for (int k = 0; k < 9; ++k) {  // 5..13: far points around Z
+    rows.push_back(1.3 + 100.0 * std::cos(k * 2.0 * pi / 9.0));
+    rows.push_back(100.0 * std::sin(k * 2.0 * pi / 9.0));
+  }
+  const VectorMetric metric = VectorMetric::FromRows(2, std::move(rows));
+  const int n = metric.size();
+  ASSERT_LT(metric.Distance(1, 0) + metric.Distance(0, 2),
+            metric.Distance(1, 2));
+  std::vector<double> weights(n, 0.0);
+  weights[0] = 1.0;
+  const ModularFunction quality(weights);
+  std::vector<int> block_of(n, 0);
+  block_of[1] = block_of[4] = 1;
+  block_of[2] = block_of[3] = 2;
+  const PartitionMatroid matroid(block_of, {0, 1, 1});
+  const DiversificationProblem problem(&metric, &quality, 1.0);
+  EXPECT_EQ(BestIndependentPair(problem, matroid, AllIds(n)),
+            (std::vector<int>{1, 2}));
+  ExpectPairParity(problem, matroid, AllIds(n));
+}
+
+// Unclustered points where the winner is rarely a pair through a pivot,
+// so the cell and pair bounds of the row scan decide the answer, not the
+// seeds. The heaviest element sits alone in a block of capacity 0: it is
+// the first pivot but pairs with nothing.
+TEST(BestPairParityTest, RowBoundsDecideAwayFromPivots) {
+  for (int seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed + 70);
+    const int n = 200;
+    std::vector<double> rows(static_cast<std::size_t>(n) * 3);
+    for (double& x : rows) x = rng.Uniform(0.0, 10.0);
+    const VectorMetric metric = VectorMetric::FromRows(3, std::move(rows));
+    std::vector<double> weights = UniformWeights(n, rng);
+    weights[0] = 2.0;
+    const ModularFunction quality(weights);
+    std::vector<int> block_of(n, 1);
+    block_of[0] = 0;
+    const PartitionMatroid matroid(block_of, {0, 2});
+    for (double lambda : {0.02, 0.05, 0.1}) {
+      const DiversificationProblem problem(&metric, &quality, lambda);
+      ExpectPairParity(problem, matroid, AllIds(n));
+    }
+  }
+}
+
+// A candidate list with gaps, as after retirements in a serving snapshot.
+TEST(BestPairParityTest, CandidateSubsetWithGaps) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 10);
+    const int n = 120;
+    const VectorMetric metric = ClusteredVectors(n, 6, 4, 0.5, rng);
+    const ModularFunction weights(UniformWeights(n, rng));
+    std::vector<int> live;
+    for (int e = 0; e < n; ++e) {
+      if (rng.Uniform(0.0, 1.0) < 0.6) live.push_back(e);
+    }
+    const PartitionMatroid partition = ModuloPartition(n, {1, 1, 1, 1});
+    const UniformMatroid uniform(n, 4);
+    const DiversificationProblem problem(&metric, &weights, 0.3);
+    ExpectPairParity(problem, partition, live);
+    ExpectPairParity(problem, uniform, live);
+  }
+}
+
+// A block of capacity 0 (its elements are dependent on their own) and a
+// graphic matroid with self-loops (dependent singletons) and parallel
+// edges (dependent pairs).
+TEST(BestPairParityTest, EmptyBlockAndGraphicMatroid) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 20);
+    const int n = 90;
+    const VectorMetric metric = ClusteredVectors(n, 6, 3, 0.5, rng);
+    const ModularFunction weights(UniformWeights(n, rng));
+    const PartitionMatroid partition = ModuloPartition(n, {1, 0, 2});
+    std::vector<std::pair<int, int>> edges;
+    for (int e = 0; e < n; ++e) {
+      edges.emplace_back(rng.UniformInt(0, 7), rng.UniformInt(0, 7));
+    }
+    const GraphicMatroid graphic(8, edges);
+    const std::vector<int> all = AllIds(n);
+    const DiversificationProblem problem(&metric, &weights, 0.5);
+    ExpectPairParity(problem, partition, all);
+    ExpectPairParity(problem, graphic, all);
+  }
+}
+
+TEST(BestPairParityTest, CoverageAndFacilityLocationQuality) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 30);
+    const int n = 80;
+    const VectorMetric metric = ClusteredVectors(n, 6, 4, 0.5, rng);
+    std::vector<std::vector<int>> covers(n);
+    for (auto& cover : covers) {
+      cover = rng.SampleWithoutReplacement(12, rng.UniformInt(1, 4));
+    }
+    std::vector<double> topic_weights(12);
+    for (double& w : topic_weights) w = rng.Uniform(0.2, 1.0);
+    const CoverageFunction coverage(covers, topic_weights);
+    std::vector<std::vector<double>> similarity(
+        10, std::vector<double>(n));
+    for (auto& client : similarity) {
+      for (double& s : client) s = rng.Uniform(0.0, 1.0);
+    }
+    const FacilityLocationFunction facility(similarity);
+    const PartitionMatroid partition = ModuloPartition(n, {1, 1, 2, 1});
+    const UniformMatroid uniform(n, 5);
+    const std::vector<int> all = AllIds(n);
+    for (const SetFunction* quality :
+         std::initializer_list<const SetFunction*>{&coverage, &facility}) {
+      const DiversificationProblem problem(&metric, quality, 0.1);
+      ExpectPairParity(problem, partition, all);
+      ExpectPairParity(problem, uniform, all);
+    }
+  }
+}
+
+// lambda = 0: the bound is f({x}) + f({y}) alone.
+TEST(BestPairParityTest, ZeroLambda) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 40);
+    const int n = 100;
+    const VectorMetric metric = ClusteredVectors(n, 6, 4, 0.5, rng);
+    const ModularFunction weights(UniformWeights(n, rng));
+    const DiversificationProblem problem(&metric, &weights, 0.0);
+    ExpectPairParity(problem, ModuloPartition(n, {1, 1, 1}), AllIds(n));
+    ExpectPairParity(problem, UniformMatroid(n, 3), AllIds(n));
+  }
+}
+
+// Metrics that do not declare the triangle inequality take the exhaustive
+// scan: a dense matrix that violates it, and squared Euclidean distances.
+TEST(BestPairParityTest, NonDeclaringMetricsTakeExhaustiveScan) {
+  for (int seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed + 50);
+    const int n = 60;
+    DenseMetric violating(n);
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        violating.SetDistance(u, v, rng.Uniform(0.0, 1.0) < 0.1
+                                        ? rng.Uniform(20.0, 40.0)
+                                        : rng.Uniform(0.0, 2.0));
+      }
+    }
+    const VectorMetric vectors = ClusteredVectors(n, 6, 4, 0.5, rng);
+    const PowerRelaxedMetric squared(&vectors, 2.0);
+    ASSERT_FALSE(violating.ObeysTriangleInequality());
+    ASSERT_FALSE(squared.ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    for (const MetricSpace* metric :
+         std::initializer_list<const MetricSpace*>{&violating, &squared}) {
+      const DiversificationProblem problem(metric, &weights, 0.3);
+      ExpectPairParity(problem, ModuloPartition(n, {1, 1, 1}), AllIds(n));
+      ExpectPairParity(problem, UniformMatroid(n, 4), AllIds(n));
+    }
+  }
+}
+
+// Rank < 2 (a uniform matroid of capacity 1) and tiny candidate lists
+// fall back to the best singleton or to nothing.
+TEST(BestPairParityTest, SingletonFallbackAndTinyLists) {
+  Rng rng(60);
+  const int n = 30;
+  const VectorMetric metric = ClusteredVectors(n, 4, 3, 0.5, rng);
+  const ModularFunction weights(UniformWeights(n, rng));
+  const DiversificationProblem problem(&metric, &weights, 0.4);
+  ExpectPairParity(problem, UniformMatroid(n, 1), AllIds(n));
+  const UniformMatroid uniform(n, 3);
+  for (const std::vector<int>& list :
+       std::vector<std::vector<int>>{{}, {7}, {3, 19}, {0, 1, 2}}) {
+    ExpectPairParity(problem, uniform, list);
+  }
+  ExpectPairParity(problem, UniformMatroid(n, 0), AllIds(n));
 }
 
 TEST(LocalSearchTest, ImprovesOnGreedyInitialization) {

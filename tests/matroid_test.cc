@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "matroid/graphic_matroid.h"
@@ -8,6 +9,7 @@
 #include "matroid/matroid_validation.h"
 #include "matroid/partition_matroid.h"
 #include "matroid/transversal_matroid.h"
+#include "matroid/truncated_matroid.h"
 #include "matroid/uniform_matroid.h"
 #include "util/random.h"
 
@@ -199,6 +201,68 @@ TEST(MatroidValidationTest, DetectsNonMatroid) {
   const MatroidReport report = ValidateMatroid(m);
   EXPECT_FALSE(report.hereditary);
   EXPECT_FALSE(report.IsMatroid());
+}
+
+// On random independent sets S, CanAdd(S, e) and CanExchange(S, out, in)
+// answer exactly as IsIndependent of S + e and S - out + in.
+void ExpectOraclesAgree(const Matroid& matroid, Rng& rng) {
+  const int n = matroid.ground_size();
+  for (int trial = 0; trial < 25; ++trial) {
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    rng.Shuffle(&order);
+    const int target = rng.UniformInt(0, matroid.rank());
+    std::vector<int> set;
+    std::vector<bool> in_set(n, false);
+    for (int e : order) {
+      if (static_cast<int>(set.size()) >= target) break;
+      set.push_back(e);
+      if (matroid.IsIndependent(set)) {
+        in_set[e] = true;
+      } else {
+        set.pop_back();
+      }
+    }
+    ASSERT_TRUE(matroid.IsIndependent(set));
+    for (int e = 0; e < n; ++e) {
+      if (in_set[e]) continue;
+      std::vector<int> added = set;
+      added.push_back(e);
+      EXPECT_EQ(matroid.CanAdd(set, e), matroid.IsIndependent(added));
+      for (int out : set) {
+        std::vector<int> swapped;
+        for (int x : set) {
+          if (x != out) swapped.push_back(x);
+        }
+        swapped.push_back(e);
+        EXPECT_EQ(matroid.CanExchange(set, out, e),
+                  matroid.IsIndependent(swapped));
+      }
+    }
+  }
+}
+
+TEST(MatroidOracleTest, CanAddAndCanExchangeAgreeWithIsIndependent) {
+  Rng rng(5);
+  // Block 2 has capacity 0.
+  const PartitionMatroid partition({0, 0, 0, 1, 1, 2, 2, 3, 3, 3},
+                                   {2, 1, 0, 3});
+  const UniformMatroid uniform(10, 4);
+  const LaminarMatroid laminar(
+      10, {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {0, 1, 2, 3}, {0, 1}, {6, 7, 8}},
+      {5, 2, 1, 2});
+  // A self-loop (edge 2) and parallel edges (0 and 5).
+  const GraphicMatroid graphic(6, {{0, 1}, {1, 2}, {3, 3}, {2, 3}, {3, 4},
+                                   {0, 1}, {4, 5}, {5, 0}, {1, 4}, {2, 5}});
+  const TransversalMatroid transversal(
+      10, {{0, 1, 2}, {2, 3, 4}, {4, 5, 6}, {6, 7, 8, 9}, {0, 9}});
+  const TruncatedMatroid truncated(&partition, 3);
+  for (const Matroid* matroid :
+       std::initializer_list<const Matroid*>{&partition, &uniform, &laminar,
+                                             &graphic, &transversal,
+                                             &truncated}) {
+    ExpectOraclesAgree(*matroid, rng);
+  }
 }
 
 class RandomTransversalSweep : public ::testing::TestWithParam<int> {};
