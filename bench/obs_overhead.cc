@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
   int n = 900;
   int p = 10;
   int queries = 160;
-  int rounds = 31;
+  int rounds = 51;
   double lambda = 0.2;
   int update_every = 10;
   double max_overhead = 1.05;

@@ -2,26 +2,12 @@
 
 #include <algorithm>
 
+#include "core/restricted_problem.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace diverse {
-namespace {
-
-// Greedy B's step loop: adds the best-potential candidate until |S| =
-// target.
-void GreedySteps(std::span<const int> candidates, int target,
-                 SolutionState* state, long long* steps) {
-  while (state->size() < target) {
-    const ScoredCandidate best = state->BestPrimeAddOver(candidates);
-    DIVERSE_CHECK(best.valid());
-    state->Add(best.element);
-    ++*steps;
-  }
-}
-
-}  // namespace
 
 AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
                              const GreedyVertexOptions& options) {
@@ -57,7 +43,12 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
     result.steps += 2;
   }
 
-  GreedySteps(state.Universe(), p, &state, &result.steps);
+  while (state.size() < p) {
+    const ScoredCandidate best = state.BestPrimeAddOver(state.Universe());
+    DIVERSE_CHECK(best.valid());
+    state.Add(best.element);
+    ++result.steps;
+  }
 
   result.elements = state.members();
   result.objective = state.objective();
@@ -69,13 +60,9 @@ AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
                                          std::span<const int> candidates,
                                          int p) {
   WallTimer timer;
-  SolutionState state(&problem);
-  AlgorithmResult result;
-  GreedySteps(candidates,
-              std::min<int>(p, static_cast<int>(candidates.size())), &state,
-              &result.steps);
-  result.elements = state.members();
-  result.objective = state.objective();
+  const RestrictedProblem local = Restrict(problem, candidates);
+  AlgorithmResult result = GreedyVertex(local.problem(), {.p = std::max(p, 0)});
+  result.elements = local.ToGlobal(result.elements);
   result.elapsed_seconds = timer.Seconds();
   return result;
 }

@@ -32,10 +32,12 @@ struct GreedyVertexOptions {
 AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
                              const GreedyVertexOptions& options);
 
-// Greedy B restricted to `candidates`, returning min(p, |candidates|)
-// elements (the serving engine's single-node and per-shard kernel). Runs
-// GreedyVertex's step loop over the list; ties keep the earliest
-// candidate position, so over all ids it matches GreedyVertex.
+// Greedy B over `candidates` only (ascending, distinct ids below
+// problem.size()), returning min(p, |candidates|) elements: the serving
+// engine's single-node, merge and per-shard kernel. Runs GreedyVertex on
+// the problem restricted to the list (core/restricted_problem.h), where
+// ties keep the earliest candidate, and maps the answer back; over all ids
+// it is GreedyVertex.
 AlgorithmResult GreedyVertexOnCandidates(const DiversificationProblem& problem,
                                          std::span<const int> candidates,
                                          int p);

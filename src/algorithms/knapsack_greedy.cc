@@ -1,9 +1,8 @@
 #include "algorithms/knapsack_greedy.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 
+#include "core/restricted_problem.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -18,17 +17,16 @@ double TotalCost(const std::vector<double>& costs,
   return sum;
 }
 
-// Completes the state greedily by potential-per-cost among the candidates
-// that fit. The per-iteration candidate scan runs through the state's
-// batched density argmax (a tiny epsilon denominator ranks zero-cost
-// elements with positive gain first).
+// Completes the state greedily by potential-per-cost among the elements
+// that fit. The per-iteration scan runs through the state's batched density
+// argmax (a tiny epsilon denominator ranks zero-cost elements with positive
+// gain first).
 void DensityGreedyComplete(const std::vector<double>& costs, double budget,
-                           std::span<const int> candidates,
                            SolutionState* state, long long* steps) {
   double used = TotalCost(costs, state->members());
   while (true) {
     const ScoredCandidate best =
-        state->BestDensityAddOver(candidates, costs, budget - used);
+        state->BestDensityAddOver(state->Universe(), costs, budget - used);
     if (!best.valid()) break;
     used += costs[best.element];
     state->Add(best.element);
@@ -60,26 +58,11 @@ void KnapsackDfs(const DiversificationProblem& problem,
 
 AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,
                                const KnapsackOptions& options) {
-  std::vector<int> all(problem.size());
-  std::iota(all.begin(), all.end(), 0);
-  return KnapsackGreedyOnCandidates(problem, all, options);
-}
-
-AlgorithmResult KnapsackGreedyOnCandidates(
-    const DiversificationProblem& problem, std::span<const int> candidates,
-    const KnapsackOptions& options) {
   const int n = problem.size();
   DIVERSE_CHECK(static_cast<int>(options.costs.size()) == n);
   DIVERSE_CHECK(options.budget >= 0.0);
   DIVERSE_CHECK(0 <= options.seed_size && options.seed_size <= 2);
   for (double c : options.costs) DIVERSE_CHECK(c >= 0.0);
-  DIVERSE_CHECK_MSG(std::adjacent_find(candidates.begin(), candidates.end(),
-                                       std::greater_equal<int>()) ==
-                        candidates.end(),
-                    "candidates must be ascending and distinct");
-  DIVERSE_CHECK_MSG(candidates.empty() ||
-                        (candidates.front() >= 0 && candidates.back() < n),
-                    "candidates must lie in the problem's ground set");
 
   WallTimer timer;
   AlgorithmResult best;
@@ -90,8 +73,7 @@ AlgorithmResult KnapsackGreedyOnCandidates(
     if (TotalCost(options.costs, seed) > options.budget + 1e-12) return;
     state.Assign(seed);
     long long steps = 0;
-    DensityGreedyComplete(options.costs, options.budget, candidates, &state,
-                          &steps);
+    DensityGreedyComplete(options.costs, options.budget, &state, &steps);
     if (state.objective() > best.objective) {
       best.objective = state.objective();
       best.elements = state.SortedMembers();
@@ -101,13 +83,11 @@ AlgorithmResult KnapsackGreedyOnCandidates(
 
   try_seed({});
   if (options.seed_size >= 1) {
-    for (int u : candidates) try_seed({u});
+    for (int u = 0; u < n; ++u) try_seed({u});
   }
   if (options.seed_size >= 2) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      for (std::size_t j = i + 1; j < candidates.size(); ++j) {
-        try_seed({candidates[i], candidates[j]});
-      }
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) try_seed({u, v});
     }
   }
 
@@ -117,6 +97,24 @@ AlgorithmResult KnapsackGreedyOnCandidates(
   }
   best.elapsed_seconds = timer.Seconds();
   return best;
+}
+
+AlgorithmResult KnapsackGreedyOnCandidates(
+    const DiversificationProblem& problem, std::span<const int> candidates,
+    const KnapsackOptions& options) {
+  const int n = problem.size();
+  DIVERSE_CHECK(static_cast<int>(options.costs.size()) == n);
+  WallTimer timer;
+  const RestrictedProblem local = Restrict(problem, candidates);
+  KnapsackOptions local_options = options;
+  local_options.costs.resize(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    local_options.costs[i] = options.costs[candidates[i]];
+  }
+  AlgorithmResult result = KnapsackGreedy(local.problem(), local_options);
+  result.elements = local.ToGlobal(result.elements);
+  result.elapsed_seconds = timer.Seconds();
+  return result;
 }
 
 AlgorithmResult BruteForceKnapsack(const DiversificationProblem& problem,

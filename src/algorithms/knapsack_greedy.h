@@ -32,8 +32,10 @@ AlgorithmResult KnapsackGreedy(const DiversificationProblem& problem,
                                const KnapsackOptions& options);
 
 // Seeds and completes from `candidates` only (the serving engine passes a
-// snapshot's live ids): ascending, distinct ids below problem.size(). The
-// answer equals KnapsackGreedy on the problem rebuilt from those ids alone.
+// snapshot's live ids): ascending, distinct ids below problem.size(). Runs
+// KnapsackGreedy on the problem restricted to the list
+// (core/restricted_problem.h) with the costs gathered, and maps the answer
+// back, so it equals KnapsackGreedy on the problem rebuilt from those ids.
 AlgorithmResult KnapsackGreedyOnCandidates(
     const DiversificationProblem& problem, std::span<const int> candidates,
     const KnapsackOptions& options);

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
 
+#include "core/restricted_problem.h"
 #include "core/solution_state.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -32,19 +32,16 @@ bool Prunable(double ub, double best) {
   return ub + kBoundSlack * std::abs(ub) < best;
 }
 
-// Every pair, in (i, j) candidate order; ties keep the earliest pair.
-// Empty when no pair is independent.
+// Every pair, in (i, j) order; ties keep the earliest pair. Empty when no
+// pair is independent.
 std::vector<int> ExhaustiveBestPair(const DiversificationProblem& problem,
-                                    const Matroid& matroid,
-                                    std::span<const int> candidates) {
-  const std::size_t n = candidates.size();
+                                    const Matroid& matroid) {
+  const int n = problem.size();
   std::vector<int> best;
   double best_value = -1.0;
   std::vector<int> pair(2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      pair[0] = candidates[i];
-      pair[1] = candidates[j];
+  for (pair[0] = 0; pair[0] < n; ++pair[0]) {
+    for (pair[1] = pair[0] + 1; pair[1] < n; ++pair[1]) {
       if (!matroid.IsIndependent(pair)) continue;
       const double value = problem.Objective(pair);
       if (value > best_value) {
@@ -56,26 +53,24 @@ std::vector<int> ExhaustiveBestPair(const DiversificationProblem& problem,
   return best;
 }
 
-// Farthest-point pivots over a candidate list and the cells they induce:
-// each candidate belongs to the cell of its nearest pivot. Positions index
-// the candidate list; slots index `order`, which groups the positions by
-// cell so the bound loops over one cell read contiguously.
+// Farthest-point pivots and the cells they induce: each element belongs to
+// the cell of its nearest pivot. Slots index `order`, which groups the ids
+// by cell so the bound loops over one cell read contiguously.
 struct PivotCells {
-  std::vector<int> pivots;     // pivots[k] = p_k's position
-  std::vector<int> order;      // positions by cell, ascending within one
+  std::vector<int> pivots;     // pivots[k] = p_k
+  std::vector<int> order;      // ids by cell, ascending within one
   std::vector<int> slot;       // slot[order[t]] = t
   std::vector<int> begin;      // cell c is order[begin[c] .. begin[c + 1])
   std::vector<double> radius;  // radius[c] = max d(p_c, y) over cell c
-  std::vector<double> rows;    // rows[k * n + t] = d(p_k, C[order[t]])
+  std::vector<double> rows;    // rows[k * n + t] = d(p_k, order[t])
 
   int size() const { return static_cast<int>(pivots.size()); }
 };
 
-// Up to kPairScanPivots pivots, the first at position `first`, each next
-// one the candidate farthest from all before it; one DistancesTo row each.
-PivotCells BuildPivotCells(const MetricSpace& metric,
-                           std::span<const int> candidates, int first) {
-  const int n = static_cast<int>(candidates.size());
+// Up to kPairScanPivots pivots, the first `first`, each next one the
+// element farthest from all before it; one DistanceRow each.
+PivotCells BuildPivotCells(const MetricSpace& metric, int first) {
+  const int n = metric.size();
   const int max_pivots = std::min(kPairScanPivots, n);
   PivotCells cells;
   cells.rows.resize(static_cast<std::size_t>(max_pivots) * n);
@@ -86,9 +81,9 @@ PivotCells BuildPivotCells(const MetricSpace& metric,
     const int k = cells.size();
     const std::span<double> row(
         cells.rows.data() + static_cast<std::size_t>(k) * n, n);
-    metric.DistancesTo(candidates[next], candidates, row);
+    metric.DistanceRow(next, row);
     cells.pivots.push_back(next);
-    next = -1;  // stays -1 when every candidate sits on a pivot
+    next = -1;  // stays -1 when every element sits on a pivot
     double farthest = 0.0;
     for (int j = 0; j < n; ++j) {
       if (row[j] < nearest[j]) {
@@ -143,9 +138,8 @@ PivotCells BuildPivotCells(const MetricSpace& metric,
 // greater, or equal and earlier in (i, j) order, so the winner is the
 // exhaustive scan's pair with the same value bits.
 std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
-                                const Matroid& matroid,
-                                std::span<const int> candidates) {
-  const int n = static_cast<int>(candidates.size());
+                                const Matroid& matroid) {
+  const int n = problem.size();
   if (n < 2) return {};
   const double lambda = problem.lambda();
 
@@ -156,12 +150,12 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
   {
     const auto eval = problem.quality().MakeEvaluator();
     for (int i = 0; i < n; ++i) {
-      f[i] = eval->Gain(candidates[i]);
-      independent[i] = matroid.CanAdd({}, candidates[i]);
+      f[i] = eval->Gain(i);
+      independent[i] = matroid.CanAdd({}, i);
     }
   }
   const PivotCells cells = BuildPivotCells(
-      problem.metric(), candidates,
+      problem.metric(),
       static_cast<int>(std::max_element(f.begin(), f.end()) - f.begin()));
   const int num_cells = cells.size();
   std::vector<double> cell_f(num_cells,
@@ -180,12 +174,11 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
   int best_j = -1;
   std::vector<int> pair(2);
   const auto consider = [&](int i, int j) {  // i < j
-    if (!independent[i] ||
-        !matroid.CanAdd(candidates.subspan(i, 1), candidates[j])) {
+    if (!independent[i] || !matroid.CanAdd(std::span<const int>(&i, 1), j)) {
       return;
     }
-    pair[0] = candidates[i];
-    pair[1] = candidates[j];
+    pair[0] = i;
+    pair[1] = j;
     const double value = problem.Objective(pair);
     if (value > best ||
         (value == best && best_i >= 0 &&
@@ -227,7 +220,6 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
   std::vector<double> to_pivot(num_cells);
   std::vector<double> bound(n);
   std::vector<int> survivors;
-  std::vector<int> survivor_ids;
   std::vector<double> survivor_dist;
   // after[c]: cell c's first position past the current row (rows ascend).
   std::vector<int> after(cells.begin.begin(), cells.begin.end() - 1);
@@ -239,7 +231,6 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
     }
     const double fx = f[i];
     survivors.clear();
-    survivor_ids.clear();
     for (int c = 0; c < num_cells; ++c) {
       const int end = cells.begin[c + 1];
       while (after[c] < end && cells.order[after[c]] <= i) ++after[c];
@@ -265,11 +256,10 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
       for (int t = begin; t < end; ++t) {
         if (Prunable(bound[t], best)) continue;
         survivors.push_back(cells.order[t]);
-        survivor_ids.push_back(candidates[cells.order[t]]);
       }
     }
     survivor_dist.resize(survivors.size());
-    problem.metric().DistancesTo(candidates[i], survivor_ids, survivor_dist);
+    problem.metric().DistancesTo(i, survivors, survivor_dist);
     for (std::size_t s = 0; s < survivors.size(); ++s) {
       const int j = survivors[s];
       if (!Prunable(fx + f[j] + lambda * survivor_dist[s], best)) {
@@ -278,18 +268,16 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
     }
   }
   if (best_i < 0) return {};
-  return {candidates[best_i], candidates[best_j]};
+  return {best_i, best_j};
 }
 
-// Best independent singleton over `candidates`, for matroids of rank < 2.
+// Best independent singleton, for matroids of rank < 2.
 std::vector<int> BestIndependentSingleton(
-    const DiversificationProblem& problem, const Matroid& matroid,
-    std::span<const int> candidates) {
+    const DiversificationProblem& problem, const Matroid& matroid) {
   std::vector<int> best;
   double best_value = -1.0;
   std::vector<int> single(1);
-  for (int x : candidates) {
-    single[0] = x;
+  for (single[0] = 0; single[0] < problem.size(); ++single[0]) {
     if (!matroid.IsIndependent(single)) continue;
     const double value = problem.Objective(single);
     if (best.empty() || value > best_value) {
@@ -300,27 +288,39 @@ std::vector<int> BestIndependentSingleton(
   return best;
 }
 
-// Extends `state` to a basis of `matroid` restricted to `candidates`.
-void CompleteToBasis(const Matroid& matroid, std::span<const int> candidates,
-                     bool greedy, SolutionState* state) {
+// The paper's initialization: the best independent pair, else the best
+// independent singleton.
+std::vector<int> BestPair(const DiversificationProblem& problem,
+                          const Matroid& matroid) {
+  std::vector<int> best = problem.metric().ObeysTriangleInequality()
+                              ? PrunedBestPair(problem, matroid)
+                              : ExhaustiveBestPair(problem, matroid);
+  if (best.empty()) best = BestIndependentSingleton(problem, matroid);
+  return best;
+}
+
+// Extends `state` to a basis of `matroid`, adding each pick by add(e).
+template <typename AddFn>
+void CompleteToBasis(const Matroid& matroid, bool greedy,
+                     const SolutionState& state, const AddFn& add) {
   std::vector<int> feasible;
-  feasible.reserve(candidates.size());
+  feasible.reserve(state.universe_size());
   while (true) {
-    const std::vector<int>& members = state->members();
+    const std::vector<int>& members = state.members();
     feasible.clear();
     int pick = -1;
-    for (int e : candidates) {
-      if (state->Contains(e)) continue;
+    for (int e = 0; e < state.universe_size(); ++e) {
+      if (state.Contains(e)) continue;
       if (!matroid.CanAdd(members, e)) continue;
       if (!greedy) {
-        pick = e;  // first feasible candidate suffices
+        pick = e;  // first feasible element suffices
         break;
       }
       feasible.push_back(e);
     }
-    if (greedy) pick = state->BestAddOver(feasible).element;
+    if (greedy) pick = state.BestAddOver(feasible).element;
     if (pick < 0) break;
-    state->Add(pick);
+    add(pick);
   }
 }
 
@@ -336,14 +336,8 @@ struct SwapCandidate {
 std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
                                      const Matroid& matroid,
                                      std::span<const int> candidates) {
-  std::vector<int> best =
-      problem.metric().ObeysTriangleInequality()
-          ? PrunedBestPair(problem, matroid, candidates)
-          : ExhaustiveBestPair(problem, matroid, candidates);
-  if (best.empty()) {
-    best = BestIndependentSingleton(problem, matroid, candidates);
-  }
-  return best;
+  const RestrictedProblem local = Restrict(problem, candidates, &matroid);
+  return local.ToGlobal(BestPair(local.problem(), local.matroid()));
 }
 
 AlgorithmResult LocalSearch(const DiversificationProblem& problem,
@@ -351,47 +345,34 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
                             const LocalSearchOptions& options) {
   DIVERSE_CHECK_MSG(matroid.ground_size() == problem.size(),
                     "matroid and problem ground sets differ");
-  std::vector<int> all(problem.size());
-  std::iota(all.begin(), all.end(), 0);
-  return LocalSearchOnCandidates(problem, matroid, all, options);
-}
-
-AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
-                                        const Matroid& matroid,
-                                        std::span<const int> candidates,
-                                        const LocalSearchOptions& options) {
-  DIVERSE_CHECK_MSG(std::adjacent_find(candidates.begin(), candidates.end(),
-                                       std::greater_equal<int>()) ==
-                        candidates.end(),
-                    "candidates must be ascending and distinct");
-  DIVERSE_CHECK_MSG(
-      candidates.empty() ||
-          (candidates.front() >= 0 &&
-           candidates.back() < std::min(problem.size(), matroid.ground_size())),
-      "candidates must lie in the problem's and the matroid's ground sets");
   WallTimer timer;
   AlgorithmResult result;
   SolutionState state(&problem);
+  const MetricSpace& metric = problem.metric();
+  const int n = problem.size();
 
+  // d(m, .) for every member m, in state.members() order, read once when m
+  // joins and handed to the state. SolutionState's Swap erases `out` in
+  // place and appends `in`, so an accepted swap moves out's row to the
+  // back and refills it with in's: one row per swap.
+  std::vector<std::vector<double>> member_rows;
+  const auto add = [&](int v) {
+    member_rows.emplace_back(n);
+    metric.DistanceRow(v, member_rows.back());
+    state.Add(v, member_rows.back());
+  };
   if (options.initial.empty()) {
-    state.Assign(BestIndependentPair(problem, matroid, candidates));
+    for (int v : BestPair(problem, matroid)) add(v);
   } else {
     DIVERSE_CHECK_MSG(matroid.IsIndependent(options.initial),
                       "initial set must be independent");
-    state.Assign(options.initial);
+    for (int v : options.initial) add(v);
   }
-  CompleteToBasis(matroid, candidates, options.greedy_completion, &state);
+  CompleteToBasis(matroid, options.greedy_completion, state, add);
 
-  // d(m, C) for every member m, in state.members() order. SolutionState's
-  // Swap erases `out` in place and appends `in`, so an accepted swap moves
-  // out's row to the back and refills it with in's: one row per swap.
-  const MetricSpace& metric = problem.metric();
-  std::vector<std::vector<double>> member_rows;
-  for (int m : state.members()) {
-    member_rows.emplace_back(candidates.size());
-    metric.DistancesTo(m, candidates, member_rows.back());
-  }
-  std::vector<double> gains(candidates.size());
+  const std::span<const int> universe = state.Universe();
+  std::vector<double> gains(n);
+  std::vector<double> in_row(n);
   std::vector<SwapCandidate> swaps;
   while (options.max_swaps < 0 || result.steps < options.max_swaps) {
     if (options.time_limit_seconds > 0.0 &&
@@ -406,12 +387,11 @@ AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
     // feasible exchange, matching the scalar scan's result.
     swaps.clear();
     for (int rank = 0; rank < static_cast<int>(members.size()); ++rank) {
-      state.ScoreSwapsFor(members[rank], candidates, gains,
-                          member_rows[rank]);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const double gain = gains[i];
+      state.ScoreSwapsFor(members[rank], universe, gains, member_rows[rank]);
+      for (int in = 0; in < n; ++in) {
+        const double gain = gains[in];
         if (gain <= threshold || gain <= 1e-12) continue;
-        swaps.push_back({gain, rank, candidates[i]});
+        swaps.push_back({gain, rank, in});
       }
     }
     std::sort(swaps.begin(), swaps.end(),
@@ -427,15 +407,32 @@ AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
       break;
     }
     if (best == nullptr) break;  // local optimum
-    state.Swap(members[best->out_rank], best->in);
-    std::rotate(member_rows.begin() + best->out_rank,
-                member_rows.begin() + best->out_rank + 1, member_rows.end());
-    metric.DistancesTo(best->in, candidates, member_rows.back());
+    const int out_rank = best->out_rank;
+    metric.DistanceRow(best->in, in_row);
+    state.Swap(members[out_rank], best->in, member_rows[out_rank], in_row);
+    std::rotate(member_rows.begin() + out_rank,
+                member_rows.begin() + out_rank + 1, member_rows.end());
+    member_rows.back().swap(in_row);  // out's row becomes the spare
     ++result.steps;
   }
 
   result.elements = state.SortedMembers();
   result.objective = state.objective();
+  result.elapsed_seconds = timer.Seconds();
+  return result;
+}
+
+AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
+                                        const Matroid& matroid,
+                                        std::span<const int> candidates,
+                                        const LocalSearchOptions& options) {
+  WallTimer timer;
+  const RestrictedProblem local = Restrict(problem, candidates, &matroid);
+  LocalSearchOptions local_options = options;
+  local_options.initial = local.ToLocal(options.initial);
+  AlgorithmResult result =
+      LocalSearch(local.problem(), local.matroid(), local_options);
+  result.elements = local.ToGlobal(result.elements);
   result.elapsed_seconds = timer.Seconds();
   return result;
 }

@@ -6,8 +6,9 @@
 // submodular f. Each round batch-scores every exchange
 // (SolutionState::ScoreSwapsFor) and tests the matroid oracle in
 // descending-gain order, so the first feasible exchange is the best one.
-// Each member's distance row d(m, C) is kept across rounds, so a round
-// after an accepted swap reads one new row, not one per member.
+// Each member's row d(m, .) is read once, when m joins, and is handed to
+// the state's bookkeeping and every later round: an accepted swap reads one
+// new row.
 //
 // The initial pair is exact. On a metric that declares the triangle
 // inequality (MetricSpace::ObeysTriangleInequality) the O(n^2) pair scan
@@ -51,11 +52,11 @@ struct LocalSearchOptions {
   bool greedy_completion = true;
 };
 
-// The paper's initialization over `candidates`: the independent pair
-// {x, y} maximizing phi({x, y}), ties broken by the earliest (i, j) in
-// candidate order, returned as {candidates[i], candidates[j]}. When no
-// pair is independent (rank < 2), the best independent singleton; empty
-// when there is none.
+// The paper's initialization over `candidates` (a list as
+// LocalSearchOnCandidates takes): the independent pair {x, y} maximizing
+// phi({x, y}), ties broken by the earliest (i, j) in candidate order,
+// returned as {candidates[i], candidates[j]}. When no pair is independent
+// (rank < 2), the best independent singleton; empty when there is none.
 std::vector<int> BestIndependentPair(const DiversificationProblem& problem,
                                      const Matroid& matroid,
                                      std::span<const int> candidates);
@@ -67,9 +68,10 @@ AlgorithmResult LocalSearch(const DiversificationProblem& problem,
 
 // Search over `candidates` only (the serving engine passes a snapshot's
 // live ids): ascending, distinct ids below both problem.size() and
-// matroid.ground_size(). The pair scan, basis completion and swap scan walk
-// only the list, so the answer equals LocalSearch on the problem rebuilt
-// from those ids alone.
+// matroid.ground_size(). Restricts the problem and the matroid to the list
+// (core/restricted_problem.h), runs LocalSearch there and maps the answer
+// back, so it equals LocalSearch on the problem rebuilt from those ids
+// alone. options.initial holds problem ids, all of them in the list.
 AlgorithmResult LocalSearchOnCandidates(const DiversificationProblem& problem,
                                         const Matroid& matroid,
                                         std::span<const int> candidates,

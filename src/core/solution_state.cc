@@ -200,15 +200,20 @@ double SolutionState::BlockPrimeAddGain(std::span<const int> block) const {
   return 0.5 * f_gain + lambda() * dist;
 }
 
-const double* SolutionState::DistanceRowFor(int v) {
+const double* SolutionState::DistanceRowFor(int v,
+                                            std::span<const double> row) {
+  if (!row.empty()) {
+    DIVERSE_CHECK(static_cast<int>(row.size()) == universe_size());
+    return row.data();
+  }
   const MetricSpace& metric = problem_->metric();
-  if (const double* row = metric.TryRow(v)) return row;
+  if (const double* stored = metric.TryRow(v)) return stored;
   row_scratch_.resize(universe_size());
   metric.DistanceRow(v, row_scratch_);
   return row_scratch_.data();
 }
 
-void SolutionState::Add(int v) {
+void SolutionState::Add(int v, std::span<const double> row) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(!in_set_[v], "Add of an element already in S");
   objective_ += eval_->Gain(v) + lambda() * dist_to_set_[v];
@@ -216,15 +221,15 @@ void SolutionState::Add(int v) {
   eval_->Add(v);
   members_.push_back(v);
   in_set_[v] = true;
-  const double* row = DistanceRowFor(v);
-  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += row[u];
+  const double* d = DistanceRowFor(v, row);
+  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += d[u];
 }
 
-void SolutionState::Remove(int v) {
+void SolutionState::Remove(int v, std::span<const double> row) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(in_set_[v], "Remove of an element not in S");
-  const double* row = DistanceRowFor(v);
-  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] -= row[u];
+  const double* d = DistanceRowFor(v, row);
+  for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] -= d[u];
   eval_->Remove(v);
   // After the update, dist_to_set_[v] = d(v, S - v).
   objective_ -= lambda() * dist_to_set_[v];
@@ -236,9 +241,10 @@ void SolutionState::Remove(int v) {
   in_set_[v] = false;
 }
 
-void SolutionState::Swap(int out, int in) {
-  Remove(out);
-  Add(in);
+void SolutionState::Swap(int out, int in, std::span<const double> out_row,
+                         std::span<const double> in_row) {
+  Remove(out, out_row);
+  Add(in, in_row);
 }
 
 void SolutionState::Clear() { RebuildFrom({}); }

@@ -4,7 +4,10 @@
 //   * membership flags and the member list,
 //   * dist_to_set[v] = sum_{u in S} d(v, u) for EVERY v in U   (O(n) per
 //     add/remove — the Birnbaum–Goldman bookkeeping that makes Greedy B run
-//     in O(n p) total, paper §4),
+//     in O(n p) total, paper §4). U is the problem's own id space: the
+//     candidate entries run on a problem restricted to their candidate
+//     list (core/restricted_problem.h), so there U is that list in local
+//     ids and n is its length, not the corpus size,
 //   * an incremental quality-function evaluator,
 //   * the current objective value phi(S).
 //
@@ -26,10 +29,11 @@
 // unchanged.
 //
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
-// row d(v, .): the metric's stored row when TryRow has one (DenseMetric),
-// else one DistanceRow call into scratch. Rows hold exactly the scalar
-// Distance() values (metric/metric_space.h), so every metric's answers
-// are bit-equal to those over its DenseMetric::Materialize.
+// row d(v, .): the caller's row when it holds one (local search keeps each
+// member's), else the metric's stored row when TryRow has one
+// (DenseMetric), else one DistanceRow call into scratch. Rows hold exactly
+// the scalar Distance() values (metric/metric_space.h), so every metric's
+// answers are bit-equal to those over its DenseMetric::Materialize.
 #ifndef DIVERSE_CORE_SOLUTION_STATE_H_
 #define DIVERSE_CORE_SOLUTION_STATE_H_
 
@@ -137,10 +141,13 @@ class SolutionState {
   // const scans share a read-only span.
   std::span<const int> Universe() const { return universe_; }
 
-  // Mutators; each is O(n) to refresh dist_to_set.
-  void Add(int v);
-  void Remove(int v);
-  void Swap(int out, int in);
+  // Mutators; each is O(n) to refresh dist_to_set. A caller that already
+  // holds the row d(v, .) (size universe_size()) passes it; otherwise the
+  // state reads one (see DistanceRowFor).
+  void Add(int v, std::span<const double> row = {});
+  void Remove(int v, std::span<const double> row = {});
+  void Swap(int out, int in, std::span<const double> out_row = {},
+            std::span<const double> in_row = {});
   void Clear();
 
   // Recomputes all cached values from scratch (used after external metric or
@@ -163,9 +170,10 @@ class SolutionState {
 
  private:
   void RebuildFrom(const std::vector<int>& members);
-  // Row d(v, .) for Add/Remove: the metric's stored row when it has one,
-  // else row_scratch_ filled by one DistanceRow call.
-  const double* DistanceRowFor(int v);
+  // Row d(v, .) for Add/Remove: the caller's `row` when given, else the
+  // metric's stored row when it has one, else row_scratch_ filled by one
+  // DistanceRow call.
+  const double* DistanceRowFor(int v, std::span<const double> row);
 
   const DiversificationProblem* problem_;
   std::vector<int> universe_;  // {0, .., n-1}

@@ -4,8 +4,10 @@
 // per-query problem view (relevance + lambda rebinding via the
 // DiversificationProblem snapshot hooks) and dispatches on the plan. Every
 // algorithm runs over one candidate list, snapshot.candidates() (the live
-// ids, ascending); retired ids are never scanned, so an answer equals the
-// same query on the corpus rebuilt from the live ids alone:
+// ids, ascending): each *OnCandidates entry restricts the problem to the
+// list (core/restricted_problem.h), runs the plain algorithm over local
+// ids and maps the answer back, so retired ids are never scanned and an
+// answer equals the same query on the corpus rebuilt from the live ids:
 //
 //   * kSingleNode — GreedyVertexOnCandidates, LocalSearchOnCandidates (over
 //     the candidates below the matroid's ground size, so a matroid built

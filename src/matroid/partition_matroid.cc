@@ -22,11 +22,17 @@ PartitionMatroid::PartitionMatroid(std::vector<int> block_of,
   }
 }
 
+// Counts in place, without a per-block counter array: the pair scans call
+// this once per pair. Element i's block is over capacity iff it holds more
+// than capacity elements among set[0..i]; only a capacity below i + 1 can
+// be exceeded there, so the count runs for small capacities alone.
 bool PartitionMatroid::IsIndependent(std::span<const int> set) const {
-  std::vector<int> used(capacities_.size(), 0);
-  for (int e : set) {
-    const int b = block_of_[e];
-    if (++used[b] > capacities_[b]) return false;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const int b = block_of_[set[i]];
+    if (static_cast<std::size_t>(capacities_[b]) > i) continue;
+    std::size_t used = 0;
+    for (std::size_t j = 0; j <= i; ++j) used += block_of_[set[j]] == b;
+    if (used > static_cast<std::size_t>(capacities_[b])) return false;
   }
   return true;
 }

@@ -22,6 +22,8 @@ class EuclideanMetric : public MetricSpace {
 
   int size() const override { return static_cast<int>(points_.size()); }
   double Distance(int u, int v) const override;
+  // L1, L2 and L-infinity are norms; rounding stays within ulps.
+  bool ObeysTriangleInequality() const override { return true; }
 
   int dimension() const { return dim_; }
   const std::vector<double>& point(int i) const { return points_[i]; }

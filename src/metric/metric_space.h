@@ -22,10 +22,12 @@
 // promises d(x, y) <= d(x, z) + d(z, y) for every x, y, z up to a few ulps
 // of rounding, so bounds built from it may prune a search without changing
 // its answer (local search's best-pair scan, algorithms/local_search.cc).
-// Only VectorMetric declares it: its Euclidean kernel is a norm. Everything
-// else answers false, including DenseMetric (it stores arbitrary matrices),
-// CosineMetric's 1 - cos form and PowerRelaxedMetric with beta > 1, which
-// all may violate the inequality outright.
+// VectorMetric and EuclideanMetric declare it: each computes a norm of the
+// difference. Restricted views (core/restricted_problem.h) forward their
+// base's answer. Everything else answers false, including DenseMetric (it
+// stores arbitrary matrices), CosineMetric's 1 - cos form and
+// PowerRelaxedMetric with beta > 1, which all may violate the inequality
+// outright.
 #ifndef DIVERSE_METRIC_METRIC_SPACE_H_
 #define DIVERSE_METRIC_METRIC_SPACE_H_
 

@@ -1,6 +1,7 @@
 #include "submodular/modular_function.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -41,6 +42,13 @@ double ModularFunction::Value(std::span<const int> set) const {
   double sum = 0.0;
   for (int e : set) sum += weights_[e];
   return sum;
+}
+
+std::unique_ptr<SetFunction> ModularFunction::Restrict(
+    std::span<const int> ids) const {
+  std::vector<double> gathered(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) gathered[i] = weights_[ids[i]];
+  return std::make_unique<ModularFunction>(std::move(gathered));
 }
 
 void ModularFunction::SetWeight(int e, double value) {

@@ -20,6 +20,9 @@ class ModularFunction : public SetFunction {
   }
   std::unique_ptr<SetFunctionEvaluator> MakeEvaluator() const override;
   double Value(std::span<const int> set) const override;
+  // Gathers the weights of `ids` into a modular function of their own.
+  std::unique_ptr<SetFunction> Restrict(
+      std::span<const int> ids) const override;
 
   double weight(int e) const { return weights_[e]; }
   const std::vector<double>& weights() const { return weights_; }

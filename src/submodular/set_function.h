@@ -58,6 +58,13 @@ class SetFunction {
 
   // Convenience: f(set + e) - f(set). `e` must not be in `set`.
   double MarginalGain(std::span<const int> set, int e) const;
+
+  // f over local ids: g(S) = f({ids[s] : s in S}) on ground set
+  // 0..ids.size()-1, with the same gain and value bits as f on the mapped
+  // sets (core/restricted_problem.h). `ids` are distinct ground-set ids.
+  // Default: a view mapping every call through a copy of `ids`, which
+  // must not outlive this function.
+  virtual std::unique_ptr<SetFunction> Restrict(std::span<const int> ids) const;
 };
 
 // The identically-zero function. With this quality function the

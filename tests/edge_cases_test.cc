@@ -163,6 +163,12 @@ TEST(EdgeCasesDeathTest, CandidateEntriesRejectMalformedLists) {
   knapsack.budget = 2.0;
   EXPECT_DEATH(KnapsackGreedyOnCandidates(problem, unordered, knapsack),
                "ascending and distinct");
+  // The initial set holds problem ids, and each must be a candidate.
+  LocalSearchOptions outside;
+  outside.initial = {0, 1};
+  const std::vector<int> gapped = {0, 2, 3};
+  EXPECT_DEATH(LocalSearchOnCandidates(problem, matroid, gapped, outside),
+               "outside the candidate list");
 }
 
 TEST(EdgeCasesDeathTest, StreamRejectsDuplicateObservation) {

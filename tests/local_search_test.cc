@@ -9,12 +9,14 @@
 #include "algorithms/greedy_vertex.h"
 #include "algorithms/local_search.h"
 #include "core/diversification_problem.h"
+#include "core/restricted_problem.h"
 #include "data/synthetic.h"
 #include "matroid/graphic_matroid.h"
 #include "matroid/partition_matroid.h"
 #include "matroid/transversal_matroid.h"
 #include "matroid/uniform_matroid.h"
 #include "metric/dense_metric.h"
+#include "metric/euclidean_metric.h"
 #include "metric/relaxed_metric.h"
 #include "metric/vector_metric.h"
 #include "submodular/coverage_function.h"
@@ -507,6 +509,32 @@ TEST(BestPairParityTest, CandidateSubsetWithGaps) {
     const DiversificationProblem problem(&metric, &weights, 0.3);
     ExpectPairParity(problem, partition, live);
     ExpectPairParity(problem, uniform, live);
+  }
+}
+
+// EuclideanMetric declares the triangle inequality under each of its norms,
+// and the restricted view of a gapped list forwards it, so the pruned scan
+// runs over the restricted ids.
+TEST(BestPairParityTest, EuclideanNormsOverGappedCandidates) {
+  for (Norm norm : {Norm::kL1, Norm::kL2, Norm::kLInf}) {
+    Rng rng(static_cast<int>(norm) + 80);
+    const int n = 90;
+    std::vector<std::vector<double>> points(n, std::vector<double>(3));
+    for (auto& point : points) {
+      for (double& x : point) x = rng.Uniform(0.0, 10.0);
+    }
+    const EuclideanMetric metric(std::move(points), norm);
+    ASSERT_TRUE(metric.ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    const DiversificationProblem problem(&metric, &weights, 0.4);
+    std::vector<int> live;
+    for (int e = 3; e < n; ++e) {
+      if (rng.Uniform(0.0, 1.0) < 0.7) live.push_back(e);
+    }
+    EXPECT_TRUE(
+        Restrict(problem, live).problem().metric().ObeysTriangleInequality());
+    ExpectPairParity(problem, ModuloPartition(n, {1, 1, 2}), live);
+    ExpectPairParity(problem, UniformMatroid(n, 4), live);
   }
 }
 

@@ -60,6 +60,28 @@ TEST(PartitionMatroidTest, CanAddMatchesIsIndependent) {
   EXPECT_TRUE(m.CanAdd(s, 4));
 }
 
+// IsIndependent counts blocks in place; these sets probe its edges.
+TEST(PartitionMatroidTest, IndependenceAtCapacityEdges) {
+  // Blocks: {0, 1} cap 0, {2, 3, 4} cap 1, {5, 6, 7} cap 2.
+  const PartitionMatroid m({0, 0, 1, 1, 1, 2, 2, 2}, {0, 1, 2});
+  EXPECT_EQ(m.rank(), 3);
+  EXPECT_TRUE(m.IsIndependent(std::vector<int>{}));
+  // A capacity-0 block admits nothing, first or later in the set.
+  EXPECT_FALSE(m.IsIndependent(std::vector<int>{0}));
+  EXPECT_FALSE(m.IsIndependent(std::vector<int>{2, 5, 1}));
+  // Over capacity, with the offending element first, between or last.
+  EXPECT_FALSE(m.IsIndependent(std::vector<int>{2, 3}));
+  EXPECT_FALSE(m.IsIndependent(std::vector<int>{4, 5, 2}));
+  EXPECT_FALSE(m.IsIndependent(std::vector<int>{5, 6, 2, 7}));
+  // Rank-size sets: every block at its capacity, in any order.
+  EXPECT_TRUE(m.IsIndependent(std::vector<int>{2, 5, 6}));
+  EXPECT_TRUE(m.IsIndependent(std::vector<int>{7, 3, 5}));
+  for (const std::vector<int>& basis : EnumerateBases(m)) {
+    EXPECT_EQ(static_cast<int>(basis.size()), m.rank());
+    EXPECT_TRUE(m.IsIndependent(basis));
+  }
+}
+
 TEST(PartitionMatroidTest, SatisfiesAxioms) {
   EXPECT_TRUE(
       ValidateMatroid(PartitionMatroid({0, 0, 1, 1, 2, 2}, {1, 2, 1}))
