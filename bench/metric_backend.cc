@@ -8,6 +8,9 @@
 //                 batched_seconds) is the machine-relative headline: both
 //                 timings come from the same run on the same data, so the
 //                 ratio isolates what the row kernel buys the hot loops.
+//                 `avx2` says which kernel ran (1: the AVX2 one, 0: the
+//                 portable one), and `bit_equal` checks every dispatched
+//                 row against the portable kernel bit for bit.
 //   * snapshot  — encoded image bytes per element for the dense (O(n^2))
 //                 and feature-vector (O(n * d)) payloads at two corpus
 //                 sizes. Exact arithmetic, no timing: the vector
@@ -22,8 +25,10 @@
 //                 correctness regression in the row kernel.
 //
 // Absolute seconds vary with CI hardware and stay advisory; the gated
-// fields are kernel_speedup and bit_equal.
+// fields are kernel_speedup and both records' bit_equal.
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -34,6 +39,7 @@
 #include "engine/query.h"
 #include "metric/dense_metric.h"
 #include "metric/metric_space.h"
+#include "metric/vector_kernel.h"
 #include "metric/vector_metric.h"
 #include "snapshot/snapshot_codec.h"
 #include "util/flags.h"
@@ -97,6 +103,19 @@ int Run(int n, int dim, int p, std::uint64_t seed) {
                           : 0.0;
     }
     std::sort(ratios, ratios + 3);
+    // Untimed: every dispatched row against the portable kernel.
+    bool rows_equal = true;
+    for (int u = 0; u < n && rows_equal; ++u) {
+      vectors.DistanceRow(u, row);
+      for (int v = 0; v < n; ++v) {
+        const double want = std::sqrt(vector_kernel::SquaredDistancePortable(
+            vectors.row(u).data(), vectors.row(v).data(), dim));
+        if (std::bit_cast<std::uint64_t>(row[v]) !=
+            std::bit_cast<std::uint64_t>(want)) {
+          rows_equal = false;
+        }
+      }
+    }
     const double best_batched =
         std::min({batched_seconds[0], batched_seconds[1],
                   batched_seconds[2]});
@@ -108,6 +127,9 @@ int Run(int n, int dim, int p, std::uint64_t seed) {
         .Add("scalar_seconds", scalar_seconds[2])
         .Add("batched_mdist_s", distances / best_batched / 1e6)
         .Add("kernel_speedup", ratios[1])
+        .Add("avx2",
+             static_cast<long long>(vector_kernel::Avx2Supported() ? 1 : 0))
+        .Add("bit_equal", static_cast<long long>(rows_equal ? 1 : 0))
         .Add("sink", sink == -1.0 ? 1.0 : 0.0);  // defeat dead-code elim
   }
 

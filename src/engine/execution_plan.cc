@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "algorithms/distributed.h"
@@ -18,23 +19,19 @@ namespace {
 
 // Per-id vector resized to the snapshot's id space: inserts that raced the
 // request contribute 0, stale tail entries are dropped.
-std::vector<double> FitToUniverse(const std::vector<double>& values, int n) {
-  std::vector<double> fitted(values.begin(),
-                             values.begin() +
-                                 std::min<std::size_t>(values.size(), n));
-  fitted.resize(n, 0.0);
-  return fitted;
+std::vector<double> FitToUniverse(std::vector<double> values, int n) {
+  values.resize(n, 0.0);
+  return values;
 }
 
 }  // namespace
 
 ProblemView MakeProblemView(const CorpusSnapshot& snapshot,
-                            const std::vector<double>& relevance,
-                            double lambda) {
+                            std::vector<double> relevance, double lambda) {
   ProblemView view{nullptr, snapshot.problem()};
   if (!relevance.empty()) {
     view.relevance = std::make_unique<ModularFunction>(
-        FitToUniverse(relevance, snapshot.universe_size()));
+        FitToUniverse(std::move(relevance), snapshot.universe_size()));
     view.problem = view.problem.WithQuality(view.relevance.get());
   }
   if (lambda >= 0.0) view.problem = view.problem.WithLambda(lambda);

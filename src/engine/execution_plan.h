@@ -51,8 +51,7 @@ struct ProblemView {
 };
 
 ProblemView MakeProblemView(const CorpusSnapshot& snapshot,
-                            const std::vector<double>& relevance,
-                            double lambda);
+                            std::vector<double> relevance, double lambda);
 
 // Executes the sharded two-round plan with per-shard kernels off-box.
 // Implementations must be pure functions of (snapshot, query, num_shards)

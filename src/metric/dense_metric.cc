@@ -35,6 +35,7 @@ DenseMetric DenseMetric::Materialize(const MetricSpace& metric) {
       m.SetDistance(u, v, metric.Distance(u, v));
     }
   }
+  m.triangle_ = metric.ObeysTriangleInequality();
   return m;
 }
 
@@ -59,6 +60,7 @@ void DenseMetric::SetDistance(int u, int v, double value) {
   DIVERSE_CHECK(value >= 0.0 && std::isfinite(value));
   matrix_[static_cast<std::size_t>(u) * n_ + v] = value;
   matrix_[static_cast<std::size_t>(v) * n_ + u] = value;
+  triangle_ = false;
 }
 
 }  // namespace diverse

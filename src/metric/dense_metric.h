@@ -23,7 +23,8 @@ class DenseMetric : public MetricSpace {
   static DenseMetric FromMatrix(int n, std::vector<double> matrix);
 
   // Materializes any metric into a dense matrix: one Distance(u, v) per
-  // unordered pair u < v, mirrored into d(v, u).
+  // unordered pair u < v, mirrored into d(v, u). The copy declares
+  // ObeysTriangleInequality() exactly as `metric` does.
   static DenseMetric Materialize(const MetricSpace& metric);
 
   int size() const override { return n_; }
@@ -38,12 +39,17 @@ class DenseMetric : public MetricSpace {
     return matrix_.data() + static_cast<std::size_t>(u) * n_;
   }
 
+  bool ObeysTriangleInequality() const override { return triangle_; }
+
   // Sets d(u,v) = d(v,u) = value. `value` must be non-negative; u != v.
+  // An arbitrary write can break the triangle inequality, so this clears
+  // a declaration carried over by Materialize.
   void SetDistance(int u, int v, double value);
 
  private:
   int n_;
   std::vector<double> matrix_;
+  bool triangle_ = false;
 };
 
 }  // namespace diverse

@@ -4,18 +4,17 @@
 #include <cmath>
 #include <utility>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "metric/vector_kernel.h"
 #include "util/check.h"
 
 namespace diverse {
-namespace {
+namespace vector_kernel {
 
-// Sum of squared differences with a FIXED accumulation order: four
-// independent lanes over the unrolled body, combined as (l0+l1)+(l2+l3),
-// tail into lane 0. The order never depends on alignment or vector width,
-// so results are bit-reproducible everywhere; the four independent chains
-// are a straight SLP-vectorization target (SSE2/AVX) without needing
-// -ffast-math reassociation.
-double SquaredDistance(const double* a, const double* b, int dim) {
+double SquaredDistancePortable(const double* a, const double* b, int dim) {
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   int i = 0;
   for (; i + 4 <= dim; i += 4) {
@@ -33,6 +32,83 @@ double SquaredDistance(const double* a, const double* b, int dim) {
     l0 += d * d;
   }
   return (l0 + l1) + (l2 + l3);
+}
+
+#if defined(__x86_64__)
+// target("avx2") enables AVX2 for this function alone and leaves FMA off,
+// so the multiply and the add below stay two roundings.
+__attribute__((target("avx2"))) double SquaredDistanceAvx2(const double* a,
+                                                           const double* b,
+                                                           int dim) {
+  __m256d lanes = _mm256_setzero_pd();
+  int i = 0;
+  for (; i + 4 <= dim; i += 4) {
+    const __m256d d =
+        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    lanes = _mm256_add_pd(lanes, _mm256_mul_pd(d, d));
+  }
+  double l[4];
+  _mm256_storeu_pd(l, lanes);
+  for (; i < dim; ++i) {
+    const double d = a[i] - b[i];
+    l[0] += d * d;
+  }
+  return (l[0] + l[1]) + (l[2] + l[3]);
+}
+#endif
+
+bool Avx2Supported() {
+#if defined(__x86_64__)
+  // Function-local, not namespace-scope: a static initializer elsewhere
+  // could run before libgcc has filled in the CPU model.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+}  // namespace vector_kernel
+
+namespace {
+
+// out[i] = d(a, row i) for i < count, where row i starts at
+// data + ids[i] * dim, or at data + i * dim when ids is null. One loop per
+// kernel; flatten inlines the kernel into each.
+[[gnu::flatten]] void DistancesPortable(const double* a, const double* data,
+                                        int dim, const int* ids, int count,
+                                        double* out) {
+  for (int i = 0; i < count; ++i) {
+    const double* b =
+        data + static_cast<std::size_t>(ids != nullptr ? ids[i] : i) * dim;
+    out[i] = std::sqrt(vector_kernel::SquaredDistancePortable(a, b, dim));
+  }
+}
+
+#if defined(__x86_64__)
+[[gnu::flatten]] __attribute__((target("avx2"))) void DistancesAvx2(
+    const double* a, const double* data, int dim, const int* ids, int count,
+    double* out) {
+  for (int i = 0; i < count; ++i) {
+    const double* b =
+        data + static_cast<std::size_t>(ids != nullptr ? ids[i] : i) * dim;
+    out[i] = std::sqrt(vector_kernel::SquaredDistanceAvx2(a, b, dim));
+  }
+}
+#endif
+
+void Distances(const double* a, const double* data, int dim, const int* ids,
+               int count, double* out) {
+#if defined(__x86_64__)
+  if (vector_kernel::Avx2Supported()) {
+    DistancesAvx2(a, data, dim, ids, count, out);
+    return;
+  }
+#endif
+  DistancesPortable(a, data, dim, ids, count, out);
 }
 
 }  // namespace
@@ -57,32 +133,29 @@ double VectorMetric::Distance(int u, int v) const {
   DIVERSE_DCHECK(0 <= u && u < n_);
   DIVERSE_DCHECK(0 <= v && v < n_);
   // u == v needs no special case: every difference is exactly 0.0.
-  return std::sqrt(
-      SquaredDistance(data_.data() + static_cast<std::size_t>(u) * dim_,
-                      data_.data() + static_cast<std::size_t>(v) * dim_,
-                      dim_));
+  double distance;
+  Distances(data_.data() + static_cast<std::size_t>(u) * dim_,
+            data_.data() + static_cast<std::size_t>(v) * dim_, dim_, nullptr,
+            1, &distance);
+  return distance;
 }
 
 void VectorMetric::DistanceRow(int u, std::span<double> row) const {
   DIVERSE_DCHECK(0 <= u && u < n_);
   DIVERSE_DCHECK(static_cast<int>(row.size()) == n_);
-  const double* a = data_.data() + static_cast<std::size_t>(u) * dim_;
-  const double* b = data_.data();
-  for (int v = 0; v < n_; ++v, b += dim_) {
-    row[v] = std::sqrt(SquaredDistance(a, b, dim_));
-  }
+  Distances(data_.data() + static_cast<std::size_t>(u) * dim_, data_.data(),
+            dim_, nullptr, n_, row.data());
 }
 
 void VectorMetric::DistancesTo(int u, std::span<const int> ids,
                                std::span<double> out) const {
   DIVERSE_DCHECK(0 <= u && u < n_);
   DIVERSE_DCHECK(out.size() == ids.size());
-  const double* a = data_.data() + static_cast<std::size_t>(u) * dim_;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    DIVERSE_DCHECK(0 <= ids[i] && ids[i] < n_);
-    out[i] = std::sqrt(SquaredDistance(
-        a, data_.data() + static_cast<std::size_t>(ids[i]) * dim_, dim_));
+  for ([[maybe_unused]] const int id : ids) {
+    DIVERSE_DCHECK(0 <= id && id < n_);
   }
+  Distances(data_.data() + static_cast<std::size_t>(u) * dim_, data_.data(),
+            dim_, ids.data(), static_cast<int>(ids.size()), out.data());
 }
 
 std::span<const double> VectorMetric::row(int u) const {

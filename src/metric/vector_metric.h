@@ -1,16 +1,19 @@
 // Feature-vector metric: stores one d-dimensional embedding per element
 // (row-major n x d) and computes Euclidean distances on demand through
-// batched, SIMD-friendly kernels.
+// batched row kernels.
 //
 // This is the O(n * d) representation that replaces the O(n^2) dense
 // matrix end-to-end (engine snapshots, checkpoint images, replica wire
 // traffic) while serving the same hot-loop queries through MetricSpace's
-// batched calls. The kernel's accumulation order is fixed (four
-// independent lanes combined in a fixed tree), so
+// batched calls. Every distance is the square root of one fixed-order sum
+// (four lanes combined in a fixed tree; metric/vector_kernel.h). Distance,
+// DistanceRow and DistancesTo run that sum in one 256-bit AVX2 register
+// when the CPU has AVX2 (detected once at run time) and as four scalar
+// lanes otherwise; both return the same bits, so
 //
-//   * results are bit-reproducible across calls, hosts, and both
-//     orientations (d(u,v) and d(v,u) square the exact IEEE negations of
-//     the same differences), and
+//   * results are bit-reproducible across calls and across x86-64 hosts
+//     with and without AVX2, and in both orientations (d(u,v) and d(v,u)
+//     square the exact IEEE negations of the same differences), and
 //   * a DenseMetric materialized from the same vectors stores bit-identical
 //     distances — the dense matrix stays the bit-equality oracle for every
 //     answer computed over this metric.

@@ -217,7 +217,14 @@ engine::QueryResult Coordinator::ExecuteSharded(
         request.p = p;
         request.per_shard = per_shard;
         request.lambda = query.lambda;
-        request.relevance = query.relevance;
+        // Only this shard's relevance crosses the wire, read from the
+        // view's weights, which are already fitted to the snapshot.
+        if (view.relevance != nullptr) {
+          request.relevance.reserve(shards[s].size());
+          for (const int e : shards[s]) {
+            request.relevance.push_back(view.relevance->weight(e));
+          }
+        }
         obs::ScopedSpan span(query.trace, "rpc.shard" + std::to_string(s));
         ShardSolution solution;
         if (RunShardRemote(snapshot, request, query.trace,

@@ -152,6 +152,21 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
   const std::vector<int> shard =
       ShardCandidates(snapshot->candidates(), request.num_shards,
                       request.shard_salt, request.shard_index);
+  // The relevance covers this shard alone, in shard order. Scattered back
+  // into the snapshot's id space (0 elsewhere), it gives the kernel the
+  // coordinator's weights on every id the kernel reads.
+  std::vector<double> relevance;
+  if (!request.relevance.empty()) {
+    if (request.relevance.size() != shard.size()) {
+      rejected_.Inc();
+      response.status = RpcStatus::kError;
+      return Encode(response);
+    }
+    relevance.assign(snapshot->universe_size(), 0.0);
+    for (std::size_t i = 0; i < shard.size(); ++i) {
+      relevance[shard[i]] = request.relevance[i];
+    }
+  }
 
   // Observation only: the trace id correlates this kernel run with the
   // coordinator-side trace; it never influences the kernel.
@@ -159,7 +174,7 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
   const bool sample = sampler_ != nullptr && sampler_->Sample();
   const auto kernel_start = std::chrono::steady_clock::now();
   const engine::ProblemView view =
-      engine::MakeProblemView(*snapshot, request.relevance, request.lambda);
+      engine::MakeProblemView(*snapshot, std::move(relevance), request.lambda);
   const AlgorithmResult local =
       GreedyVertexOnCandidates(view.problem, shard, request.per_shard);
   const auto kernel_end = std::chrono::steady_clock::now();

@@ -15,8 +15,9 @@
 //     `snapshot_version`". The candidate range is intensional: the worker
 //     derives its shard by filtering its replica's live candidates through
 //     ShardOf (algorithms/distributed.h), so frames stay O(1) in corpus
-//     size apart from the optional per-query relevance vector. Replica
-//     agreement is enforced by the version check, not by shipping ids.
+//     size apart from the optional relevance of the shard's candidates.
+//     Replica agreement is enforced by the version check, not by
+//     shipping ids.
 //   * ShardQueryResponse — the kernel solution (greedy order), its
 //     objective and step count, or a version-mismatch/error status. On
 //     mismatch `node_version` tells the coordinator which epochs to
@@ -126,9 +127,11 @@ struct ShardQueryRequest {
   // kernel call the in-process ShardedGreedy would.
   std::int32_t p = 0;
   std::int32_t per_shard = 0;
-  // Per-query view knobs, forwarded verbatim from engine::Query: lambda
-  // < 0 keeps the corpus default; an empty relevance vector keeps corpus
-  // weights (see engine::MakeProblemView).
+  // Per-query view knobs from engine::Query: lambda < 0 keeps the corpus
+  // default. `relevance` holds the query's relevance of this shard's
+  // candidates alone, in ShardCandidates order (0 past the end of the
+  // query's vector, as engine::MakeProblemView pads); empty keeps corpus
+  // weights. A node answers kError when its size is not the shard's.
   double lambda = -1.0;
   std::vector<double> relevance;
 };

@@ -538,6 +538,36 @@ TEST(BestPairParityTest, EuclideanNormsOverGappedCandidates) {
   }
 }
 
+// A dense oracle materialized from clustered vectors declares the
+// triangle inequality as its source does, so it takes the pruned scan as
+// well: its pair is the exhaustive pair, and the vector metric's pair.
+TEST(BestPairParityTest, MaterializedDenseOracleOfClusteredVectors) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 90);
+    const int n = 120;
+    const VectorMetric vectors = ClusteredVectors(n, 8, 5, 0.4, rng);
+    const DenseMetric dense = DenseMetric::Materialize(vectors);
+    ASSERT_TRUE(dense.ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    const PartitionMatroid partition = ModuloPartition(n, {1, 1, 1, 1, 1});
+    const UniformMatroid uniform(n, 5);
+    std::vector<int> live;
+    for (int e = 0; e < n; ++e) {
+      if (rng.Uniform(0.0, 1.0) < 0.7) live.push_back(e);
+    }
+    const DiversificationProblem over_dense(&dense, &weights, 0.3);
+    const DiversificationProblem over_vectors(&vectors, &weights, 0.3);
+    for (const std::vector<int>& candidates : {AllIds(n), live}) {
+      for (const Matroid* matroid :
+           std::initializer_list<const Matroid*>{&partition, &uniform}) {
+        ExpectPairParity(over_dense, *matroid, candidates);
+        EXPECT_EQ(BestIndependentPair(over_dense, *matroid, candidates),
+                  BestIndependentPair(over_vectors, *matroid, candidates));
+      }
+    }
+  }
+}
+
 // A block of capacity 0 (its elements are dependent on their own) and a
 // graphic matroid with self-loops (dependent singletons) and parallel
 // edges (dependent pairs).

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -10,6 +13,8 @@
 #include "metric/metric_utils.h"
 #include "metric/metric_validation.h"
 #include "metric/relaxed_metric.h"
+#include "metric/vector_kernel.h"
+#include "metric/vector_metric.h"
 #include "util/random.h"
 
 namespace diverse {
@@ -52,6 +57,151 @@ TEST(DenseMetricTest, MaterializeCopiesAnyMetric) {
   EXPECT_DOUBLE_EQ(dense.Distance(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(dense.Distance(0, 2), 10.0);
   EXPECT_DOUBLE_EQ(dense.Distance(1, 2), 5.0);
+}
+
+TEST(DenseMetricTest, MaterializeCarriesTriangleDeclaration) {
+  const EuclideanMetric base({{0.0, 0.0}, {3.0, 4.0}, {6.0, 8.0}});
+  DenseMetric dense = DenseMetric::Materialize(base);
+  EXPECT_TRUE(dense.ObeysTriangleInequality());
+  const DenseMetric copy = dense;
+  EXPECT_TRUE(copy.ObeysTriangleInequality());
+  EXPECT_FALSE(DenseMetric::Materialize(DenseMetric(3))
+                   .ObeysTriangleInequality());
+  // A write may break the inequality, so it drops the declaration.
+  dense.SetDistance(0, 2, 100.0);
+  EXPECT_FALSE(dense.ObeysTriangleInequality());
+  EXPECT_TRUE(copy.ObeysTriangleInequality());
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// One coordinate from a pool that stresses the kernels' rounding: signed
+// zeros, values a few ulps apart, subnormals, values whose squares
+// underflow, and (with `huge`) magnitudes whose squares overflow to +inf.
+double StressValue(Rng& rng, bool huge) {
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  switch (rng.UniformInt(0, huge ? 6 : 5)) {
+    case 0:
+      return rng.Bernoulli(0.5) ? 0.0 : -0.0;
+    case 1:
+      return rng.Uniform(-1.0, 1.0) * kMin;
+    case 2:
+      return kDenorm * rng.UniformInt(-8, 8);
+    case 3:
+      return 1.0 + kEps * rng.UniformInt(-3, 3);
+    case 4:
+      return rng.Uniform(-3.0, 3.0);
+    case 5:
+      return rng.Uniform(-1.0, 1.0) * 1e-160;
+    default:
+      return (rng.Bernoulli(0.5) ? 1.0 : -1.0) * rng.Uniform(1e155, 1e300);
+  }
+}
+
+// b[i] is a fresh value, a[i]'s ulp neighbour on either side, -a[i], or
+// a[i] itself.
+void FillStressPair(Rng& rng, bool huge, std::vector<double>& a,
+                    std::vector<double>& b) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = StressValue(rng, huge);
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        b[i] = StressValue(rng, huge);
+        break;
+      case 1:
+        b[i] = std::nextafter(a[i], kInf);
+        break;
+      case 2:
+        b[i] = std::nextafter(a[i], -kInf);
+        break;
+      case 3:
+        b[i] = -a[i];
+        break;
+      default:
+        b[i] = a[i];
+    }
+  }
+}
+
+double Portable(const std::vector<double>& a, const std::vector<double>& b) {
+  return vector_kernel::SquaredDistancePortable(a.data(), b.data(),
+                                                static_cast<int>(a.size()));
+}
+
+#if defined(__x86_64__)
+double Avx2(const std::vector<double>& a, const std::vector<double>& b) {
+  return vector_kernel::SquaredDistanceAvx2(a.data(), b.data(),
+                                            static_cast<int>(a.size()));
+}
+#endif
+
+// The AVX2 kernel holds the portable kernel's four lanes in one register
+// and combines them in the same tree, so the two agree bit for bit on
+// every tail length (dim from 1 to 67) and every kind of value.
+TEST(VectorKernelTest, Avx2MatchesPortableBitForBit) {
+#if defined(__x86_64__)
+  if (!vector_kernel::Avx2Supported()) GTEST_SKIP() << "CPU lacks AVX2";
+  Rng rng(91);
+  int infinite = 0;
+  int subnormal = 0;
+  for (int dim = 1; dim <= 67; ++dim) {
+    std::vector<double> a(dim);
+    std::vector<double> b(dim);
+    for (int trial = 0; trial < 60; ++trial) {
+      FillStressPair(rng, /*huge=*/trial % 3 == 0, a, b);
+      const double want = Portable(a, b);
+      EXPECT_EQ(Bits(Avx2(a, b)), Bits(want)) << dim << "/" << trial;
+      EXPECT_EQ(Bits(Avx2(b, a)), Bits(Portable(b, a))) << dim;
+      if (std::isinf(want)) ++infinite;
+      if (std::fpclassify(want) == FP_SUBNORMAL) ++subnormal;
+    }
+  }
+  // The pool reached both ends of the exponent range.
+  EXPECT_GT(infinite, 0);
+  EXPECT_GT(subnormal, 0);
+#else
+  GTEST_SKIP() << "the AVX2 kernel exists on x86-64 only";
+#endif
+}
+
+// Distance, DistanceRow and DistancesTo run the dispatched kernel, so
+// they agree with each other and with the portable kernel, and
+// DenseMetric::Materialize stores the same bits. Finite distances only:
+// the dense matrix rejects +inf.
+TEST(VectorKernelTest, MetricCallsAgreeWithPortableKernel) {
+  Rng rng(92);
+  const int n = 8;
+  const std::vector<int> ids = {7, 0, 3, 3, 6, 1, 5, 2, 4};
+  for (int dim = 1; dim <= 67; ++dim) {
+    std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
+    std::vector<double> data;
+    for (int u = 0; u < n; u += 2) {
+      FillStressPair(rng, /*huge=*/false, rows[u], rows[u + 1]);
+    }
+    for (const std::vector<double>& row : rows) {
+      data.insert(data.end(), row.begin(), row.end());
+    }
+    const VectorMetric vectors = VectorMetric::FromRows(dim, data);
+    const DenseMetric dense = DenseMetric::Materialize(vectors);
+    std::vector<double> row(n);
+    std::vector<double> to(ids.size());
+    for (int u = 0; u < n; ++u) {
+      vectors.DistanceRow(u, row);
+      vectors.DistancesTo(u, ids, to);
+      for (int v = 0; v < n; ++v) {
+        const std::uint64_t want = Bits(std::sqrt(Portable(rows[u], rows[v])));
+        EXPECT_EQ(Bits(row[v]), want) << dim << ": " << u << "," << v;
+        EXPECT_EQ(Bits(vectors.Distance(u, v)), want);
+        EXPECT_EQ(Bits(dense.Distance(u, v)), want);
+      }
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(Bits(to[i]), Bits(row[ids[i]])) << dim;
+      }
+    }
+  }
 }
 
 TEST(EuclideanMetricTest, L1L2LInfDiffer) {

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/distributed.h"
 #include "data/synthetic.h"
 #include "engine/engine.h"
 #include "engine/execution_plan.h"
@@ -143,6 +144,24 @@ TEST(RpcTest, PerShardAndLambdaOverridesStayBitEqual) {
   query.relevance.clear();  // corpus weights, corpus lambda
   query.lambda = -1.0;
   ExpectBitEqual(*cluster.engine, query);
+}
+
+// A query's relevance may be shorter or longer than the corpus. The
+// coordinator pads and truncates it to the snapshot before it gathers
+// each shard's values, so every node serves its shard and the answer
+// matches the in-process plan.
+TEST(RpcTest, ShortAndLongRelevanceStayBitEqual) {
+  RemoteCluster cluster = MakeCluster(60, 2, 7, 0.3);
+  Rng rng(8);
+  for (const int size : {1, 41, 60, 75}) {
+    Query query = MakeQuery(60, 8, 4, rng.NextSeed(), rng);
+    query.relevance.resize(size, 0.8);
+    ExpectBitEqual(*cluster.engine, query);
+  }
+  EXPECT_EQ(cluster.coordinator->stats().local_fallbacks, 0);
+  for (const auto& node : cluster.nodes) {
+    EXPECT_EQ(node->stats().rejected, 0);
+  }
 }
 
 TEST(RpcTest, ReplicasApplyEpochsInVersionOrder) {
@@ -326,19 +345,27 @@ TEST(RpcTest, NodeRejectsInvalidQueryRequests) {
   valid.num_shards = 2;
   valid.p = 3;
   valid.per_shard = 3;
-  valid.relevance.assign(20, 0.5);
+  // Relevance covers the request's shard alone.
+  const std::vector<int> shard =
+      ShardCandidates(node.replica().snapshot()->candidates(), 2, 0, 0);
+  ASSERT_GT(shard.size(), 3u);
+  ASSERT_LT(shard.size(), 20u);
+  valid.relevance.assign(shard.size(), 0.5);
   ShardQueryResponse response;
   ASSERT_TRUE(Decode(node.Handle(Encode(valid)), &response));
   ASSERT_EQ(response.status, RpcStatus::kOk);
   ASSERT_EQ(node.stats().rejected, 0);
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<ShardQueryRequest> invalid(5, valid);
+  std::vector<ShardQueryRequest> invalid(8, valid);
   invalid[0].shard_index = 2;  // == num_shards
   invalid[1].relevance[3] = -1.0;
   invalid[2].relevance[3] = kInf;
   invalid[3].lambda = kInf;
   invalid[4].lambda = std::numeric_limits<double>::quiet_NaN();
+  invalid[5].relevance.push_back(0.5);   // one value past the shard
+  invalid[6].relevance.pop_back();       // one value short
+  invalid[7].relevance.assign(20, 0.5);  // the whole corpus
   for (std::size_t i = 0; i < invalid.size(); ++i) {
     ASSERT_TRUE(Decode(node.Handle(Encode(invalid[i])), &response)) << i;
     EXPECT_EQ(response.status, RpcStatus::kError) << i;

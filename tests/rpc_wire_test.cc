@@ -557,6 +557,40 @@ TEST(RpcWireTest, OversizedCountsRejected) {
   EXPECT_FALSE(Decode(payload, &decoded));
 }
 
+// A request carries the relevance of its shard alone, so the count ranges
+// from 0 (corpus weights) to any shard size. Every count round-trips,
+// every strict prefix is rejected, and a count one off either way is
+// rejected as truncated or as trailing garbage.
+TEST(RpcWireTest, ShardRelevanceCountTotality) {
+  Rng rng(61);
+  for (const int count : {0, 1, 2, 7, 33, 512}) {
+    ShardQueryRequest request = RandomRequest(rng);
+    request.relevance.resize(count);
+    for (double& r : request.relevance) r = rng.Uniform(0.0, 1.0);
+    const std::vector<std::uint8_t> payload = Encode(request);
+    ShardQueryRequest decoded;
+    ASSERT_TRUE(Decode(payload, &decoded)) << count;
+    EXPECT_EQ(decoded.relevance, request.relevance);
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_FALSE(Decode(std::span(payload.data(), len), &decoded))
+          << "count " << count << " prefix length " << len;
+    }
+    // The little-endian u32 count sits just before the values.
+    const std::size_t count_at = payload.size() - 8 * count - 4;
+    ASSERT_EQ(payload[count_at], static_cast<std::uint8_t>(count & 0xff));
+    std::vector<std::uint8_t> longer = payload;
+    longer[count_at] = static_cast<std::uint8_t>((count + 1) & 0xff);
+    longer[count_at + 1] = static_cast<std::uint8_t>((count + 1) >> 8);
+    EXPECT_FALSE(Decode(longer, &decoded)) << count;
+    if (count > 0) {
+      std::vector<std::uint8_t> shorter = payload;
+      shorter[count_at] = static_cast<std::uint8_t>((count - 1) & 0xff);
+      shorter[count_at + 1] = static_cast<std::uint8_t>((count - 1) >> 8);
+      EXPECT_FALSE(Decode(shorter, &decoded)) << count;
+    }
+  }
+}
+
 TEST(RpcWireTest, StatsRequestRoundTrip) {
   for (StatsFormat format : {StatsFormat::kJson, StatsFormat::kPrometheus}) {
     StatsRequest original;
