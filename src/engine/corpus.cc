@@ -109,6 +109,13 @@ bool ValidUpdate(const CorpusUpdate& update, UpdateContext* ctx) {
   return false;
 }
 
+bool ValidEpoch(std::span<const CorpusUpdate> updates, UpdateContext* ctx) {
+  for (const CorpusUpdate& update : updates) {
+    if (!ValidUpdate(update, ctx)) return false;
+  }
+  return true;
+}
+
 bool ValidState(const CorpusState& state) {
   const std::size_t n = state.weights.size();
   if (state.alive.size() != n) return false;
@@ -275,19 +282,17 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   int n = static_cast<int>(weights_.size());
   const bool dense = repr_ == MetricRepr::kDense;
 
-  // ValidUpdate is the one rule set: the whole batch passes it before
-  // anything is mutated.
-  UpdateContext ctx{n, repr_, dense ? 0 : vectors_->dim()};
-  for (const CorpusUpdate& update : updates) {
-    DIVERSE_CHECK_MSG(ValidUpdate(update, &ctx),
-                      "update invalid for this corpus");
-  }
+  // ValidEpoch is the one rule set: the whole batch passes it before
+  // anything is mutated. The published snapshot is the master state's.
+  UpdateContext ctx = snapshot()->update_context();
+  DIVERSE_CHECK_MSG(ValidEpoch(updates, &ctx),
+                    "update invalid for this corpus");
 
   // Published snapshots share the metric payload, so mutating epochs work
   // on a private copy — made exactly once per epoch. Dense inserts
   // pre-grow to the epoch's final size so a batch of k inserts costs one
-  // O((n+k)^2) copy, not k of them; vector inserts copy O(n * d) once and
-  // append O(d) per insert.
+  // O((n+k)^2) copy, not k of them; vector inserts copy O(n * d) once into
+  // storage reserved for the final row count and append O(d) per insert.
   const int inserts = ctx.n - n;  // validation grew ctx.n per insert
   bool writes_distances = false;
   for (const CorpusUpdate& update : updates) {
@@ -309,7 +314,11 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
       owned = std::make_shared<DenseMetric>(*metric_);
     }
   } else if (inserts > 0) {
-    owned_vectors = std::make_shared<VectorMetric>(*vectors_);
+    std::vector<double> rows;
+    rows.reserve(static_cast<std::size_t>(ctx.n) * vectors_->dim());
+    rows.assign(vectors_->data().begin(), vectors_->data().end());
+    owned_vectors = std::make_shared<VectorMetric>(
+        VectorMetric::FromRows(vectors_->dim(), std::move(rows)));
   }
 
   for (const CorpusUpdate& update : updates) {

@@ -118,12 +118,14 @@ struct CorpusState {
   VectorMetric vectors{0, 0};   // kVector payload
 };
 
-// Shared value/update validation — the one rule set Corpus::Apply, epoch
-// replay (rpc::ShardNode) and snapshot/checkpoint load all go through, so
-// no checkpoint can round-trip into a state an epoch replay would have
-// rejected. Apply CHECK-aborts on the first invalid update of a batch;
-// the boundary paths report instead, because their data crossed a trust
-// boundary (wire, disk).
+// Shared value/update validation — the one rule set every epoch and image
+// goes through, wherever it comes from: Corpus::Apply, epoch replay
+// (rpc::ShardNode::HandleUpdates), the checkpoint delta fold
+// (snapshot::CheckpointStore::LoadLatest) and image decode
+// (snapshot::DecodeSnapshot, through ValidState). So no checkpoint can
+// round-trip into a state an epoch replay would have rejected. Apply
+// CHECK-aborts on an invalid epoch; the boundary paths report instead,
+// because their data crossed a trust boundary (wire, disk).
 bool ValidWeight(double value);
 bool ValidDistance(double value);
 // Feature-vector component: finite and |x| <= kMaxVectorComponent, so all
@@ -131,7 +133,8 @@ bool ValidDistance(double value);
 bool ValidVectorComponent(double value);
 
 // The corpus facts an update validates against. kInsert/kInsertVector
-// grow `n` on success so a batch validates as a whole.
+// grow `n` on success so a batch validates as a whole. A snapshot's own
+// context is CorpusSnapshot::update_context().
 struct UpdateContext {
   int n = 0;
   MetricRepr repr = MetricRepr::kDense;
@@ -142,6 +145,10 @@ struct UpdateContext {
 // kSetDistance/kInsert are only valid under kDense, kInsertVector only
 // under kVector (with exactly ctx->dim valid components).
 bool ValidUpdate(const CorpusUpdate& update, UpdateContext* ctx);
+// Is every update of one epoch valid, in order, against `ctx`? Grows
+// `ctx` as ValidUpdate does, so the next epoch of a batch validates
+// against the state this one leaves behind.
+bool ValidEpoch(std::span<const CorpusUpdate> updates, UpdateContext* ctx);
 // Structural validity of a state image: sizes agree with `repr`, the
 // unused payload is empty, lambda/weights/vector components valid,
 // liveness is 0/1. (Individual dense distances are validated where the
@@ -176,6 +183,11 @@ class CorpusSnapshot {
   // The base problem (corpus weights, corpus lambda). Per-query views are
   // derived via the WithQuality/WithLambda hooks.
   const DiversificationProblem& problem() const { return problem_; }
+
+  // The facts an epoch applied on top of this version validates against.
+  UpdateContext update_context() const {
+    return {universe_size(), repr_, dim()};
+  }
 
   // Deep-copies this version into a serializable state image.
   CorpusState State() const;
@@ -235,7 +247,7 @@ class Corpus {
   // Applies one update epoch and publishes the next snapshot. Serializes
   // with other writers; readers wait at most for the pointer swap.
   // Returns the new version. CHECK-aborts on updates invalid for the
-  // corpus representation (use ValidUpdate first for untrusted input).
+  // corpus representation (use ValidEpoch first for untrusted input).
   std::uint64_t Apply(std::span<const CorpusUpdate> updates);
   std::uint64_t Apply(const CorpusUpdate& update) {
     return Apply(std::span<const CorpusUpdate>(&update, 1));

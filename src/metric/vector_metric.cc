@@ -124,7 +124,8 @@ VectorMetric VectorMetric::FromRows(int dim, std::vector<double> data) {
   DIVERSE_CHECK(dim > 0);
   DIVERSE_CHECK_MSG(data.size() % static_cast<std::size_t>(dim) == 0,
                     "row-major data must be a whole number of rows");
-  VectorMetric metric(static_cast<int>(data.size() / dim), dim);
+  VectorMetric metric(0, dim);
+  metric.n_ = static_cast<int>(data.size() / dim);
   metric.data_ = std::move(data);
   return metric;
 }

@@ -37,7 +37,8 @@ class VectorMetric : public MetricSpace {
   // n elements, all at the origin.
   VectorMetric(int n, int dim);
 
-  // From row-major data (data.size() must be n * dim for some n).
+  // From row-major data (data.size() must be n * dim for some n). Keeps
+  // `data`'s spare capacity, so rows reserved there append without a copy.
   static VectorMetric FromRows(int dim, std::vector<double> data);
 
   int size() const override { return n_; }

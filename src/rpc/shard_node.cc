@@ -243,25 +243,16 @@ std::vector<std::uint8_t> ShardNode::HandleUpdates(
   }
   // Epochs at or below the current version were already applied (the
   // coordinator may replay on retry); skip them, then validate the rest
-  // before touching the replica so a bad batch is all-or-nothing. The
-  // validation path is engine::ValidUpdate — the same predicates the
-  // snapshot codec applies to checkpoint images.
+  // before touching the replica so a bad batch is all-or-nothing. Each
+  // epoch validates against the state the earlier ones leave behind.
   const std::uint64_t skip = current - batch.from_version;
-  engine::UpdateContext ctx;
-  {
-    const engine::SnapshotPtr snap = replica_.snapshot();
-    ctx.n = snap->universe_size();
-    ctx.repr = snap->repr();
-    ctx.dim = snap->dim();
-  }
+  engine::UpdateContext ctx = replica_.snapshot()->update_context();
   for (std::uint64_t i = skip; i < batch.epochs.size(); ++i) {
-    for (const engine::CorpusUpdate& update : batch.epochs[i]) {
-      if (!engine::ValidUpdate(update, &ctx)) {
-        rejected_.Inc();
-        ack.status = RpcStatus::kError;
-        ack.node_version = current;
-        return Encode(ack);
-      }
+    if (!engine::ValidEpoch(batch.epochs[i], &ctx)) {
+      rejected_.Inc();
+      ack.status = RpcStatus::kError;
+      ack.node_version = current;
+      return Encode(ack);
     }
   }
   for (std::uint64_t i = skip; i < batch.epochs.size(); ++i) {

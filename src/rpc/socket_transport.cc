@@ -10,6 +10,7 @@
 #include <string>
 
 #include "rpc/wire.h"
+#include "util/bytes.h"
 
 namespace diverse {
 namespace rpc {
@@ -17,12 +18,9 @@ namespace {
 
 bool WriteFrame(int fd, const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFrameBytes) return false;
-  std::uint8_t header[4];
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>(length >> (8 * i));
-  }
-  return net::SendFull(fd, header, sizeof(header)) &&
+  std::vector<std::uint8_t> header;
+  AppendU32(&header, static_cast<std::uint32_t>(payload.size()));
+  return net::SendFull(fd, header.data(), header.size()) &&
          net::SendFull(fd, payload.data(), payload.size());
 }
 
@@ -38,10 +36,9 @@ bool ReadFrame(int fd, std::vector<std::uint8_t>* payload,
     return false;
   }
   std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= std::uint32_t{header[i]} << (8 * i);
+  if (!ByteReader(header).ReadU32(&length) || length > kMaxFrameBytes) {
+    return false;
   }
-  if (length > kMaxFrameBytes) return false;
   payload->resize(length);
   return net::RecvFull(fd, payload->data(), length, deadline);
 }

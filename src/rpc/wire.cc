@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/bytes.h"
 
@@ -10,113 +9,12 @@ namespace diverse {
 namespace rpc {
 namespace {
 
-// ---- Encoding ------------------------------------------------------------
-
-void AppendI32(std::vector<std::uint8_t>* out, std::int32_t value) {
-  AppendU32(out, static_cast<std::uint32_t>(value));
-}
-
-void AppendI64(std::vector<std::uint8_t>* out, std::int64_t value) {
-  AppendU64(out, static_cast<std::uint64_t>(value));
-}
-
 void AppendHeader(std::vector<std::uint8_t>* out, MessageType type) {
   AppendU16(out, kWireVersion);
   AppendU8(out, static_cast<std::uint8_t>(type));
 }
 
-// ---- Decoding ------------------------------------------------------------
-
-// Bounds-checked cursor over one payload. Every Read* either consumes its
-// bytes or returns false with the cursor unchanged-enough to abort decode.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool Done() const { return remaining() == 0; }
-
-  bool ReadU8(std::uint8_t* value) {
-    if (remaining() < 1) return false;
-    *value = data_[pos_++];
-    return true;
-  }
-
-  bool ReadU16(std::uint16_t* value) {
-    if (remaining() < 2) return false;
-    *value = static_cast<std::uint16_t>(data_[pos_] |
-                                        (std::uint16_t{data_[pos_ + 1]} << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* value) {
-    if (remaining() < 4) return false;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{data_[pos_ + i]} << (8 * i);
-    }
-    *value = v;
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* value) {
-    if (remaining() < 8) return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t{data_[pos_ + i]} << (8 * i);
-    }
-    *value = v;
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadI32(std::int32_t* value) {
-    std::uint32_t raw;
-    if (!ReadU32(&raw)) return false;
-    *value = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool ReadI64(std::int64_t* value) {
-    std::uint64_t raw;
-    if (!ReadU64(&raw)) return false;
-    *value = static_cast<std::int64_t>(raw);
-    return true;
-  }
-
-  bool ReadF64(double* value) {
-    std::uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(value, &bits, sizeof(bits));
-    return true;
-  }
-
-  bool ReadBytes(std::uint8_t* out, std::size_t count) {
-    if (remaining() < count) return false;
-    if (count > 0) std::memcpy(out, data_.data() + pos_, count);
-    pos_ += count;
-    return true;
-  }
-
-  // Element count for a vector whose entries take `stride` bytes each.
-  // Bounding by the bytes actually remaining means a corrupt count can
-  // never drive a huge allocation: the subsequent reads fail first.
-  bool ReadCount(std::size_t stride, std::size_t* count) {
-    std::uint32_t raw;
-    if (!ReadU32(&raw)) return false;
-    if (std::size_t{raw} * stride > remaining()) return false;
-    *count = raw;
-    return true;
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-bool ReadHeader(Reader* reader, MessageType expected) {
+bool ReadHeader(ByteReader* reader, MessageType expected) {
   std::uint16_t version;
   std::uint8_t type;
   if (!reader->ReadU16(&version) || !reader->ReadU8(&type)) return false;
@@ -131,7 +29,7 @@ double SaneOffset(double value) {
   return std::isfinite(value) && value > 0.0 ? value : 0.0;
 }
 
-bool ReadStatus(Reader* reader, RpcStatus* status) {
+bool ReadStatus(ByteReader* reader, RpcStatus* status) {
   std::uint8_t raw;
   if (!reader->ReadU8(&raw)) return false;
   if (raw > static_cast<std::uint8_t>(RpcStatus::kError)) return false;
@@ -139,7 +37,7 @@ bool ReadStatus(Reader* reader, RpcStatus* status) {
   return true;
 }
 
-bool ReadFormat(Reader* reader, StatsFormat* format) {
+bool ReadFormat(ByteReader* reader, StatsFormat* format) {
   std::uint8_t raw;
   if (!reader->ReadU8(&raw)) return false;
   if (raw > static_cast<std::uint8_t>(StatsFormat::kPrometheus)) return false;
@@ -154,10 +52,10 @@ void AppendUpdate(std::vector<std::uint8_t>* out,
   AppendI32(out, update.v);
   AppendF64(out, update.value);
   AppendU32(out, static_cast<std::uint32_t>(update.distances.size()));
-  for (double d : update.distances) AppendF64(out, d);
+  AppendF64s(out, update.distances);
 }
 
-bool ReadUpdate(Reader* reader, engine::CorpusUpdate* update) {
+bool ReadUpdate(ByteReader* reader, engine::CorpusUpdate* update) {
   std::uint8_t kind;
   if (!reader->ReadU8(&kind)) return false;
   if (kind >
@@ -172,10 +70,7 @@ bool ReadUpdate(Reader* reader, engine::CorpusUpdate* update) {
   std::size_t count;
   if (!reader->ReadCount(8, &count)) return false;
   update->distances.resize(count);
-  for (double& d : update->distances) {
-    if (!reader->ReadF64(&d)) return false;
-  }
-  return true;
+  return reader->ReadF64s(update->distances);
 }
 
 }  // namespace
@@ -193,7 +88,7 @@ std::vector<std::uint8_t> Encode(const ShardQueryRequest& message) {
   AppendI32(&out, message.per_shard);
   AppendF64(&out, message.lambda);
   AppendU32(&out, static_cast<std::uint32_t>(message.relevance.size()));
-  for (double r : message.relevance) AppendF64(&out, r);
+  AppendF64s(&out, message.relevance);
   return out;
 }
 
@@ -313,7 +208,7 @@ std::vector<std::uint8_t> Encode(const StatsResponse& message) {
 }
 
 std::optional<MessageType> PeekType(std::span<const std::uint8_t> payload) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   std::uint16_t version;
   std::uint8_t type;
   if (!reader.ReadU16(&version) || !reader.ReadU8(&type)) return std::nullopt;
@@ -327,7 +222,7 @@ std::optional<MessageType> PeekType(std::span<const std::uint8_t> payload) {
 
 bool Decode(std::span<const std::uint8_t> payload,
             ShardQueryRequest* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kShardQueryRequest)) return false;
   if (!reader.ReadU64(&message->snapshot_version) ||
       !reader.ReadU64(&message->shard_salt) ||
@@ -341,15 +236,12 @@ bool Decode(std::span<const std::uint8_t> payload,
   std::size_t count;
   if (!reader.ReadCount(8, &count)) return false;
   message->relevance.resize(count);
-  for (double& r : message->relevance) {
-    if (!reader.ReadF64(&r)) return false;
-  }
-  return reader.Done();
+  return reader.ReadF64s(message->relevance) && reader.Done();
 }
 
 bool Decode(std::span<const std::uint8_t> payload,
             ShardQueryResponse* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kShardQueryResponse)) return false;
   if (!ReadStatus(&reader, &message->status) ||
       !reader.ReadU64(&message->node_version) ||
@@ -399,7 +291,7 @@ bool Decode(std::span<const std::uint8_t> payload,
 
 bool Decode(std::span<const std::uint8_t> payload,
             CorpusUpdateBatch* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kCorpusUpdateBatch)) return false;
   if (!reader.ReadU64(&message->from_version)) return false;
   std::size_t epochs;
@@ -421,7 +313,7 @@ bool Decode(std::span<const std::uint8_t> payload,
 }
 
 bool Decode(std::span<const std::uint8_t> payload, UpdateAck* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kUpdateAck)) return false;
   if (!ReadStatus(&reader, &message->status) ||
       !reader.ReadU64(&message->node_version)) {
@@ -431,7 +323,7 @@ bool Decode(std::span<const std::uint8_t> payload, UpdateAck* message) {
 }
 
 bool Decode(std::span<const std::uint8_t> payload, SnapshotOffer* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kSnapshotOffer)) return false;
   if (!reader.ReadU64(&message->snapshot_version) ||
       !reader.ReadU64(&message->total_bytes) ||
@@ -443,7 +335,7 @@ bool Decode(std::span<const std::uint8_t> payload, SnapshotOffer* message) {
 }
 
 bool Decode(std::span<const std::uint8_t> payload, SnapshotChunk* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kSnapshotChunk)) return false;
   if (!reader.ReadU64(&message->snapshot_version) ||
       !reader.ReadU32(&message->chunk_index)) {
@@ -457,7 +349,7 @@ bool Decode(std::span<const std::uint8_t> payload, SnapshotChunk* message) {
 }
 
 bool Decode(std::span<const std::uint8_t> payload, SnapshotAck* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kSnapshotAck)) return false;
   if (!ReadStatus(&reader, &message->status) ||
       !reader.ReadU64(&message->node_version) ||
@@ -469,7 +361,7 @@ bool Decode(std::span<const std::uint8_t> payload, SnapshotAck* message) {
 }
 
 bool Decode(std::span<const std::uint8_t> payload, AckedTableSync* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kAckedTableSync)) return false;
   std::size_t count;
   if (!reader.ReadCount(8, &count)) return false;
@@ -481,14 +373,14 @@ bool Decode(std::span<const std::uint8_t> payload, AckedTableSync* message) {
 }
 
 bool Decode(std::span<const std::uint8_t> payload, StatsRequest* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kStatsRequest)) return false;
   if (!ReadFormat(&reader, &message->format)) return false;
   return reader.Done();
 }
 
 bool Decode(std::span<const std::uint8_t> payload, StatsResponse* message) {
-  Reader reader(payload);
+  ByteReader reader(payload);
   if (!ReadHeader(&reader, MessageType::kStatsResponse)) return false;
   if (!ReadStatus(&reader, &message->status) ||
       !ReadFormat(&reader, &message->format)) {

@@ -43,7 +43,11 @@
 //
 // Decoding is total: truncated buffers, trailing garbage, unknown wire
 // versions, unknown message types, and out-of-range enum values are all
-// rejected with `false` — a malformed frame can never abort a node.
+// rejected with `false` — a malformed frame can never abort a node. Every
+// field is read through util/bytes.h's ByteReader, whose ReadCount bounds
+// each decoded array by the bytes actually left, so a corrupt count
+// cannot drive an allocation. The codec checks structure; the values of
+// an update batch are checked by engine::ValidEpoch where it is applied.
 #ifndef DIVERSE_RPC_WIRE_H_
 #define DIVERSE_RPC_WIRE_H_
 
@@ -171,7 +175,7 @@ struct CorpusUpdateBatch {
   // Updates of every kind share one frame layout; kInsert carries its
   // per-id distances and kInsertVector its d-dimensional feature vector
   // in the same generic f64 array field. Which kinds a receiver accepts
-  // is decided by engine::ValidUpdate against the replica's metric
+  // is decided by engine::ValidEpoch against the replica's metric
   // representation, not by the codec.
   std::uint64_t from_version = 0;
   std::vector<std::vector<engine::CorpusUpdate>> epochs;

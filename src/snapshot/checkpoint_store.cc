@@ -274,10 +274,10 @@ std::optional<engine::CorpusState> CheckpointStore::LoadLatest(
     }
 
     // Fold the contiguous delta chain on top. Deltas crossed a trust
-    // boundary (disk): every epoch re-validates through ValidUpdate
-    // before it touches the corpus, and the first corrupt, gapped, or
-    // invalid file ends the chain — the fold so far is still a good
-    // (just older) state.
+    // boundary (disk): every epoch re-validates through ValidEpoch before
+    // it touches the corpus, and the first corrupt, gapped, or invalid
+    // file ends the chain — the fold so far is still a good (just older)
+    // state.
     std::map<std::uint64_t, std::vector<std::uint64_t>> chain;
     std::error_code ec;
     fs::directory_iterator it(dir_, ec);
@@ -290,8 +290,9 @@ std::optional<engine::CorpusState> CheckpointStore::LoadLatest(
     std::optional<engine::Corpus> corpus;
     std::uint64_t at = state.version;
     while (chain.count(at)) {
+      if (!corpus) corpus.emplace(std::move(state));
       // Prefer the longest extension from `at`; fall through shorter
-      // ones when it fails to decode.
+      // ones when it fails to decode or validate.
       std::vector<std::uint64_t>& tos = chain[at];
       std::sort(tos.begin(), tos.end());
       bool advanced = false;
@@ -305,29 +306,11 @@ std::optional<engine::CorpusState> CheckpointStore::LoadLatest(
             epochs.size() != to - at) {
           continue;
         }
-        engine::UpdateContext ctx;
-        if (corpus) {
-          const engine::SnapshotPtr snap = corpus->snapshot();
-          ctx.n = snap->universe_size();
-          ctx.repr = snap->repr();
-          ctx.dim = snap->dim();
-        } else {
-          ctx.n = static_cast<int>(state.weights.size());
-          ctx.repr = state.repr;
-          ctx.dim = state.vectors.dim();
-        }
-        bool valid = true;
-        for (const auto& epoch : epochs) {
-          for (const engine::CorpusUpdate& update : epoch) {
-            if (!engine::ValidUpdate(update, &ctx)) {
-              valid = false;
-              break;
-            }
-          }
-          if (!valid) break;
-        }
-        if (!valid) continue;
-        if (!corpus) corpus.emplace(std::move(state));
+        engine::UpdateContext ctx = corpus->snapshot()->update_context();
+        const auto valid = [&ctx](const std::vector<engine::CorpusUpdate>& e) {
+          return engine::ValidEpoch(e, &ctx);
+        };
+        if (!std::all_of(epochs.begin(), epochs.end(), valid)) continue;
         for (const auto& epoch : epochs) corpus->Apply(epoch);
         at = to;
         advanced = true;

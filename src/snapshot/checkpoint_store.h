@@ -25,9 +25,9 @@
 // chain: nothing saved yet this process, a version gap, or the chain at
 // max_delta_chain (bounding cold-start replay). LoadLatest folds the
 // contiguous, validating delta chain on top of the newest good full
-// image, stopping at the first corrupt or gapped file — epoch values are
-// re-validated through the same engine::ValidUpdate predicates replica
-// replay uses, so no delta can fold into a replay-rejected state.
+// image, stopping at the first corrupt, gapped or invalid file — epochs
+// are re-validated through the same engine::ValidEpoch replica replay
+// uses, so no delta can fold into a replay-rejected state.
 #ifndef DIVERSE_SNAPSHOT_CHECKPOINT_STORE_H_
 #define DIVERSE_SNAPSHOT_CHECKPOINT_STORE_H_
 

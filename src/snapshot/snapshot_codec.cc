@@ -1,9 +1,7 @@
 #include "snapshot/snapshot_codec.h"
 
 #include <array>
-#include <bit>
-#include <cmath>
-#include <cstring>
+#include <optional>
 
 #include "rpc/wire.h"
 #include "util/bytes.h"
@@ -25,54 +23,27 @@ constexpr std::uint64_t kMaxUniverse = std::uint64_t{1} << 17;
 constexpr std::size_t kHeaderBytes = 4 + 2 + 8 + 8 + 4 + 1;
 constexpr std::size_t kTrailerBytes = 4;
 
-// Appends `count` doubles starting at `values`. The image is defined as
-// little-endian; on little-endian hosts (every supported target) the IEEE
-// bit patterns are already in image order, so the bulk path is one memcpy
-// — this is what makes checkpoint load/store run at memory bandwidth.
-void AppendF64Array(std::vector<std::uint8_t>* out, const double* values,
-                    std::size_t count) {
-  // An empty array may come with a null `values`, which memcpy must not
-  // be handed even for zero bytes.
-  if (count == 0) return;
-  if constexpr (std::endian::native == std::endian::little) {
-    const std::size_t offset = out->size();
-    out->resize(offset + count * sizeof(double));
-    std::memcpy(out->data() + offset, values, count * sizeof(double));
-  } else {
-    for (std::size_t i = 0; i < count; ++i) AppendF64(out, values[i]);
+// The bytes between an image's header and its CRC trailer, once the
+// trailer matches and the header carries `magic` and `format`; nullopt
+// otherwise. A flipped bit anywhere (header included) fails the CRC.
+std::optional<std::span<const std::uint8_t>> ImageBody(
+    std::span<const std::uint8_t> payload, std::uint32_t magic,
+    std::uint16_t format) {
+  if (payload.size() < kTrailerBytes || payload.size() > kMaxSnapshotBytes) {
+    return std::nullopt;
   }
-}
-
-double ReadF64At(std::span<const std::uint8_t> data, std::size_t pos) {
-  if constexpr (std::endian::native == std::endian::little) {
-    double value;
-    std::memcpy(&value, data.data() + pos, sizeof(value));
-    return value;
-  } else {
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= std::uint64_t{data[pos + i]} << (8 * i);
-    }
-    double value;
-    std::memcpy(&value, &bits, sizeof(bits));
-    return value;
+  const std::span<const std::uint8_t> body =
+      payload.first(payload.size() - kTrailerBytes);
+  ByteReader trailer(payload.subspan(body.size()));
+  ByteReader header(body);
+  std::uint32_t crc = 0, got_magic = 0;
+  std::uint16_t got_format = 0;
+  if (!trailer.ReadU32(&crc) || crc != Crc32(body) ||
+      !header.ReadU32(&got_magic) || got_magic != magic ||
+      !header.ReadU16(&got_format) || got_format != format) {
+    return std::nullopt;
   }
-}
-
-std::uint32_t ReadU32At(std::span<const std::uint8_t> data, std::size_t pos) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= std::uint32_t{data[pos + i]} << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t ReadU64At(std::span<const std::uint8_t> data, std::size_t pos) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= std::uint64_t{data[pos + i]} << (8 * i);
-  }
-  return value;
+  return body.subspan(4 + 2);
 }
 
 // Shared encoder: exactly one of `metric` / `vectors` is non-null,
@@ -108,22 +79,15 @@ std::vector<std::uint8_t> EncodeImage(std::uint64_t version, double lambda,
                     ? static_cast<std::uint8_t>(engine::MetricRepr::kDense)
                     : static_cast<std::uint8_t>(engine::MetricRepr::kVector));
   if (!dense) AppendU32(&out, static_cast<std::uint32_t>(vectors->dim()));
-  AppendF64Array(&out, weights.data(), weights.size());
+  AppendF64s(&out, weights);
   for (char a : alive) out.push_back(a ? 1 : 0);
   if (dense) {
-    // Strict upper triangle in row order; one bulk append per row.
-    std::vector<double> row;
-    for (std::uint64_t u = 0; u + 1 < n; ++u) {
-      row.clear();
-      for (std::uint64_t v = u + 1; v < n; ++v) {
-        row.push_back(metric->Distance(static_cast<int>(u),
-                                       static_cast<int>(v)));
-      }
-      AppendF64Array(&out, row.data(), row.size());
+    // Strict upper triangle in row order; one bulk append per stored row.
+    for (int u = 0; u + 1 < static_cast<int>(n); ++u) {
+      AppendF64s(&out, std::span(metric->TryRow(u), n).subspan(u + 1));
     }
   } else {
-    // Row-major vectors: already contiguous, one bulk append.
-    AppendF64Array(&out, vectors->data().data(), vectors->data().size());
+    AppendF64s(&out, vectors->data());
   }
   AppendU32(&out, Crc32(out));
   return out;
@@ -195,90 +159,59 @@ std::vector<std::uint8_t> EncodeState(const engine::CorpusState& state) {
 
 bool DecodeSnapshot(std::span<const std::uint8_t> payload,
                     engine::CorpusState* state) {
-  if (payload.size() < kHeaderBytes + kTrailerBytes) return false;
-  if (payload.size() > kMaxSnapshotBytes) return false;
-  // Integrity first: a flipped bit anywhere (header included) fails here.
-  const std::size_t body = payload.size() - kTrailerBytes;
-  if (Crc32(payload.subspan(0, body)) != ReadU32At(payload, body)) {
-    return false;
-  }
-  std::size_t pos = 0;
-  if (ReadU32At(payload, pos) != kMagic) return false;
-  pos += 4;
-  const std::uint16_t format = static_cast<std::uint16_t>(
-      payload[pos] | (std::uint16_t{payload[pos + 1]} << 8));
-  if (format != kSnapshotFormatVersion) return false;
-  pos += 2;
-  state->version = ReadU64At(payload, pos);
-  pos += 8;
-  state->lambda = ReadF64At(payload, pos);
-  pos += 8;
-  const std::uint64_t n = ReadU32At(payload, pos);
-  pos += 4;
-  const std::uint8_t repr_byte = payload[pos];
-  pos += 1;
-  if (repr_byte > static_cast<std::uint8_t>(engine::MetricRepr::kVector)) {
+  const auto body = ImageBody(payload, kMagic, kSnapshotFormatVersion);
+  if (!body) return false;
+  ByteReader reader(*body);
+  std::uint32_t n = 0, dim = 0;
+  std::uint8_t repr_byte = 0;
+  if (!reader.ReadU64(&state->version) || !reader.ReadF64(&state->lambda) ||
+      !reader.ReadU32(&n) || !reader.ReadU8(&repr_byte) ||
+      repr_byte > static_cast<std::uint8_t>(engine::MetricRepr::kVector)) {
     return false;
   }
   state->repr = static_cast<engine::MetricRepr>(repr_byte);
   const bool dense = state->repr == engine::MetricRepr::kDense;
+  // n and dim are bounded before they enter any size arithmetic. The
+  // exact-size equation then doubles as the truncation/trailing-garbage
+  // check: every read below is known to be in bounds.
   if (n > kMaxUniverse) return false;
-  std::uint64_t dim = 0;
-  if (dense) {
-    // The exact-size equation doubles as the truncation/trailing-garbage
-    // check: every field below is then known to be in bounds.
-    if (payload.size() != EncodedSnapshotBytes(static_cast<int>(n))) {
-      return false;
-    }
-  } else {
-    // Vector images carry a dim field; bound-check before trusting it in
-    // any size arithmetic, then apply the same exact-size equation.
-    if (payload.size() < pos + 4 + kTrailerBytes) return false;
-    dim = ReadU32At(payload, pos);
-    pos += 4;
-    if (dim < 1 || dim > static_cast<std::uint64_t>(engine::kMaxVectorDim)) {
-      return false;
-    }
-    if (payload.size() !=
-        EncodedVectorSnapshotBytes(static_cast<int>(n),
-                                   static_cast<int>(dim))) {
-      return false;
-    }
+  if (!dense && (!reader.ReadU32(&dim) || dim < 1 ||
+                 dim > static_cast<std::uint32_t>(engine::kMaxVectorDim))) {
+    return false;
   }
-  if (!(state->lambda >= 0.0) || !std::isfinite(state->lambda)) return false;
-
+  if (payload.size() !=
+      (dense ? EncodedSnapshotBytes(static_cast<int>(n))
+             : EncodedVectorSnapshotBytes(static_cast<int>(n),
+                                          static_cast<int>(dim)))) {
+    return false;
+  }
   state->weights.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i, pos += 8) {
-    state->weights[i] = ReadF64At(payload, pos);
-    if (!engine::ValidWeight(state->weights[i])) return false;
-  }
   state->alive.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i, ++pos) {
-    const std::uint8_t a = payload[pos];
-    if (a > 1) return false;
-    state->alive[i] = static_cast<char>(a);
+  if (!reader.ReadF64s(state->weights) ||
+      !reader.ReadBytes(reinterpret_cast<std::uint8_t*>(state->alive.data()),
+                        n)) {
+    return false;
   }
   if (dense) {
     state->vectors = VectorMetric(0, 0);
     state->metric = DenseMetric(static_cast<int>(n));
-    for (std::uint64_t u = 0; u + 1 < n; ++u) {
-      for (std::uint64_t v = u + 1; v < n; ++v, pos += 8) {
-        const double d = ReadF64At(payload, pos);
-        if (!engine::ValidDistance(d)) return false;
+    // Distances are the one field ValidState does not cover.
+    for (std::uint32_t u = 0; u + 1 < n; ++u) {
+      for (std::uint32_t v = u + 1; v < n; ++v) {
+        double d = 0.0;
+        if (!reader.ReadF64(&d) || !engine::ValidDistance(d)) return false;
         state->metric.SetDistance(static_cast<int>(u), static_cast<int>(v),
                                   d);
       }
     }
   } else {
     state->metric = DenseMetric(0);
-    std::vector<double> data(n * dim);
-    for (std::uint64_t i = 0; i < n * dim; ++i, pos += 8) {
-      data[i] = ReadF64At(payload, pos);
-      if (!engine::ValidVectorComponent(data[i])) return false;
-    }
+    std::vector<double> data(std::size_t{n} * dim);
+    if (!reader.ReadF64s(data)) return false;
     state->vectors =
         VectorMetric::FromRows(static_cast<int>(dim), std::move(data));
   }
+  // Lambda, weights, liveness and vector components.
   return engine::ValidState(*state);
 }
 
@@ -301,25 +234,12 @@ std::vector<std::uint8_t> EncodeDelta(
 bool DecodeDelta(std::span<const std::uint8_t> payload,
                  std::uint64_t* from_version,
                  std::vector<std::vector<engine::CorpusUpdate>>* epochs) {
-  constexpr std::size_t kDeltaHeaderBytes = 4 + 2;
-  if (payload.size() < kDeltaHeaderBytes + kTrailerBytes) return false;
-  if (payload.size() > kMaxSnapshotBytes) return false;
-  const std::size_t body = payload.size() - kTrailerBytes;
-  if (Crc32(payload.subspan(0, body)) != ReadU32At(payload, body)) {
-    return false;
-  }
-  if (ReadU32At(payload, 0) != kDeltaMagic) return false;
-  const std::uint16_t format = static_cast<std::uint16_t>(
-      payload[4] | (std::uint16_t{payload[5]} << 8));
-  if (format != kDeltaFormatVersion) return false;
+  const auto body = ImageBody(payload, kDeltaMagic, kDeltaFormatVersion);
+  if (!body) return false;
   // The body is one wire-format CorpusUpdateBatch; its decoder is total
   // (truncation, corrupt counts, bad enum values all rejected).
   rpc::CorpusUpdateBatch batch;
-  if (!rpc::Decode(payload.subspan(kDeltaHeaderBytes,
-                                   body - kDeltaHeaderBytes),
-                   &batch)) {
-    return false;
-  }
+  if (!rpc::Decode(*body, &batch)) return false;
   *from_version = batch.from_version;
   *epochs = std::move(batch.epochs);
   return true;

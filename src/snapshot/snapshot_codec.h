@@ -20,15 +20,18 @@
 // d = 4096 and independent of n, which is what makes checkpointing a
 // large feature-vector corpus scale.
 //
-// Decoding is total, to the same hardening bar as rpc/wire: a truncated,
-// oversized, garbled, version-skewed, or checksum-mismatched image — and
-// any image whose values an epoch replay would have rejected (negative or
-// non-finite weights/distances, invalid vector components, non-0/1
-// liveness) — is rejected with `false`, never an abort or an unbounded
-// allocation. DecodeSnapshot validates through the same
-// engine::ValidWeight/ValidDistance/ValidVectorComponent predicates
-// rpc::ShardNode applies to epoch batches, so a checkpoint cannot
-// round-trip into a state a replay would have refused.
+// Decoding is total, to the same hardening bar as rpc/wire and through the
+// same util/bytes.h ByteReader: a truncated, oversized, garbled,
+// version-skewed, or checksum-mismatched image — and any image whose
+// values an epoch replay would have rejected (negative or non-finite
+// weights/distances, invalid vector components, non-0/1 liveness) — is
+// rejected with `false`, never an abort or an unbounded allocation.
+// DecodeSnapshot bounds n and dim and checks the exact image length
+// before any allocation, checks each dense distance with
+// engine::ValidDistance as it fills the matrix, and leaves every other
+// value to one engine::ValidState call on the decoded image: the same
+// predicates rpc::ShardNode applies to epoch batches, so a checkpoint
+// cannot round-trip into a state a replay would have refused.
 #ifndef DIVERSE_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define DIVERSE_SNAPSHOT_SNAPSHOT_CODEC_H_
 
@@ -101,8 +104,7 @@ std::uint32_t Crc32(std::span<const std::uint8_t> data);
 // reusing the wire codec's total, fuzz-hardened batch decoding. A delta
 // is only meaningful relative to the exact state it chained from;
 // CheckpointStore owns that chaining (SaveDelta/LoadLatest) and re-folds
-// deltas through the same engine::ValidUpdate predicates epoch replay
-// uses.
+// deltas through the same engine::ValidEpoch epoch replay uses.
 
 // Bumped on any incompatible layout change; decoders reject other values.
 inline constexpr std::uint16_t kDeltaFormatVersion = 1;

@@ -28,6 +28,7 @@
 #include "engine/engine.h"
 #include "engine/execution_plan.h"
 #include "engine/workload.h"
+#include "metric/vector_metric.h"
 #include "net/tcp_server.h"
 #include "rpc/coordinator.h"
 #include "rpc/shard_node.h"
@@ -371,6 +372,73 @@ TEST(RpcTest, NodeRejectsInvalidQueryRequests) {
     EXPECT_EQ(response.status, RpcStatus::kError) << i;
     EXPECT_EQ(node.stats().rejected, static_cast<long long>(i + 1)) << i;
   }
+}
+
+// A vector replica of n ids, each at a distinct point, at version 0.
+engine::CorpusState VectorReplicaState(int n, int dim) {
+  engine::CorpusState state;
+  state.repr = engine::MetricRepr::kVector;
+  state.lambda = 0.3;
+  state.weights.assign(n, 1.0);
+  state.alive.assign(n, 1);
+  std::vector<double> rows(static_cast<std::size_t>(n) * dim);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = 0.1 * i;
+  state.vectors = VectorMetric::FromRows(dim, std::move(rows));
+  return state;
+}
+
+UpdateAck SendBatch(ShardNode& node, const CorpusUpdateBatch& batch) {
+  UpdateAck ack;
+  EXPECT_TRUE(Decode(node.Handle(Encode(batch)), &ack));
+  return ack;
+}
+
+// Each epoch of a batch validates against the state the epochs before it
+// leave behind, and the batch applies all or nothing: after one insert,
+// SetWeight(n) names the new id but SetWeight(n + 1) names none.
+TEST(RpcTest, NodeValidatesEachEpochAgainstTheEpochsBeforeIt) {
+  constexpr int kN = 6;
+  constexpr int kDim = 3;
+  ShardNode node(VectorReplicaState(kN, kDim));
+  CorpusUpdateBatch batch;
+  batch.epochs = {{CorpusUpdate::InsertVector(0.5, {1.0, 2.0, 3.0})},
+                  {CorpusUpdate::SetWeight(kN + 1, 0.25)}};
+  UpdateAck ack = SendBatch(node, batch);
+  EXPECT_EQ(ack.status, RpcStatus::kError);
+  EXPECT_EQ(ack.node_version, 0u);
+  EXPECT_EQ(node.version(), 0u);
+  EXPECT_EQ(node.replica().snapshot()->universe_size(), kN);
+  EXPECT_EQ(node.stats().rejected, 1);
+  EXPECT_EQ(node.stats().epochs_applied, 0);
+
+  // On its own, the twin's second epoch names an id that does not exist.
+  CorpusUpdateBatch alone;
+  alone.epochs = {{CorpusUpdate::SetWeight(kN, 0.25)}};
+  EXPECT_EQ(SendBatch(node, alone).status, RpcStatus::kError);
+  EXPECT_EQ(node.stats().rejected, 2);
+
+  batch.epochs[1] = {CorpusUpdate::SetWeight(kN, 0.25)};
+  ack = SendBatch(node, batch);
+  EXPECT_EQ(ack.status, RpcStatus::kOk);
+  EXPECT_EQ(ack.node_version, 2u);
+  const engine::SnapshotPtr snapshot = node.replica().snapshot();
+  ASSERT_EQ(snapshot->universe_size(), kN + 1);
+  EXPECT_EQ(snapshot->weights().weight(kN), 0.25);
+  EXPECT_EQ(snapshot->vectors().row(kN)[2], 3.0);
+  EXPECT_EQ(node.stats().rejected, 2);
+  EXPECT_EQ(node.stats().epochs_applied, 2);
+}
+
+// A vector replica has no stored distances to overwrite.
+TEST(RpcTest, VectorReplicaRejectsSetDistance) {
+  ShardNode node(VectorReplicaState(5, 2));
+  CorpusUpdateBatch batch;
+  batch.epochs = {{CorpusUpdate::SetDistance(0, 1, 0.5)}};
+  const UpdateAck ack = SendBatch(node, batch);
+  EXPECT_EQ(ack.status, RpcStatus::kError);
+  EXPECT_EQ(ack.node_version, 0u);
+  EXPECT_EQ(node.version(), 0u);
+  EXPECT_EQ(node.stats().rejected, 1);
 }
 
 // Pooled remote queries racing an updater thread: every result must be

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -675,6 +677,43 @@ TEST(CheckpointStoreTest, CorruptDeltaEndsFoldAtLastGoodLink) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->version, 1u);
   EXPECT_EQ(EncodeState(*loaded), EncodeState(states[0]));
+}
+
+// A delta whose checksum is good but whose updates are not (here its
+// second epoch names an id past the universe) ends the fold at the last
+// good link, like a corrupt file does; its valid first epoch is not
+// applied either.
+TEST(CheckpointStoreTest, InvalidUpdateInDeltaEndsFoldAtLastGoodLink) {
+  const std::string dir = TestDir("ckpt_delta_invalid");
+  CheckpointStore store(dir);
+  Corpus corpus = MakeCorpus(10, 101);
+  ASSERT_TRUE(store.Save(*corpus.snapshot()));
+  const std::vector<std::vector<CorpusUpdate>> good = {
+      {CorpusUpdate::SetWeight(1, 0.75)}};
+  corpus.Apply(good[0]);
+  const CorpusState at_one = corpus.snapshot()->State();
+  ASSERT_TRUE(store.SaveDelta(0, 1, good));
+  const std::vector<std::vector<CorpusUpdate>> bad = {
+      {CorpusUpdate::SetWeight(2, 0.5)}, {CorpusUpdate::SetWeight(10, 0.5)}};
+  ASSERT_TRUE(store.SaveDelta(1, 3, bad));
+  ASSERT_TRUE(store.SaveDelta(3, 4, good));  // orphaned behind the bad link
+
+  // The bad delta is well-formed on disk: only its values are invalid.
+  std::ifstream in(fs::path(dir) / ("delta-00000000000000000001-"
+                                    "00000000000000000003.delta"),
+                   std::ios::binary);
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::uint64_t from = 0;
+  std::vector<std::vector<CorpusUpdate>> epochs;
+  ASSERT_TRUE(DecodeDelta(bytes, &from, &epochs));
+  EXPECT_EQ(from, 1u);
+  EXPECT_EQ(epochs.size(), 2u);
+
+  std::optional<CorpusState> loaded = store.LoadLatest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->version, 1u);
+  EXPECT_EQ(EncodeState(*loaded), EncodeState(at_one));
 }
 
 // Checkpoint store round-trips vector corpora through the same save/load
