@@ -279,7 +279,7 @@ void Corpus::Publish(SnapshotPtr next) {
 
 std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  int n = static_cast<int>(weights_.size());
+  const int n = static_cast<int>(weights_.size());
   const bool dense = repr_ == MetricRepr::kDense;
 
   // ValidEpoch is the one rule set: the whole batch passes it before
@@ -289,27 +289,26 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
                     "update invalid for this corpus");
 
   // Published snapshots share the metric payload, so mutating epochs work
-  // on a private copy — made exactly once per epoch. Dense inserts
-  // pre-grow to the epoch's final size so a batch of k inserts costs one
-  // O((n+k)^2) copy, not k of them; vector inserts copy O(n * d) once into
+  // on a private copy — made exactly once per epoch. A dense copy shares
+  // every row, and SetDistance clones just the rows it writes. A batch of
+  // k dense inserts builds each row of the n + k metric once, from the old
+  // row and the inserted distances; vector inserts copy O(n * d) once into
   // storage reserved for the final row count and append O(d) per insert.
   const int inserts = ctx.n - n;  // validation grew ctx.n per insert
   bool writes_distances = false;
+  std::vector<std::span<const double>> inserted;
   for (const CorpusUpdate& update : updates) {
     if (update.kind == CorpusUpdate::Kind::kSetDistance) {
       writes_distances = true;
+    } else if (update.kind == CorpusUpdate::Kind::kInsert) {
+      inserted.push_back(update.distances);
     }
   }
   std::shared_ptr<DenseMetric> owned;
   std::shared_ptr<VectorMetric> owned_vectors;
   if (dense) {
     if (inserts > 0) {
-      owned = std::make_shared<DenseMetric>(n + inserts);
-      for (int u = 0; u < n; ++u) {
-        for (int v = u + 1; v < n; ++v) {
-          owned->SetDistance(u, v, metric_->Distance(u, v));
-        }
-      }
+      owned = std::make_shared<DenseMetric>(metric_->Append(inserted));
     } else if (writes_distances) {
       owned = std::make_shared<DenseMetric>(*metric_);
     }
@@ -329,13 +328,9 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
       case CorpusUpdate::Kind::kSetDistance:
         owned->SetDistance(update.u, update.v, update.value);
         break;
-      case CorpusUpdate::Kind::kInsert:
-        for (int u = 0; u < n; ++u) {
-          owned->SetDistance(u, n, update.distances[u]);
-        }
+      case CorpusUpdate::Kind::kInsert:  // distances placed by Append
         weights_.push_back(update.value);
         alive_.push_back(1);
-        ++n;
         break;
       case CorpusUpdate::Kind::kErase:
         alive_[update.u] = 0;
@@ -344,7 +339,6 @@ std::uint64_t Corpus::Apply(std::span<const CorpusUpdate> updates) {
         owned_vectors->AppendRow(update.distances);
         weights_.push_back(update.value);
         alive_.push_back(1);
-        ++n;
         break;
     }
   }

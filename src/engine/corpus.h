@@ -27,10 +27,14 @@
 //     overwritten (kSetDistance is invalid in this representation).
 //
 // Weight-only epochs share the previous snapshot's metric payload
-// (shared_ptr, O(n) to publish); distance/insert epochs clone it (O(n^2)
-// dense, O(n * d) vector; writer-side only). Element ids are stable:
-// Erase retires an id (it stays out of candidates()) and Insert appends a
-// fresh one.
+// (shared_ptr, O(n) to publish). A dense distance epoch copies the
+// DenseMetric's row table (O(n) pointers) and clones the rows it writes
+// (O(n) doubles each); every other row stays shared with the previous
+// snapshot. A dense insert epoch builds each row of the grown matrix once
+// (O((n + k)^2) for k inserts); a vector insert epoch copies the feature
+// vectors once (O(n * d)). All of this is writer-side only. Element ids
+// are stable: Erase retires an id (it stays out of candidates()) and
+// Insert appends a fresh one.
 #ifndef DIVERSE_ENGINE_CORPUS_H_
 #define DIVERSE_ENGINE_CORPUS_H_
 
@@ -189,7 +193,9 @@ class CorpusSnapshot {
     return {universe_size(), repr_, dim()};
   }
 
-  // Deep-copies this version into a serializable state image.
+  // This version as a serializable state image. The weights and liveness
+  // are copied; a dense payload shares its rows with this snapshot (see
+  // DenseMetric), a vector payload is copied.
   CorpusState State() const;
 
  private:
@@ -273,7 +279,7 @@ class Corpus {
 
   mutable std::mutex writer_mu_;
   // Master state, guarded by writer_mu_. The metric payload is shared
-  // with published snapshots; mutating epochs clone before writing.
+  // with published snapshots; mutating epochs copy it before writing.
   std::vector<double> weights_;
   MetricRepr repr_ = MetricRepr::kDense;
   std::shared_ptr<const DenseMetric> metric_;    // kDense only

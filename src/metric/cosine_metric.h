@@ -29,6 +29,13 @@ class CosineMetric : public MetricSpace {
 
   int size() const override { return static_cast<int>(vectors_.size()); }
   double Distance(int u, int v) const override;
+  // The angular form only. arccos amplifies the cosine's rounding for
+  // nearly parallel or opposite vectors (to ~1e-8 at worst), which the
+  // pruned pair scan's relative slack covers unless such a pair's value
+  // ties the best one within that margin. 1 - cos is not a metric.
+  bool ObeysTriangleInequality() const override {
+    return form_ == Form::kAngular;
+  }
 
   int dimension() const { return dim_; }
 

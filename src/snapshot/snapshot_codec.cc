@@ -1,5 +1,6 @@
 #include "snapshot/snapshot_codec.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 
@@ -194,16 +195,15 @@ bool DecodeSnapshot(std::span<const std::uint8_t> payload,
   }
   if (dense) {
     state->vectors = VectorMetric(0, 0);
-    state->metric = DenseMetric(static_cast<int>(n));
-    // Distances are the one field ValidState does not cover.
-    for (std::uint32_t u = 0; u + 1 < n; ++u) {
-      for (std::uint32_t v = u + 1; v < n; ++v) {
-        double d = 0.0;
-        if (!reader.ReadF64(&d) || !engine::ValidDistance(d)) return false;
-        state->metric.SetDistance(static_cast<int>(u), static_cast<int>(v),
-                                  d);
-      }
-    }
+    // Distances are the one field ValidState does not cover. Each stored
+    // row is read in bulk straight into its metric row, then checked.
+    const auto fill = [&reader](int, std::span<double> upper) {
+      return reader.ReadF64s(upper) &&
+             std::all_of(upper.begin(), upper.end(), engine::ValidDistance);
+    };
+    auto metric = DenseMetric::FromUpperTriangle(static_cast<int>(n), fill);
+    if (!metric) return false;
+    state->metric = std::move(*metric);
   } else {
     state->metric = DenseMetric(0);
     std::vector<double> data(std::size_t{n} * dim);
@@ -246,21 +246,37 @@ bool DecodeDelta(std::span<const std::uint8_t> payload,
 }
 
 std::uint32_t Crc32(std::span<const std::uint8_t> data) {
-  // Table-driven reflected CRC-32; the table is built once, on first use.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slice-by-8 reflected CRC-32: tables[0] is the bytewise table, and
+  // tables[k][b] is the CRC of byte b followed by k zero bytes, so one
+  // step folds eight bytes with eight lookups. Built once, on first use.
+  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF];
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    const std::uint32_t c = crc;
+    crc = tables[7][(c ^ p[0]) & 0xFF] ^ tables[6][((c >> 8) ^ p[1]) & 0xFF];
+    crc ^= tables[5][((c >> 16) ^ p[2]) & 0xFF] ^ tables[4][(c >> 24) ^ p[3]];
+    crc ^= tables[3][p[4]] ^ tables[2][p[5]];
+    crc ^= tables[1][p[6]] ^ tables[0][p[7]];
+  }
+  for (; left > 0; ++p, --left) {
+    crc = (crc >> 8) ^ tables[0][(crc ^ *p) & 0xFF];
   }
   return crc ^ 0xFFFFFFFFu;
 }

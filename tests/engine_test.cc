@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <limits>
 #include <map>
@@ -587,6 +589,131 @@ TEST(EngineTest, ConcurrentUpdateStressServesConsistentVersions) {
                 snapshot.problem().Objective(result.elements), 1e-9);
     for (int e : result.elements) EXPECT_TRUE(snapshot.alive(e));
   }
+}
+
+// Every distance of a dense metric, row-major: a deep copy, unlike a
+// DenseMetric copy, which shares its rows.
+std::vector<double> DenseValues(const DenseMetric& metric) {
+  const int n = metric.size();
+  std::vector<double> values;
+  values.reserve(static_cast<std::size_t>(n) * n);
+  for (int u = 0; u < n; ++u) {
+    values.insert(values.end(), metric.TryRow(u), metric.TryRow(u) + n);
+  }
+  return values;
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint64_t>(values[i]);
+  }
+  return bits;
+}
+
+// Distance epochs clone the rows they write instead of writing into rows
+// an older snapshot still reads: a snapshot held across 20 of them keeps
+// the values its own State() showed before them, bit for bit.
+TEST(EngineTest, HeldSnapshotKeepsItsValuesAcrossDistanceEpochs) {
+  Rng rng(31);
+  Dataset data = MakeUniformSynthetic(16, rng);
+  Corpus corpus(data.weights, std::move(data.metric), 0.3);
+  const SnapshotPtr held = corpus.snapshot();
+  const CorpusState before = held->State();
+  const std::vector<double> before_values = DenseValues(before.metric);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    std::vector<CorpusUpdate> updates;
+    for (int i = 0; i < 3; ++i) {
+      const int u = rng.UniformInt(0, 14);
+      const int v = rng.UniformInt(u + 1, 15);
+      const double d = rng.Uniform(2.0, 3.0);
+      updates.push_back(CorpusUpdate::SetDistance(u, v, d));
+    }
+    updates.push_back(CorpusUpdate::SetWeight(epoch % 16, rng.Uniform()));
+    corpus.Apply(updates);
+  }
+  const SnapshotPtr now = corpus.snapshot();
+  EXPECT_EQ(now->version(), 20u);
+  EXPECT_NE(Bits(DenseValues(now->metric())), Bits(before_values));
+  EXPECT_EQ(Bits(DenseValues(held->metric())), Bits(before_values));
+  EXPECT_EQ(held->weights().weights(), before.weights);
+  EXPECT_EQ(held->version(), before.version);
+}
+
+// A distance epoch clones exactly the two rows it writes; the next version
+// shares every other row with the one before it.
+TEST(EngineTest, ConsecutiveVersionsShareUntouchedRows) {
+  Rng rng(32);
+  const int n = 12;
+  Dataset data = MakeUniformSynthetic(n, rng);
+  Corpus corpus(data.weights, std::move(data.metric), 0.3);
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    const SnapshotPtr prev = corpus.snapshot();
+    const int u = rng.UniformInt(0, n - 2);
+    const int v = rng.UniformInt(u + 1, n - 1);
+    const double old_value = prev->metric().Distance(u, v);
+    corpus.Apply(CorpusUpdate::SetDistance(u, v, 2.5 + epoch));
+    const SnapshotPtr next = corpus.snapshot();
+    for (int w = 0; w < n; ++w) {
+      if (w == u || w == v) {
+        EXPECT_NE(next->metric().TryRow(w), prev->metric().TryRow(w));
+      } else {
+        EXPECT_EQ(next->metric().TryRow(w), prev->metric().TryRow(w))
+            << "row " << w << " of version " << next->version();
+      }
+    }
+    EXPECT_EQ(next->metric().Distance(v, u), 2.5 + epoch);
+    EXPECT_EQ(prev->metric().Distance(v, u), old_value);
+  }
+  // A weight-only epoch shares the whole metric.
+  const SnapshotPtr prev = corpus.snapshot();
+  corpus.Apply(CorpusUpdate::SetWeight(0, 0.5));
+  EXPECT_EQ(&corpus.snapshot()->metric(), &prev->metric());
+}
+
+// One epoch with k = 3 inserts interleaved with distance writes, some of
+// them to the inserted ids, equals the matrix built pair by pair.
+TEST(EngineTest, DenseInsertEpochMatchesFromMatrixReference) {
+  Rng rng(33);
+  const int n = 9;
+  const int k = 3;
+  const int m = n + k;
+  Dataset data = MakeUniformSynthetic(n, rng);
+  std::vector<double> want(static_cast<std::size_t>(m) * m, 0.0);
+  const auto set = [&want, m](int u, int v, double d) {
+    want[static_cast<std::size_t>(u) * m + v] = d;
+    want[static_cast<std::size_t>(v) * m + u] = d;
+  };
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) set(u, v, data.metric.Distance(u, v));
+  }
+  Corpus corpus(data.weights, std::move(data.metric), 0.3);
+  const SnapshotPtr before = corpus.snapshot();
+  const std::vector<double> before_values = DenseValues(before->metric());
+
+  std::vector<CorpusUpdate> updates;
+  updates.push_back(CorpusUpdate::SetDistance(1, 2, 3.5));
+  set(1, 2, 3.5);
+  for (int i = 0; i < k; ++i) {
+    std::vector<double> distances(n + i);
+    for (int j = 0; j < n + i; ++j) {
+      distances[j] = rng.Uniform(1.0, 2.0);
+      set(n + i, j, distances[j]);
+    }
+    updates.push_back(CorpusUpdate::Insert(rng.Uniform(), distances));
+    updates.push_back(CorpusUpdate::SetDistance(n + i, i, 4.0 + i));
+    set(n + i, i, 4.0 + i);
+  }
+  updates.push_back(CorpusUpdate::SetDistance(n, n + 2, 5.5));
+  set(n, n + 2, 5.5);
+  corpus.Apply(updates);
+
+  const DenseMetric reference = DenseMetric::FromMatrix(m, want);
+  const DenseMetric& got = corpus.snapshot()->metric();
+  ASSERT_EQ(got.size(), m);
+  EXPECT_EQ(Bits(DenseValues(got)), Bits(DenseValues(reference)));
+  EXPECT_EQ(Bits(DenseValues(before->metric())), Bits(before_values));
+  EXPECT_EQ(static_cast<int>(corpus.snapshot()->candidates().size()), m);
 }
 
 TEST(ShardAssignmentTest, PartitionsEveryCandidateExactlyOnce) {

@@ -15,8 +15,10 @@
 #include "matroid/partition_matroid.h"
 #include "matroid/transversal_matroid.h"
 #include "matroid/uniform_matroid.h"
+#include "metric/cosine_metric.h"
 #include "metric/dense_metric.h"
 #include "metric/euclidean_metric.h"
+#include "metric/jaccard_metric.h"
 #include "metric/relaxed_metric.h"
 #include "metric/vector_metric.h"
 #include "submodular/coverage_function.h"
@@ -535,6 +537,67 @@ TEST(BestPairParityTest, EuclideanNormsOverGappedCandidates) {
         Restrict(problem, live).problem().metric().ObeysTriangleInequality());
     ExpectPairParity(problem, ModuloPartition(n, {1, 1, 2}), live);
     ExpectPairParity(problem, UniformMatroid(n, 4), live);
+  }
+}
+
+// Each id of [2, n) with probability `keep`: a gapped candidate list.
+std::vector<int> GappedIds(int n, double keep, Rng& rng) {
+  std::vector<int> live;
+  for (int e = 2; e < n; ++e) {
+    if (rng.Uniform(0.0, 1.0) < keep) live.push_back(e);
+  }
+  return live;
+}
+
+// Jaccard distances are ratios of small integers, so many pairs tie
+// exactly and the earliest-pair rule decides among them.
+TEST(BestPairParityTest, JaccardOverGappedCandidates) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 100);
+    const int n = 90;
+    std::vector<std::vector<int>> tags(n);
+    for (auto& set : tags) {
+      set = rng.SampleWithoutReplacement(10, rng.UniformInt(0, 5));
+    }
+    const JaccardMetric metric(std::move(tags));
+    ASSERT_TRUE(metric.ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    const std::vector<int> live = GappedIds(n, 0.7, rng);
+    for (double lambda : {0.1, 1.0}) {
+      const DiversificationProblem problem(&metric, &weights, lambda);
+      ExpectPairParity(problem, ModuloPartition(n, {1, 1, 2}), live);
+      ExpectPairParity(problem, UniformMatroid(n, 4), live);
+    }
+  }
+}
+
+// Angular cosine distances over clustered directions, with exact
+// duplicates and opposite vectors, where arccos is least accurate. The
+// 1 - cos form does not declare the inequality.
+TEST(BestPairParityTest, AngularCosineOverGappedCandidates) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 110);
+    const int n = 90;
+    const VectorMetric clustered = ClusteredVectors(n, 5, 4, 0.6, rng);
+    std::vector<std::vector<double>> vectors(n);
+    for (int i = 0; i < n; ++i) {
+      const int source = i % 10 == 9 ? i - 1 : i;  // a duplicate of i - 1
+      const std::span<const double> row = clustered.row(source);
+      vectors[i].assign(row.begin(), row.end());
+      if (i % 15 == 7) {
+        for (double& x : vectors[i]) x = -x;
+      }
+    }
+    const CosineMetric angular(vectors, CosineMetric::Form::kAngular);
+    ASSERT_TRUE(angular.ObeysTriangleInequality());
+    EXPECT_FALSE(CosineMetric(vectors).ObeysTriangleInequality());
+    const ModularFunction weights(UniformWeights(n, rng));
+    const std::vector<int> live = GappedIds(n, 0.7, rng);
+    for (double lambda : {0.2, 1.0}) {
+      const DiversificationProblem problem(&angular, &weights, lambda);
+      ExpectPairParity(problem, ModuloPartition(n, {1, 1, 1, 1}), live);
+      ExpectPairParity(problem, UniformMatroid(n, 4), live);
+    }
   }
 }
 

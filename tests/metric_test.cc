@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -71,6 +73,151 @@ TEST(DenseMetricTest, MaterializeCarriesTriangleDeclaration) {
   dense.SetDistance(0, 2, 100.0);
   EXPECT_FALSE(dense.ObeysTriangleInequality());
   EXPECT_TRUE(copy.ObeysTriangleInequality());
+}
+
+// A random symmetric n x n matrix with a zero diagonal, row-major.
+std::vector<double> RandomMatrix(int n, Rng& rng) {
+  std::vector<double> matrix(static_cast<std::size_t>(n) * n, 0.0);
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      const double d = rng.Uniform(1.0, 2.0);
+      matrix[static_cast<std::size_t>(u) * n + v] = d;
+      matrix[static_cast<std::size_t>(v) * n + u] = d;
+    }
+  }
+  return matrix;
+}
+
+std::vector<const double*> RowPointers(const DenseMetric& m) {
+  std::vector<const double*> rows(m.size());
+  for (int u = 0; u < m.size(); ++u) rows[u] = m.TryRow(u);
+  return rows;
+}
+
+// Every value's bits, row-major.
+std::vector<std::uint64_t> MatrixBits(const std::vector<double>& matrix) {
+  std::vector<std::uint64_t> bits;
+  for (double d : matrix) bits.push_back(std::bit_cast<std::uint64_t>(d));
+  return bits;
+}
+
+std::vector<std::uint64_t> MatrixBits(const DenseMetric& m) {
+  std::vector<double> matrix;
+  for (int u = 0; u < m.size(); ++u) {
+    for (int v = 0; v < m.size(); ++v) matrix.push_back(m.Distance(u, v));
+  }
+  return MatrixBits(matrix);
+}
+
+TEST(DenseMetricTest, CopySharesEveryRow) {
+  Rng rng(3);
+  const DenseMetric source = DenseMetric::FromMatrix(7, RandomMatrix(7, rng));
+  const DenseMetric copy = source;
+  EXPECT_EQ(RowPointers(copy), RowPointers(source));
+}
+
+TEST(DenseMetricTest, WriteOnCopyClonesOnlyItsTwoRows) {
+  Rng rng(4);
+  const int n = 7;
+  const std::vector<double> matrix = RandomMatrix(n, rng);
+  const DenseMetric source = DenseMetric::FromMatrix(n, matrix);
+  const std::vector<const double*> source_rows = RowPointers(source);
+  DenseMetric copy = source;
+  copy.SetDistance(2, 5, 9.5);
+  EXPECT_EQ(copy.Distance(2, 5), 9.5);
+  EXPECT_EQ(copy.Distance(5, 2), 9.5);
+  EXPECT_EQ(RowPointers(source), source_rows);
+  EXPECT_EQ(MatrixBits(source), MatrixBits(matrix));
+  for (int u = 0; u < n; ++u) {
+    if (u == 2 || u == 5) {
+      EXPECT_NE(copy.TryRow(u), source.TryRow(u)) << "row " << u;
+    } else {
+      EXPECT_EQ(copy.TryRow(u), source.TryRow(u)) << "row " << u;
+    }
+  }
+}
+
+// A copy also takes ownership away from its source: the source's next
+// write clones too, so the copy keeps its values.
+TEST(DenseMetricTest, WriteOnSourceAfterCopyLeavesCopyAlone) {
+  Rng rng(5);
+  const int n = 6;
+  const std::vector<double> matrix = RandomMatrix(n, rng);
+  DenseMetric source = DenseMetric::FromMatrix(n, matrix);
+  const DenseMetric copy = source;
+  source.SetDistance(0, 3, 7.25);
+  source.SetDistance(1, 4, 6.5);
+  EXPECT_EQ(source.Distance(3, 0), 7.25);
+  EXPECT_EQ(source.Distance(4, 1), 6.5);
+  EXPECT_EQ(MatrixBits(copy), MatrixBits(matrix));
+}
+
+TEST(DenseMetricTest, RepeatedWritesToAnOwnedRowDoNotCloneIt) {
+  Rng rng(6);
+  const int n = 6;
+  DenseMetric fresh(n);
+  const std::vector<const double*> fresh_rows = RowPointers(fresh);
+  fresh.SetDistance(0, 1, 1.5);
+  fresh.SetDistance(0, 2, 2.5);
+  EXPECT_EQ(RowPointers(fresh), fresh_rows);
+
+  const DenseMetric source = DenseMetric::FromMatrix(n, RandomMatrix(n, rng));
+  DenseMetric copy = source;
+  copy.SetDistance(1, 3, 4.0);
+  const std::vector<const double*> cloned = RowPointers(copy);
+  copy.SetDistance(1, 4, 5.0);
+  copy.SetDistance(3, 1, 6.0);
+  copy.SetDistance(4, 3, 7.0);
+  const std::vector<const double*> after = RowPointers(copy);
+  EXPECT_EQ(after[1], cloned[1]);
+  EXPECT_EQ(after[3], cloned[3]);
+  EXPECT_NE(after[4], source.TryRow(4));  // first write to row 4 clones it
+  EXPECT_EQ(copy.Distance(1, 3), 6.0);
+}
+
+TEST(DenseMetricTest, AppendEqualsTheGrownMatrix) {
+  Rng rng(7);
+  const int n = 5;
+  const int k = 3;
+  const std::vector<double> full = RandomMatrix(n + k, rng);
+  std::vector<double> base;
+  for (int u = 0; u < n; ++u) {
+    const auto row = full.begin() + static_cast<std::ptrdiff_t>(u) * (n + k);
+    base.insert(base.end(), row, row + n);
+  }
+  std::vector<std::span<const double>> inserted;
+  for (int i = 0; i < k; ++i) {
+    const std::size_t offset = static_cast<std::size_t>(n + i) * (n + k);
+    inserted.push_back(std::span(full).subspan(offset, n + i));
+  }
+  const DenseMetric source = DenseMetric::FromMatrix(n, base);
+  const DenseMetric grown = source.Append(inserted);
+  ASSERT_EQ(grown.size(), n + k);
+  EXPECT_EQ(MatrixBits(grown), MatrixBits(full));
+  EXPECT_EQ(MatrixBits(source), MatrixBits(base));
+}
+
+// Rows longer than one mirroring tile, with a size that is not a multiple
+// of it, and a fill that fails part-way.
+TEST(DenseMetricTest, FromUpperTriangleMirrorsEveryPair) {
+  const int n = 150;
+  const auto fill = [](int u, std::span<double> upper) {
+    for (std::size_t i = 0; i < upper.size(); ++i) {
+      upper[i] = u * 1000.0 + (u + 1 + static_cast<double>(i));
+    }
+    return true;
+  };
+  const std::optional<DenseMetric> m = DenseMetric::FromUpperTriangle(n, fill);
+  ASSERT_TRUE(m.has_value());
+  for (int u = 0; u < n; ++u) {
+    EXPECT_EQ(m->Distance(u, u), 0.0);
+    for (int v = u + 1; v < n; ++v) {
+      ASSERT_EQ(m->Distance(u, v), u * 1000.0 + v);
+      ASSERT_EQ(m->Distance(v, u), u * 1000.0 + v);
+    }
+  }
+  const auto fail_late = [](int u, std::span<double>) { return u < 90; };
+  EXPECT_FALSE(DenseMetric::FromUpperTriangle(n, fail_late).has_value());
 }
 
 std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,38 @@ void ExpectStateMatches(const CorpusSnapshot& snapshot,
     for (int v = u + 1; v < n; ++v) {
       EXPECT_EQ(state.metric.Distance(u, v), snapshot.metric().Distance(u, v))
           << "d(" << u << "," << v << ")";
+    }
+  }
+}
+
+// CRC-32 one bit at a time (reflected polynomial 0xEDB88320): Crc32's
+// slice-by-8 loop must match it at every length and alignment.
+std::uint32_t BitwiseCrc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValueAndEveryShortLengthAndOffset) {
+  const std::string check = "123456789";
+  const std::vector<std::uint8_t> check_bytes(check.begin(), check.end());
+  EXPECT_EQ(Crc32(check_bytes), 0xCBF43926u);
+  Rng rng(17);
+  std::vector<std::uint8_t> bytes(64 + 8);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  }
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::uint8_t> data = all.subspan(offset, length);
+      ASSERT_EQ(Crc32(data), BitwiseCrc32(data))
+          << "offset " << offset << " length " << length;
     }
   }
 }
