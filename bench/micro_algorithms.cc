@@ -8,7 +8,9 @@
 // local search at n >= 2000, and the pruned best-pair scan that starts
 // matroid local search against the exhaustive scan on the serving
 // benchmark's swap_vector shape (record local_search_init: speedup and
-// bit_equal), and writes the timings (and speedups) to
+// bit_equal), and GreedyVertex's one-pass steps against a per-candidate
+// PrimeGain loop on the greedy_dense shape (record greedy_scan:
+// scan_speedup and bit_equal), and writes the timings (and speedups) to
 // BENCH_micro_algorithms.json. Pass --compare_only to skip the
 // google-benchmark suite.
 #include <benchmark/benchmark.h>
@@ -226,6 +228,19 @@ AlgorithmResult ScratchLocalSearch(const DiversificationProblem& problem,
   return result;
 }
 
+// The minimum wall time of three calls of `run`.
+template <typename Run>
+double FastestOfThree(Run&& run) {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    WallTimer timer;
+    run();
+    const double seconds = timer.Seconds();
+    if (rep == 0 || seconds < best) best = seconds;
+  }
+  return best;
+}
+
 // Forwards every query to `base` but does not declare the triangle
 // inequality, so BestIndependentPair runs its exhaustive scan: the
 // reference the pruned scan must match pair for pair and bit for bit.
@@ -283,16 +298,6 @@ void RunLocalSearchInit(bench::BenchJson& json) {
   std::vector<int> candidates(n);
   std::iota(candidates.begin(), candidates.end(), 0);
 
-  const auto fastest = [](auto&& run) {
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      WallTimer timer;
-      run();
-      const double seconds = timer.Seconds();
-      if (rep == 0 || seconds < best) best = seconds;
-    }
-    return best;
-  };
   double pruned_s = 0.0;
   double exhaustive_s = 0.0;
   bool bit_equal = true;
@@ -304,10 +309,10 @@ void RunLocalSearchInit(bench::BenchJson& json) {
     const DiversificationProblem exhaustive(&reference, &weights, lambda);
     std::vector<int> pruned_pair;
     std::vector<int> exhaustive_pair;
-    pruned_s += fastest([&] {
+    pruned_s += FastestOfThree([&] {
       pruned_pair = BestIndependentPair(pruned, matroid, candidates);
     });
-    exhaustive_s += fastest([&] {
+    exhaustive_s += FastestOfThree([&] {
       exhaustive_pair = BestIndependentPair(exhaustive, matroid, candidates);
     });
     const AlgorithmResult pruned_ls =
@@ -336,6 +341,78 @@ void RunLocalSearchInit(bench::BenchJson& json) {
   std::cout << "  local_search_init n=" << n << ": exhaustive "
             << exhaustive_s / weightings << "s, pruned "
             << pruned_s / weightings << "s (" << speedup << "x, bit_equal "
+            << (bit_equal ? "yes" : "NO") << ")\n";
+}
+
+// Greedy B with the scan GreedyVertex ran before its fused step: Add, then
+// one PrimeGain call (a virtual Gain() query) per candidate in a second
+// pass over U. Same gains and tie rule, so the same answer bit for bit.
+AlgorithmResult PerCandidateGreedy(const DiversificationProblem& problem,
+                                   int p) {
+  const int n = problem.size();
+  SolutionState state(&problem);
+  AlgorithmResult result;
+  while (state.size() < p) {
+    int best = -1;
+    double best_gain = 0.0;
+    for (int u = 0; u < n; ++u) {
+      if (state.Contains(u)) continue;
+      const double gain = state.PrimeGain(u);
+      if (best < 0 || gain > best_gain) {
+        best = u;
+        best_gain = gain;
+      }
+    }
+    state.Add(best);
+    ++result.steps;
+  }
+  result.elements = state.members();
+  result.objective = state.objective();
+  return result;
+}
+
+// GreedyVertex on the serving benchmark's greedy_dense shape: paper §7.1
+// dense n = 4000 (distances ~ U[1, 2]), p = 20, lambda = 0.2 and one
+// U[0, 1] modular weighting per query. Each path is timed as the minimum
+// of three calls per weighting; bit_equal requires equal elements and
+// objective bits on every weighting. scan_speedup is advisory (timing).
+void RunGreedyScan(bench::BenchJson& json) {
+  const int n = 4000;
+  const int p = 20;
+  const int weightings = 10;
+  const double lambda = 0.2;
+  Rng rng(2012);
+  const Dataset data = MakeUniformSynthetic(n, rng);
+  double fused_s = 0.0;
+  double ref_s = 0.0;
+  bool bit_equal = true;
+  for (int w = 0; w < weightings; ++w) {
+    std::vector<double> relevance(n);
+    for (double& r : relevance) r = rng.Uniform(0.0, 1.0);
+    const ModularFunction weights(std::move(relevance));
+    const DiversificationProblem problem(&data.metric, &weights, lambda);
+    AlgorithmResult fused;
+    AlgorithmResult ref;
+    fused_s += FastestOfThree([&] { fused = GreedyVertex(problem, {.p = p}); });
+    ref_s += FastestOfThree([&] { ref = PerCandidateGreedy(problem, p); });
+    bit_equal = bit_equal && fused.elements == ref.elements &&
+                fused.objective == ref.objective && fused.steps == ref.steps;
+  }
+  if (!bit_equal) {
+    std::cerr << "warning: fused and per-candidate greedy scans disagree\n";
+  }
+  const double speedup = ref_s / std::max(fused_s, 1e-12);
+  json.NewRecord("greedy_scan")
+      .Add("n", static_cast<long long>(n))
+      .Add("p", static_cast<long long>(p))
+      .Add("weightings", static_cast<long long>(weightings))
+      .Add("fused_seconds", fused_s / weightings)
+      .Add("reference_seconds", ref_s / weightings)
+      .Add("scan_speedup", speedup)
+      .Add("bit_equal", static_cast<long long>(bit_equal ? 1 : 0));
+  std::cout << "  greedy_scan n=" << n << " p=" << p << ": per-candidate "
+            << ref_s / weightings << "s, fused "
+            << fused_s / weightings << "s (" << speedup << "x, bit_equal "
             << (bit_equal ? "yes" : "NO") << ")\n";
 }
 
@@ -403,6 +480,7 @@ void RunEvaluatorComparison() {
               << scratch_ls_s / std::max(fast_ls_s, 1e-12) << "x)\n";
   }
   RunLocalSearchInit(json);
+  RunGreedyScan(json);
   json.WriteFile();
 }
 

@@ -43,10 +43,18 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
     result.steps += 2;
   }
 
+  // Greedy B: each step adds the element the previous scan chose and, in
+  // the same pass over U, scores the next one (SolutionState::
+  // AddThenBestPrimeAdd). The last step only adds.
+  ScoredCandidate next;
+  if (state.size() < p) next = state.BestPrimeAddOver(state.Universe());
   while (state.size() < p) {
-    const ScoredCandidate best = state.BestPrimeAddOver(state.Universe());
-    DIVERSE_CHECK(best.valid());
-    state.Add(best.element);
+    DIVERSE_CHECK(next.valid());
+    if (state.size() + 1 < p) {
+      next = state.AddThenBestPrimeAdd(next.element);
+    } else {
+      state.Add(next.element);
+    }
     ++result.steps;
   }
 

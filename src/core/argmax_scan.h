@@ -29,16 +29,17 @@ struct ScoredPair {
   bool valid() const { return first >= 0; }
 };
 
-// Argmax of score(e) over `candidates`. `score(e, &gain)` returns false to
-// skip a candidate (members, over-budget elements). Ties keep the earliest
-// candidate position.
+// Argmax over `candidates` of score(i), i a candidate position, so the
+// score can read per-position arrays filled by one batched call.
+// `score(i, &gain)` returns false to skip candidates[i] (members,
+// over-budget elements). Ties keep the earliest candidate position.
 template <typename Score>
 ScoredCandidate ArgmaxOver(std::span<const int> candidates, Score&& score) {
   ScoredCandidate best;
-  for (int e : candidates) {
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     double gain = 0.0;
-    if (!score(e, &gain)) continue;
-    if (!best.valid() || gain > best.gain) best = {e, gain};
+    if (!score(i, &gain)) continue;
+    if (!best.valid() || gain > best.gain) best = {candidates[i], gain};
   }
   return best;
 }

@@ -9,6 +9,16 @@
 namespace diverse {
 namespace {
 
+// phi(S + v) - phi(S) and Greedy B's potential phi'_v(S) from f_v(S) and
+// d_v(S). The single-element gains, Add and every add scan evaluate these
+// expressions, so their gains agree bitwise.
+double AddDelta(double lambda, double f_gain, double dist) {
+  return f_gain + lambda * dist;
+}
+double PrimeDelta(double lambda, double f_gain, double dist) {
+  return 0.5 * f_gain + lambda * dist;
+}
+
 // phi(S - out + in) - phi(S) from its parts: f_in = f(S - out + in) -
 // f(S - out), f_out = f(S) - f(S - out), d_in = d_in(S), d_out =
 // d_out(S). SwapGain and the swap scans all evaluate this one expression,
@@ -28,7 +38,7 @@ SolutionState::SolutionState(const DiversificationProblem* problem)
   DIVERSE_CHECK(problem != nullptr);
   universe_.resize(problem->size());
   std::iota(universe_.begin(), universe_.end(), 0);
-  in_set_.assign(problem->size(), false);
+  in_set_.assign(problem->size(), 0);
   dist_to_set_.assign(problem->size(), 0.0);
   eval_ = problem->quality().MakeEvaluator();
 }
@@ -65,12 +75,12 @@ double SolutionState::quality_value() const { return eval_->value(); }
 
 double SolutionState::AddGain(int v) const {
   DIVERSE_DCHECK(!in_set_[v]);
-  return eval_->Gain(v) + lambda() * dist_to_set_[v];
+  return AddDelta(lambda(), eval_->Gain(v), dist_to_set_[v]);
 }
 
 double SolutionState::PrimeGain(int v) const {
   DIVERSE_DCHECK(!in_set_[v]);
-  return 0.5 * eval_->Gain(v) + lambda() * dist_to_set_[v];
+  return PrimeDelta(lambda(), eval_->Gain(v), dist_to_set_[v]);
 }
 
 double SolutionState::RemoveGain(int v) const {
@@ -96,20 +106,33 @@ double SolutionState::SwapGain(int out, int in) const {
                    problem_->metric().Distance(in, out), dist_to_set_[out]);
 }
 
+std::vector<double> SolutionState::GainsOver(
+    std::span<const int> candidates) const {
+  std::vector<double> gains(candidates.size());
+  eval_->Gains(candidates, gains);
+  return gains;
+}
+
 ScoredCandidate SolutionState::BestAddOver(
     std::span<const int> candidates) const {
-  return ArgmaxOver(candidates, [&](int e, double* gain) {
+  const std::vector<double> f_gains = GainsOver(candidates);
+  const double lambda = this->lambda();
+  return ArgmaxOver(candidates, [&](std::size_t i, double* gain) {
+    const int e = candidates[i];
     if (in_set_[e]) return false;
-    *gain = AddGain(e);
+    *gain = AddDelta(lambda, f_gains[i], dist_to_set_[e]);
     return true;
   });
 }
 
 ScoredCandidate SolutionState::BestPrimeAddOver(
     std::span<const int> candidates) const {
-  return ArgmaxOver(candidates, [&](int e, double* gain) {
+  const std::vector<double> f_gains = GainsOver(candidates);
+  const double lambda = this->lambda();
+  return ArgmaxOver(candidates, [&](std::size_t i, double* gain) {
+    const int e = candidates[i];
     if (in_set_[e]) return false;
-    *gain = PrimeGain(e);
+    *gain = PrimeDelta(lambda, f_gains[i], dist_to_set_[e]);
     return true;
   });
 }
@@ -117,10 +140,14 @@ ScoredCandidate SolutionState::BestPrimeAddOver(
 ScoredCandidate SolutionState::BestDensityAddOver(
     std::span<const int> candidates, std::span<const double> costs,
     double budget_left, double cost_floor) const {
-  return ArgmaxOver(candidates, [&](int e, double* gain) {
+  const std::vector<double> f_gains = GainsOver(candidates);
+  const double lambda = this->lambda();
+  return ArgmaxOver(candidates, [&](std::size_t i, double* gain) {
+    const int e = candidates[i];
     if (in_set_[e]) return false;
     if (costs[e] > budget_left + 1e-12) return false;
-    *gain = PrimeGain(e) / std::max(costs[e], cost_floor);
+    *gain = PrimeDelta(lambda, f_gains[i], dist_to_set_[e]) /
+            std::max(costs[e], cost_floor);
     return true;
   });
 }
@@ -130,29 +157,33 @@ void SolutionState::ScoreSwapsFor(int out, std::span<const int> ins,
                                   std::span<const double> out_row) const {
   DIVERSE_CHECK(gains.size() == ins.size());
   DIVERSE_DCHECK(in_set_[out]);
-  // Without a caller's row, one batched read of d(out, ins[i]) into
-  // gains[i]; each entry is then overwritten by its gain. Costs |ins|
-  // distances on every metric.
-  const double* dist_in_out = gains.data();
+  // Without a caller's row, one batched read of d(out, ins[i]) into a
+  // buffer of this call's own. Costs |ins| distances on every metric.
+  std::vector<double> dist_read;
+  std::span<const double> dist_in_out = out_row;
   if (out_row.empty()) {
-    problem_->metric().DistancesTo(out, ins, gains);
+    dist_read.resize(ins.size());
+    problem_->metric().DistancesTo(out, ins, dist_read);
+    dist_in_out = dist_read;
   } else {
     DIVERSE_CHECK(out_row.size() == ins.size());
-    dist_in_out = out_row.data();
   }
   const double lambda = this->lambda();
   const double dist_out = dist_to_set_[out];
   SetFunctionEvaluator* eval = eval_.get();
   eval->Remove(out);
   const double f_out = eval->Gain(out);  // f(S) - f(S - out)
+  // gains[i] first holds f(S - out + ins[i]) - f(S - out), from one
+  // batched call, and is then overwritten by the swap gain.
+  eval->Gains(ins, gains);
+  eval->Add(out);
   for (std::size_t i = 0; i < ins.size(); ++i) {
     const int in = ins[i];
     gains[i] = in == out || in_set_[in]
                    ? kSkippedSwap
-                   : SwapDelta(lambda, eval->Gain(in), f_out,
-                               dist_to_set_[in], dist_in_out[i], dist_out);
+                   : SwapDelta(lambda, gains[i], f_out, dist_to_set_[in],
+                               dist_in_out[i], dist_out);
   }
-  eval->Add(out);
 }
 
 ScoredCandidate SolutionState::BestSwapInFor(int out,
@@ -197,7 +228,7 @@ double SolutionState::BlockPrimeAddGain(std::span<const int> block) const {
       dist += metric.Distance(block[i], block[j]);
     }
   }
-  return 0.5 * f_gain + lambda() * dist;
+  return PrimeDelta(lambda(), f_gain, dist);
 }
 
 const double* SolutionState::DistanceRowFor(int v,
@@ -213,16 +244,41 @@ const double* SolutionState::DistanceRowFor(int v,
   return row_scratch_.data();
 }
 
-void SolutionState::Add(int v, std::span<const double> row) {
+const double* SolutionState::Join(int v, std::span<const double> row) {
   DIVERSE_CHECK(0 <= v && v < universe_size());
   DIVERSE_CHECK_MSG(!in_set_[v], "Add of an element already in S");
-  objective_ += eval_->Gain(v) + lambda() * dist_to_set_[v];
+  objective_ += AddDelta(lambda(), eval_->Gain(v), dist_to_set_[v]);
   dispersion_sum_ += dist_to_set_[v];
   eval_->Add(v);
   members_.push_back(v);
-  in_set_[v] = true;
-  const double* d = DistanceRowFor(v, row);
+  in_set_[v] = 1;
+  return DistanceRowFor(v, row);
+}
+
+void SolutionState::Add(int v, std::span<const double> row) {
+  const double* d = Join(v, row);
   for (int u = 0; u < universe_size(); ++u) dist_to_set_[u] += d[u];
+}
+
+ScoredCandidate SolutionState::AddThenBestPrimeAdd(
+    int v, std::span<const double> row) {
+  const double* d = Join(v, row);
+  // The gains are read after the evaluator has taken v, so they are
+  // f_u(S + v) for every f, not only modular ones.
+  gain_scratch_.resize(universe_size());
+  eval_->Gains(universe_, gain_scratch_);
+  const double* f_gains = gain_scratch_.data();
+  double* dist = dist_to_set_.data();
+  const std::uint8_t* in_set = in_set_.data();
+  const double lambda = this->lambda();
+  // Position u holds element u. Each u's d_u(S + v) is final before it is
+  // scored, so the score is BestPrimeAddOver's on S + v.
+  return ArgmaxOver(universe_, [&](std::size_t u, double* gain) {
+    dist[u] += d[u];
+    if (in_set[u]) return false;
+    *gain = PrimeDelta(lambda, f_gains[u], dist[u]);
+    return true;
+  });
 }
 
 void SolutionState::Remove(int v, std::span<const double> row) {
@@ -238,7 +294,7 @@ void SolutionState::Remove(int v, std::span<const double> row) {
   objective_ -= eval_->Gain(v);
   auto it = std::find(members_.begin(), members_.end(), v);
   members_.erase(it);
-  in_set_[v] = false;
+  in_set_[v] = 0;
 }
 
 void SolutionState::Swap(int out, int in, std::span<const double> out_row,
@@ -279,7 +335,7 @@ void SolutionState::Assign(const std::vector<int>& set) { RebuildFrom(set); }
 void SolutionState::RebuildFrom(const std::vector<int>& members) {
   const std::vector<int> target = members;  // copy: `members` may alias ours
   members_.clear();
-  std::fill(in_set_.begin(), in_set_.end(), false);
+  std::fill(in_set_.begin(), in_set_.end(), 0);
   std::fill(dist_to_set_.begin(), dist_to_set_.end(), 0.0);
   eval_->Reset();
   dispersion_sum_ = 0.0;

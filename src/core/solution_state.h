@@ -22,11 +22,18 @@
 // (knapsack), the swap kernel ScoreSwapsFor with its argmaxes
 // BestSwapInFor / BestSwapOver (local search, streaming, dynamic updates)
 // and BlockPrimeAddGain (batch greedy). Scans are const and ties keep the
-// earliest candidate position. The swap kernel positions the quality
-// evaluator at S - out once per scan and reads d(out, .) over the scanned
-// list from the caller's row or one DistancesTo call, so each candidate
-// costs one Gain() query plus contiguous reads; the net state is
-// unchanged.
+// earliest candidate position. Each scan reads the quality gains of its
+// whole candidate list from one SetFunctionEvaluator::Gains call (a gather
+// for modular f) into a buffer of its own, so a candidate costs contiguous
+// reads and a byte membership test, not a virtual Gain() query. The swap
+// kernel positions the quality evaluator at S - out once per scan and
+// reads d(out, .) over the scanned list from the caller's row or one
+// DistancesTo call; the net state is unchanged.
+//
+// Greedy B's step is one pass over U: AddThenBestPrimeAdd adds v's row
+// into dist_to_set and scores every non-member for the next step in the
+// same loop, with the same gain bits and tie rule as Add followed by
+// BestPrimeAddOver(Universe()).
 //
 // The O(n) dist_to_set refresh on Add/Remove consumes one whole distance
 // row d(v, .): the caller's row when it holds one (local search keeps each
@@ -37,6 +44,7 @@
 #ifndef DIVERSE_CORE_SOLUTION_STATE_H_
 #define DIVERSE_CORE_SOLUTION_STATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -67,7 +75,7 @@ class SolutionState {
   const DiversificationProblem& problem() const { return *problem_; }
   int universe_size() const { return problem_->size(); }
   int size() const { return static_cast<int>(members_.size()); }
-  bool Contains(int v) const { return in_set_[v]; }
+  bool Contains(int v) const { return in_set_[v] != 0; }
   const std::vector<int>& members() const { return members_; }
   // Members in ascending order (for reporting / comparisons).
   std::vector<int> SortedMembers() const;
@@ -145,6 +153,10 @@ class SolutionState {
   // holds the row d(v, .) (size universe_size()) passes it; otherwise the
   // state reads one (see DistanceRowFor).
   void Add(int v, std::span<const double> row = {});
+  // Add(v), then returns BestPrimeAddOver(Universe()) over the new set:
+  // the same element and gain bits, from one pass over U that refreshes
+  // dist_to_set and scores every non-member (Greedy B's step).
+  ScoredCandidate AddThenBestPrimeAdd(int v, std::span<const double> row = {});
   void Remove(int v, std::span<const double> row = {});
   void Swap(int out, int in, std::span<const double> out_row = {},
             std::span<const double> in_row = {});
@@ -170,6 +182,12 @@ class SolutionState {
 
  private:
   void RebuildFrom(const std::vector<int>& members);
+  // Add's bookkeeping except the dist_to_set refresh; returns the row
+  // d(v, .) that refresh adds.
+  const double* Join(int v, std::span<const double> row);
+  // Gain(candidates[i]) for every position i, from one Gains call into a
+  // buffer of this call's own.
+  std::vector<double> GainsOver(std::span<const int> candidates) const;
   // Row d(v, .) for Add/Remove: the caller's `row` when given, else the
   // metric's stored row when it has one, else row_scratch_ filled by one
   // DistanceRow call.
@@ -178,8 +196,9 @@ class SolutionState {
   const DiversificationProblem* problem_;
   std::vector<int> universe_;  // {0, .., n-1}
   std::vector<double> row_scratch_;
+  std::vector<double> gain_scratch_;  // AddThenBestPrimeAdd's gains over U
   std::vector<int> members_;
-  std::vector<bool> in_set_;
+  std::vector<std::uint8_t> in_set_;  // 1 for members of S
   std::vector<double> dist_to_set_;
   std::unique_ptr<SetFunctionEvaluator> eval_;
   double dispersion_sum_ = 0.0;  // d(S)

@@ -1,6 +1,7 @@
 #include "submodular/modular_function.h"
 
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
 #include "util/check.h"
@@ -15,6 +16,10 @@ class ModularEvaluator : public SetFunctionEvaluator {
 
   double value() const override { return sum_; }
   double Gain(int e) const override { return (*weights_)[e]; }
+  void Gains(std::span<const int> ids, std::span<double> out) const override {
+    const double* weights = weights_->data();
+    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = weights[ids[i]];
+  }
   void Add(int e) override { sum_ += (*weights_)[e]; }
   void Remove(int e) override { sum_ -= (*weights_)[e]; }
   void Reset() override { sum_ = 0.0; }

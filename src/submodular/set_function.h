@@ -9,6 +9,7 @@
 #ifndef DIVERSE_SUBMODULAR_SET_FUNCTION_H_
 #define DIVERSE_SUBMODULAR_SET_FUNCTION_H_
 
+#include <cstddef>
 #include <memory>
 #include <span>
 
@@ -17,10 +18,11 @@ namespace diverse {
 // Incremental evaluator positioned at a current set S (initially empty).
 // Elements are indices into the ground set of the owning SetFunction.
 //
-// Thread-safety contract: the const queries (value(), Gain()) must be safe
-// for concurrent calls at a fixed S — SolutionState's const add scans
-// (core/solution_state.h) may issue Gain() from several threads. Mutators
-// (Add/Remove/Reset) require exclusive access.
+// Thread-safety contract: the const queries (value(), Gain(), Gains())
+// must be safe for concurrent calls at a fixed S — several threads may run
+// SolutionState's const add scans (core/solution_state.h) on one state,
+// each issuing its own Gains() call. Mutators (Add/Remove/Reset) require
+// exclusive access.
 class SetFunctionEvaluator {
  public:
   virtual ~SetFunctionEvaluator() = default;
@@ -28,8 +30,17 @@ class SetFunctionEvaluator {
   // f(S) for the current set.
   virtual double value() const = 0;
 
-  // Marginal gain f(S + e) - f(S). `e` must not be in S.
+  // Marginal gain f(S + e) - f(S) for `e` not in S. For `e` in S the value
+  // has no meaning, but it must still be computed without fault: batched
+  // scans score whole candidate lists and skip the members afterwards.
   virtual double Gain(int e) const = 0;
+
+  // out[i] = Gain(ids[i]) for every i, bit for bit; out.size() must equal
+  // ids.size(). Ids may come in any order and repeat. One call per scan
+  // replaces one virtual Gain() per candidate. Default: a loop over Gain().
+  virtual void Gains(std::span<const int> ids, std::span<double> out) const {
+    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = Gain(ids[i]);
+  }
 
   // S <- S + e. `e` must not already be in S (not verified by all
   // implementations; callers own membership bookkeeping).

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "matroid/uniform_matroid.h"
 #include "metric/dense_metric.h"
 #include "submodular/coverage_function.h"
+#include "submodular/facility_location.h"
 #include "submodular/modular_function.h"
 #include "util/random.h"
 
@@ -317,6 +320,105 @@ TEST(SolutionScansTest, UniverseIsSafeUnderConcurrentScans) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Greedy B's fused step against the two calls it replaces, at every step
+// of a state grown to p = n: AddThenBestPrimeAdd(v) must return the same
+// element and gain bits as Add(v) followed by BestPrimeAddOver(Universe()),
+// leave the same objective and d_u(S) bits, and keep the earliest id among
+// equal gains. Odd steps hand the state the caller's row.
+void ExpectFusedStepMatchesAddThenScan(const DiversificationProblem& problem) {
+  const int n = problem.size();
+  SolutionState fused(&problem);
+  SolutionState plain(&problem);
+  std::vector<double> row(n);
+  ScoredCandidate next = plain.BestPrimeAddOver(plain.Universe());
+  for (int step = 0; step < n; ++step) {
+    ASSERT_TRUE(next.valid()) << "step " << step;
+    std::span<const double> given;
+    if (step % 2 == 1) {
+      problem.metric().DistanceRow(next.element, row);
+      given = row;
+    }
+    const ScoredCandidate from_fused =
+        fused.AddThenBestPrimeAdd(next.element, given);
+    plain.Add(next.element);
+    const ScoredCandidate from_plain = plain.BestPrimeAddOver(plain.Universe());
+    EXPECT_EQ(from_fused.element, from_plain.element) << "step " << step;
+    EXPECT_EQ(Bits(from_fused.gain), Bits(from_plain.gain)) << "step " << step;
+    EXPECT_EQ(Bits(fused.objective()), Bits(plain.objective()))
+        << "step " << step;
+    for (int u = 0; u < n; ++u) {
+      EXPECT_EQ(Bits(fused.DistanceToSet(u)), Bits(plain.DistanceToSet(u)))
+          << "step " << step << ", u " << u;
+      if (u < from_fused.element && !fused.Contains(u)) {
+        EXPECT_LT(fused.PrimeGain(u), from_fused.gain)
+            << "step " << step << ": earlier id " << u << " ties";
+      }
+    }
+    next = from_plain;
+  }
+  EXPECT_FALSE(next.valid());  // S = U leaves nothing to score
+}
+
+TEST(SolutionScansTest, FusedStepMatchesAddThenScanWithModularQuality) {
+  Instance inst(30, 0.3, 51);
+  ExpectFusedStepMatchesAddThenScan(inst.problem);
+}
+
+TEST(SolutionScansTest, FusedStepMatchesAddThenScanWithCoverageQuality) {
+  Rng rng(52);
+  Dataset data = MakeUniformSynthetic(24, rng);
+  std::vector<std::vector<int>> covers(24);
+  for (auto& cv : covers) {
+    cv = rng.SampleWithoutReplacement(10, rng.UniformInt(1, 4));
+  }
+  const CoverageFunction coverage(covers, std::vector<double>(10, 1.0));
+  const DiversificationProblem problem(&data.metric, &coverage, 0.2);
+  ExpectFusedStepMatchesAddThenScan(problem);
+}
+
+TEST(SolutionScansTest, FusedStepMatchesAddThenScanWithFacilityLocation) {
+  Rng rng(53);
+  Dataset data = MakeUniformSynthetic(24, rng);
+  std::vector<std::vector<double>> similarity(6, std::vector<double>(24));
+  for (auto& client : similarity) {
+    for (double& s : client) s = rng.Uniform(0.0, 1.0);
+  }
+  const FacilityLocationFunction facility(std::move(similarity));
+  const DiversificationProblem problem(&data.metric, &facility, 0.25);
+  ExpectFusedStepMatchesAddThenScan(problem);
+}
+
+// Equal weights over a {1, 2}-valued metric: most steps tie, and the
+// earliest id must win in the fused pass as in the plain scan.
+TEST(SolutionScansTest, FusedStepKeepsEarliestIdUnderForcedTies) {
+  const int n = 20;
+  Rng rng(54);
+  std::vector<double> matrix(n * n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      matrix[i * n + j] = matrix[j * n + i] = rng.Uniform() < 0.5 ? 1.0 : 2.0;
+    }
+  }
+  const DenseMetric metric = DenseMetric::FromMatrix(n, std::move(matrix));
+  const ModularFunction weights(std::vector<double>(n, 0.5));
+  const DiversificationProblem problem(&metric, &weights, 0.5);
+  ExpectFusedStepMatchesAddThenScan(problem);
+
+  // At the empty set every candidate ties: the fused pass after adding 0
+  // must pick 1 when d(0, .) is constant.
+  std::vector<double> flat(n * n, 1.0);
+  for (int i = 0; i < n; ++i) flat[i * n + i] = 0.0;
+  const DenseMetric flat_metric = DenseMetric::FromMatrix(n, std::move(flat));
+  const DiversificationProblem flat_problem(&flat_metric, &weights, 0.5);
+  SolutionState state(&flat_problem);
+  EXPECT_EQ(state.BestPrimeAddOver(state.Universe()).element, 0);
+  EXPECT_EQ(state.AddThenBestPrimeAdd(0).element, 1);
+  EXPECT_EQ(state.AddThenBestPrimeAdd(1).element, 2);
+  ExpectFusedStepMatchesAddThenScan(flat_problem);
 }
 
 // The rewired algorithms must report objectives that equal a from-scratch

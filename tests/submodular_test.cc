@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "submodular/concave_over_modular.h"
@@ -8,6 +12,8 @@
 #include "submodular/function_validation.h"
 #include "submodular/mixture_function.h"
 #include "submodular/modular_function.h"
+#include "submodular/probabilistic_coverage.h"
+#include "submodular/saturated_coverage.h"
 #include "submodular/set_function.h"
 #include "util/random.h"
 
@@ -257,6 +263,85 @@ TEST_P(RandomFunctionSweep, AllFamiliesValidateExhaustively) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFunctionSweep, ::testing::Range(10, 20));
+
+std::vector<std::vector<double>> RandomMatrix(int rows, int cols, Rng& rng) {
+  std::vector<std::vector<double>> m(rows, std::vector<double>(cols));
+  for (auto& row : m) {
+    for (double& x : row) x = rng.Uniform(0.0, 1.0);
+  }
+  return m;
+}
+
+// Gains(ids, out) against one Gain(id) per entry, bit for bit, on an empty
+// list, every id in reverse order and a random list with repeats, at the
+// empty set and after each step of a random Add/Remove sequence. The lists
+// include members of S: batched scans pass whole candidate lists.
+void ExpectGainsMatchGainBits(const SetFunction& f, Rng& rng) {
+  const int n = f.ground_size();
+  std::vector<int> reversed(n);
+  for (int i = 0; i < n; ++i) reversed[i] = n - 1 - i;
+  std::vector<int> repeated(2 * n);
+  for (int& id : repeated) id = rng.UniformInt(0, n - 1);
+  const std::vector<std::vector<int>> lists = {{}, reversed, repeated};
+
+  auto eval = f.MakeEvaluator();
+  const auto check = [&](int step) {
+    for (const std::vector<int>& ids : lists) {
+      std::vector<double> out(ids.size(), -1.0);
+      eval->Gains(ids, out);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(eval->Gain(ids[i])))
+            << "step " << step << ", id " << ids[i];
+      }
+    }
+  };
+  check(-1);
+  std::vector<int> members;
+  for (int step = 0; step < 3 * n; ++step) {
+    const int e = rng.UniformInt(0, n - 1);
+    const auto it = std::find(members.begin(), members.end(), e);
+    if (it == members.end()) {
+      eval->Add(e);
+      members.push_back(e);
+    } else {
+      eval->Remove(e);
+      members.erase(it);
+    }
+    check(step);
+  }
+}
+
+TEST(EvaluatorGainsTest, BatchedGainsMatchPerIdGainForEveryFamily) {
+  Rng rng(40);
+  const int n = 9;
+  const ModularFunction modular(RandomWeights(n, rng));
+  const CoverageFunction coverage = RandomCoverage(n, 7, rng);
+  const FacilityLocationFunction facility = RandomFacilityLocation(n, rng);
+  const ConcaveOverModularFunction concave(RandomWeights(n, rng),
+                                           ConcaveShape::kSqrt);
+  const MixtureFunction mixture({&modular, &coverage, &facility},
+                                {0.3, 1.0, 2.0});
+  const ProbabilisticCoverageFunction probabilistic(RandomMatrix(n, 5, rng),
+                                                    RandomWeights(5, rng));
+  const SaturatedCoverageFunction saturated(RandomMatrix(4, n, rng), 0.4);
+  const ZeroFunction zero(n);
+  // Coverage keeps SetFunction's mapping view; modular gathers its own.
+  const std::vector<int> ids = {7, 2, 5, 0, 8};
+  const std::unique_ptr<SetFunction> coverage_view = coverage.Restrict(ids);
+  const std::unique_ptr<SetFunction> modular_view = modular.Restrict(ids);
+
+  ExpectGainsMatchGainBits(modular, rng);
+  ExpectGainsMatchGainBits(coverage, rng);
+  ExpectGainsMatchGainBits(facility, rng);
+  ExpectGainsMatchGainBits(concave, rng);
+  ExpectGainsMatchGainBits(mixture, rng);
+  ExpectGainsMatchGainBits(probabilistic, rng);
+  ExpectGainsMatchGainBits(saturated, rng);
+  ExpectGainsMatchGainBits(zero, rng);
+  ExpectGainsMatchGainBits(*coverage_view, rng);
+  ExpectGainsMatchGainBits(*modular_view, rng);
+}
 
 }  // namespace
 }  // namespace diverse
