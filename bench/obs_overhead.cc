@@ -5,8 +5,8 @@
 // production default of ~1/64 engine-owned traces, the /tracez feed),
 // remote-plain (an in-process two-node shard cluster behind a
 // Coordinator, untraced), and remote-traced (same cluster, a QueryTrace
-// per query, so node-side spans ride the wire back and get aligned) — and
-// reports
+// per query, so node-side timing records ride the wire back and are
+// stored in the trace) — and reports
 //
 //   overhead_x = median over rounds of (arm round seconds / baseline
 //                seconds in the same round)
@@ -60,8 +60,8 @@ enum class Arm {
   kInstrumented,  // registry + a caller-attached QueryTrace per query
   kSampled,       // registry + TraceBuffer sampling (~1/64, the /tracez feed)
   kRemotePlain,   // in-process shard cluster, untraced (the remote baseline)
-  kRemoteTraced,  // same cluster + a QueryTrace per query: node spans on
-                  // the wire, aligned into the coordinator timeline
+  kRemoteTraced,  // same cluster + a QueryTrace per query: node timing
+                  // records on the wire, stored in the coordinator trace
 };
 
 // One arm's replay of the trace on a fresh engine built from `data`. The
@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
   diverse::FlagSet flags(
       "obs_overhead — measure the cost of full instrumentation (metric "
       "registry + per-query traces, locally and across an in-process "
-      "shard cluster with node-side span blocks) against identical "
+      "shard cluster with node-side timing records) against identical "
       "uninstrumented runs and enforce the observation-only contract");
   flags.AddInt("n", &n, "synthetic corpus size");
   flags.AddInt("p", &p, "subset size per query");

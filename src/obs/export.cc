@@ -127,7 +127,8 @@ std::string RenderJson(const MetricRegistry& registry) {
       case MetricRegistry::Kind::kCounter:
         if (!counters.empty()) counters += ",";
         AppendJsonString(&counters, sample.name);
-        counters += ":" + std::to_string(sample.counter_value);
+        counters += ":";
+        counters += std::to_string(sample.counter_value);
         break;
       case MetricRegistry::Kind::kGauge:
         if (!gauges.empty()) gauges += ",";
@@ -152,7 +153,9 @@ std::string RenderJson(const MetricRegistry& registry) {
           if (i > 0) histograms += ",";
           histograms += "[";
           AppendJsonString(&histograms, FormatBound(i));
-          histograms += "," + std::to_string(cumulative) + "]";
+          histograms += ",";
+          histograms += std::to_string(cumulative);
+          histograms += "]";
         }
         histograms += "]}";
         break;

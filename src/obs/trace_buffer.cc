@@ -10,28 +10,19 @@ namespace diverse {
 namespace obs {
 namespace {
 
-std::string FormatMs(double seconds) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", seconds * 1e3);
-  return buffer;
-}
-
 void RenderTrace(std::string* out, const CompletedTrace& trace,
                  std::chrono::system_clock::time_point now) {
   const double age =
       std::chrono::duration<double>(now - trace.completed).count();
   char header[160];
   std::snprintf(header, sizeof(header),
-                "trace %llu [%s] latency %s ms, version %llu, %.1fs ago\n",
+                "trace %llu [%s] latency %.3f ms, version %llu, %.1fs ago\n",
                 static_cast<unsigned long long>(trace.id),
-                trace.label.c_str(), FormatMs(trace.latency_seconds).c_str(),
+                trace.label.c_str(), trace.latency_seconds * 1e3,
                 static_cast<unsigned long long>(trace.corpus_version),
                 age < 0.0 ? 0.0 : age);
   *out += header;
-  for (const QueryTrace::Span& span : trace.spans) {
-    *out += "  " + span.name + " @" + FormatMs(span.start_seconds) + "ms +" +
-            FormatMs(span.duration_seconds) + "ms\n";
-  }
+  for (const QueryTrace::Span& span : trace.spans) AppendSpanLine(out, span);
 }
 
 }  // namespace

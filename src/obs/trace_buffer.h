@@ -104,7 +104,7 @@ class TraceBuffer {
                        std::vector<MetricRegistry::Registration>* registrations);
 
   // The /tracez page body: recent timelines (newest first) followed by
-  // the slow-query log, spans rendered as "  name @offset +duration".
+  // the slow-query log, spans rendered by AppendSpanLine.
   std::string RenderTracez() const;
 
  private:

@@ -1,8 +1,6 @@
 #include "rpc/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <thread>
@@ -43,54 +41,6 @@ bool ValidShardSolution(const engine::CorpusSnapshot& snapshot,
     }
   }
   return true;
-}
-
-// Aligns a traced response's node-side spans (offsets on the NODE's
-// steady clock, relative to request receipt) into the coordinator trace's
-// timeline and records them as "rpc.shard<s>/<name> node=<k>" children.
-//
-// The two clocks share no epoch, so the mapping is estimated from the
-// coordinator-observed round-trip [t0, t1] (send/receive stamps around
-// the successful Call): the node's "handle" block of length H is assumed
-// centered in the round-trip, i.e. offset = midpoint(t0, t1) - H/2. The
-// residual half-gap ((t1-t0) - H)/2 bounds the one-way network time plus
-// any steady-clock rate skew and is annotated on the handle span; every
-// aligned span is clamped into [t0, t1] so remote spans always nest
-// inside the enclosing rpc.shard<s> span whatever the clocks did.
-void RecordRemoteSpans(obs::QueryTrace* trace, int shard_index,
-                       int node_index, obs::QueryTrace::Clock::time_point t0,
-                       obs::QueryTrace::Clock::time_point t1,
-                       const std::vector<WireSpan>& spans) {
-  if (trace == nullptr || spans.empty()) return;
-  const double t0_s =
-      std::chrono::duration<double>(t0 - trace->epoch()).count();
-  const double t1_s =
-      std::chrono::duration<double>(t1 - trace->epoch()).count();
-  double handle_seconds = 0.0;
-  for (const WireSpan& span : spans) {
-    if (span.name == "handle") {
-      handle_seconds = span.duration_seconds;
-      break;
-    }
-  }
-  const double offset = (t0_s + t1_s) / 2.0 - handle_seconds / 2.0;
-  const double skew_bound =
-      std::max(0.0, ((t1_s - t0_s) - handle_seconds) / 2.0);
-  const std::string prefix = "rpc.shard" + std::to_string(shard_index) + "/";
-  const std::string suffix = " node=" + std::to_string(node_index);
-  for (const WireSpan& span : spans) {
-    const double start =
-        std::clamp(offset + span.start_seconds, t0_s, t1_s);
-    const double end = std::clamp(
-        offset + span.start_seconds + span.duration_seconds, start, t1_s);
-    std::string name = prefix + span.name + suffix;
-    if (span.name == "handle") {
-      char skew[32];
-      std::snprintf(skew, sizeof(skew), " skew<=%.3fms", skew_bound * 1e3);
-      name += skew;
-    }
-    trace->AddSpanAt(std::move(name), start, end - start);
-  }
 }
 
 }  // namespace
@@ -158,8 +108,10 @@ bool Coordinator::RunShardRemote(const engine::CorpusSnapshot& snapshot,
       if (!ValidShardSolution(snapshot, request, response.elements)) {
         return false;
       }
-      RecordRemoteSpans(trace, request.shard_index, node_index, sent,
-                        received, response.spans);
+      if (trace != nullptr && response.timing) {
+        trace->AddNodeTiming(request.shard_index, node_index, sent, received,
+                             *response.timing);
+      }
       sync_.SetAcked(node_index, request.snapshot_version);
       *elements = std::move(response.elements);
       *steps = response.steps;

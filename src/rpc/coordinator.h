@@ -154,9 +154,9 @@ class Coordinator : public engine::RemoteExecutor {
   // One shard's remote round-trip including proactive catch-up and
   // mismatch-driven rounds; false leaves the shard to run locally. On
   // success *elements/*steps hold the validated kernel solution. `trace`
-  // (nullable) collects catchup.node<k> spans plus the node-recorded
-  // span block aligned into this trace's timeline
-  // ("rpc.shard<s>/<name> node=<k>" — see RecordRemoteSpans in the .cc).
+  // (nullable) collects catchup.node<k> spans plus the node's
+  // NodeTiming, which QueryTrace::spans() renders as
+  // "rpc.shard<s>/<phase> node=<k>" spans (QueryTrace::AddNodeTiming).
   bool RunShardRemote(const engine::CorpusSnapshot& snapshot,
                       const ShardQueryRequest& request,
                       obs::QueryTrace* trace, std::vector<int>* elements,

@@ -197,26 +197,16 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
   response.elements = local.elements;
   response.objective = local.objective;
   response.steps = local.steps;
-  // Node-side span block for a traced request, offsets on this node's
-  // steady clock relative to `received`. "handle" is the alignment
-  // anchor the coordinator maps into its own timeline; "encode" can only
-  // be stamped before Encode runs, so it covers response assembly and
-  // reads as a point for the serialization itself.
+  // Node-side stamps for a traced request, on this node's steady clock
+  // since `received`. `handled` can only be stamped before Encode runs,
+  // so the rendered "encode" span covers response assembly.
   if (request.trace_id != 0) {
-    const auto pre_encode = std::chrono::steady_clock::now();
+    const auto handled = std::chrono::steady_clock::now();
     const auto since = [received](std::chrono::steady_clock::time_point t) {
       return std::chrono::duration<double>(t - received).count();
     };
-    const double decoded_s = since(decoded);
-    const double kernel_start_s = since(kernel_start);
-    const double kernel_end_s = since(kernel_end);
-    const double handled_s = since(pre_encode);
-    response.spans.push_back({"handle", 0.0, handled_s});
-    response.spans.push_back({"decode", 0.0, decoded_s});
-    response.spans.push_back({"wait", decoded_s, kernel_start_s - decoded_s});
-    response.spans.push_back({"kernel", kernel_start_s, kernel_seconds});
-    response.spans.push_back(
-        {"encode", kernel_end_s, handled_s - kernel_end_s});
+    response.timing = NodeTiming{since(decoded), since(kernel_start),
+                                 since(kernel_end), since(handled)};
   }
   return Encode(response);
 }

@@ -147,8 +147,8 @@ class ShardNode : public Handler {
   };
 
   // `received`/`decoded` are Handle()'s steady-clock stamps for request
-  // arrival and decode completion: the origin and first cut of the
-  // node-side span block a traced response carries back.
+  // arrival and decode completion: the origin and first stamp of the
+  // NodeTiming a traced response carries back.
   std::vector<std::uint8_t> HandleQuery(
       const ShardQueryRequest& request,
       std::chrono::steady_clock::time_point received,

@@ -1,7 +1,7 @@
 #include "rpc/wire.h"
 
-#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "util/bytes.h"
 
@@ -22,9 +22,9 @@ bool ReadHeader(ByteReader* reader, MessageType expected) {
          type == static_cast<std::uint8_t>(expected);
 }
 
-// Span offsets/durations are nonnegative finite seconds by contract;
-// anything else (hostile peer, uninitialized field) clamps to 0 so the
-// value that crosses the wire is the value a decoder will accept.
+// NodeTiming stamps are nonnegative finite seconds by contract; anything
+// else a peer sends clamps to 0, so a hostile stamp cannot corrupt the
+// rendered timeline.
 double SaneOffset(double value) {
   return std::isfinite(value) && value > 0.0 ? value : 0.0;
 }
@@ -94,8 +94,8 @@ std::vector<std::uint8_t> Encode(const ShardQueryRequest& message) {
 
 std::vector<std::uint8_t> Encode(const ShardQueryResponse& message) {
   std::vector<std::uint8_t> out;
-  out.reserve(3 + 1 + 8 + 4 + 4 + 4 * message.elements.size() + 8 + 8 + 4 +
-              (4 + kMaxSpanNameBytes + 16) * message.spans.size());
+  out.reserve(3 + 1 + 8 + 4 + 4 + 4 * message.elements.size() + 8 + 8 + 1 +
+              4 * 8);
   AppendHeader(&out, MessageType::kShardQueryResponse);
   AppendU8(&out, static_cast<std::uint8_t>(message.status));
   AppendU64(&out, message.node_version);
@@ -104,21 +104,12 @@ std::vector<std::uint8_t> Encode(const ShardQueryResponse& message) {
   for (int e : message.elements) AppendI32(&out, e);
   AppendF64(&out, message.objective);
   AppendI64(&out, message.steps);
-  // Span block (v3). The encoder enforces the caps and offset sanity the
-  // decoder demands, so Decode(Encode(x)) always succeeds even when a
-  // recording site produced an over-long name or a garbage offset.
-  const std::size_t span_count =
-      std::min(message.spans.size(), kMaxResponseSpans);
-  AppendU32(&out, static_cast<std::uint32_t>(span_count));
-  for (std::size_t i = 0; i < span_count; ++i) {
-    const WireSpan& span = message.spans[i];
-    const std::size_t name_len =
-        std::min(span.name.size(), kMaxSpanNameBytes);
-    AppendU32(&out, static_cast<std::uint32_t>(name_len));
-    out.insert(out.end(), span.name.begin(),
-               span.name.begin() + static_cast<std::ptrdiff_t>(name_len));
-    AppendF64(&out, SaneOffset(span.start_seconds));
-    AppendF64(&out, SaneOffset(span.duration_seconds));
+  AppendU8(&out, message.timing.has_value() ? 1 : 0);
+  if (message.timing) {
+    AppendF64(&out, message.timing->decoded);
+    AppendF64(&out, message.timing->kernel_start);
+    AppendF64(&out, message.timing->kernel_end);
+    AppendF64(&out, message.timing->handled);
   }
   return out;
 }
@@ -260,31 +251,16 @@ bool Decode(std::span<const std::uint8_t> payload,
       !reader.ReadI64(&message->steps)) {
     return false;
   }
-  message->spans.clear();
-  // Span block: mandatory (untraced responses carry a zero count), at
-  // most kMaxResponseSpans entries, each at least 20 bytes (name length +
-  // two f64s), name length bounded by the cap and by the bytes actually
-  // remaining, offsets clamped like the encoder clamps them.
-  std::size_t spans;
-  if (!reader.ReadCount(20, &spans)) return false;
-  if (spans > kMaxResponseSpans) return false;
-  message->spans.reserve(spans);
-  for (std::size_t i = 0; i < spans; ++i) {
-    std::size_t name_len;
-    if (!reader.ReadCount(1, &name_len)) return false;
-    if (name_len > kMaxSpanNameBytes) return false;
-    WireSpan& span = message->spans.emplace_back();
-    span.name.resize(name_len);
-    if (!reader.ReadBytes(reinterpret_cast<std::uint8_t*>(span.name.data()),
-                          name_len)) {
-      return false;
+  std::uint8_t has_timing = 0;
+  if (!reader.ReadU8(&has_timing) || has_timing > 1) return false;
+  message->timing.reset();
+  if (has_timing == 1) {
+    NodeTiming& timing = message->timing.emplace();
+    for (double* stamp : {&timing.decoded, &timing.kernel_start,
+                          &timing.kernel_end, &timing.handled}) {
+      if (!reader.ReadF64(stamp)) return false;
+      *stamp = SaneOffset(*stamp);
     }
-    if (!reader.ReadF64(&span.start_seconds) ||
-        !reader.ReadF64(&span.duration_seconds)) {
-      return false;
-    }
-    span.start_seconds = SaneOffset(span.start_seconds);
-    span.duration_seconds = SaneOffset(span.duration_seconds);
   }
   return reader.Done();
 }

@@ -68,6 +68,8 @@ namespace rpc {
 // added.
 // v3: ShardQueryResponse carries a bounded node-side span block (zero
 // spans — four count bytes — on untraced requests).
+// v4: the span block becomes one fixed NodeTiming record: a u8 presence
+// flag (0 on untraced requests), then four f64 stamps when it is 1.
 //
 // Versioning policy: every coordinator, node and standby ships from one
 // tree, so there is no mixed-version cluster to serve. Every decoder is
@@ -75,7 +77,7 @@ namespace rpc {
 // with `false` — a node answers it with a kError ack, a coordinator
 // counts the call as failed — and never CHECK-aborted. Upgrades restart
 // the whole cluster.
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 
 // Hard ceiling on one payload (and on any decoded vector), shared with the
 // socket framing: a corrupt length prefix must not turn into an OOM.
@@ -140,18 +142,11 @@ struct ShardQueryRequest {
   std::vector<double> relevance;
 };
 
-// One node-side trace span riding back on a ShardQueryResponse: the
-// recorder's own span type. Offsets are seconds on the *node's* steady
-// clock, relative to the instant the node received the request; the
-// coordinator aligns them into its own timeline (rpc/coordinator.cc).
-// Observation-only — never consulted by the kernel or the merge.
-using WireSpan = obs::QueryTrace::Span;
-
-// Caps on the response span block: a traced request gets at most
-// kMaxResponseSpans spans of at most kMaxSpanNameBytes name bytes each.
-// Encoders truncate to the caps; decoders reject payloads exceeding them.
-inline constexpr std::size_t kMaxResponseSpans = 32;
-inline constexpr std::size_t kMaxSpanNameBytes = 96;
+// The node-side stamps riding back on a traced ShardQueryResponse: the
+// recorder's own record type. Stamps are seconds on the *node's* steady
+// clock since it received the request; obs::QueryTrace aligns them into
+// the coordinator's timeline when the trace is read.
+using NodeTiming = obs::NodeTiming;
 
 struct ShardQueryResponse {
   RpcStatus status = RpcStatus::kOk;
@@ -162,9 +157,9 @@ struct ShardQueryResponse {
   std::vector<int> elements;  // kernel solution, greedy order
   double objective = 0.0;
   std::int64_t steps = 0;
-  // Node-side spans for a traced request (empty when the request's
-  // trace_id was 0). Bounded by kMaxResponseSpans.
-  std::vector<WireSpan> spans;
+  // Node-side stamps for a traced request (absent when the request's
+  // trace_id was 0). Decoded stamps are finite and >= 0.
+  std::optional<NodeTiming> timing;
 };
 
 struct CorpusUpdateBatch {

@@ -161,7 +161,7 @@ TEST(ParserTest, EnforcesEveryCapAsBadNotPending) {
             ParseStatus::kBad);
   std::string many = "GET / HTTP/1.1\r\n";
   for (std::size_t i = 0; i <= kMaxHeaderCount; ++i) {
-    many += "h" + std::to_string(i) + ": v\r\n";
+    many.append("h").append(std::to_string(i)).append(": v\r\n");
   }
   EXPECT_EQ(ParseOnly(many + "\r\n"), ParseStatus::kBad);
   EXPECT_EQ(ParseOnly("X" + std::string(kMaxMethodBytes, 'X') +

@@ -276,7 +276,8 @@ TEST(ScalarMetricParityTest, AnswersBitEqualOverMaterializedDense) {
                        GreedyVertex(oracle, {.p = p}));
     }
     // The arbitrary completion leaves swaps for the search to make.
-    const LocalSearchOptions options{.greedy_completion = false};
+    LocalSearchOptions options;
+    options.greedy_completion = false;
     const AlgorithmResult local = LocalSearch(scalar, matroid, options);
     EXPECT_GT(local.steps, 0);
     ExpectSameResult(local, LocalSearch(oracle, matroid, options));

@@ -386,7 +386,8 @@ TEST(TraceBufferTest, RingEvictsOldestAndSlowLogPinsSlowest) {
     QueryTrace trace;
     // Latencies 0.01..0.10; the slowest two are the LAST adds, which the
     // ring also retains — and an early slow outlier must survive churn.
-    buffer.Add(trace, "q" + std::to_string(i), 0.01 * (i + 1), i);
+    buffer.Add(trace, std::string("q").append(std::to_string(i)),
+               0.01 * (i + 1), i);
   }
   {
     QueryTrace trace;
@@ -453,7 +454,7 @@ TEST(QueryTraceTest, ConcurrentAddSpanIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&trace, t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        ScopedSpan span(&trace, "t" + std::to_string(t));
+        ScopedSpan span(&trace, std::string("t").append(std::to_string(t)));
       }
     });
   }
@@ -474,6 +475,123 @@ TEST(QueryTraceTest, RenderListsEverySpan) {
   EXPECT_NE(rendered.find("trace "), std::string::npos);
   EXPECT_NE(rendered.find("alpha"), std::string::npos);
   EXPECT_NE(rendered.find("beta"), std::string::npos);
+}
+
+TEST(QueryTraceTest, RenderAndTracezShareTheSpanLineFormat) {
+  QueryTrace::Span span;
+  span.name = "merge";
+  span.start_seconds = 0.0015;
+  span.duration_seconds = 0.00025;
+  std::string line;
+  AppendSpanLine(&line, span);
+  EXPECT_EQ(line, "  merge @1.500ms +0.250ms\n");
+
+  QueryTrace trace;
+  const auto epoch = trace.epoch();
+  trace.AddSpan("merge", epoch + std::chrono::microseconds(1500),
+                epoch + std::chrono::microseconds(1750));
+  const std::string header = "trace " + std::to_string(trace.id()) + "\n";
+  EXPECT_EQ(trace.Render(), header + line);
+  TraceBuffer buffer(4, 1);
+  buffer.Add(trace, "label", 0.002, 1);
+  const std::string page = buffer.RenderTracez();
+  EXPECT_NE(page.find(line), std::string::npos) << page;
+}
+
+// Stores one NodeTiming over the round trip [t0_us, t1_us] and checks the
+// expansion's contract: the five phase names, each span inside [t0, t1],
+// every duration >= 0.
+void ExpectFiveNodeSpansInside(const NodeTiming& timing, int t0_us, int t1_us) {
+  QueryTrace trace;
+  const QueryTrace::Clock::duration t0 = std::chrono::microseconds(t0_us);
+  const QueryTrace::Clock::duration t1 = std::chrono::microseconds(t1_us);
+  trace.AddNodeTiming(3, 1, trace.epoch() + t0, trace.epoch() + t1, timing);
+  const double lo = std::chrono::duration<double>(t0).count();
+  const double hi = std::chrono::duration<double>(t1).count();
+  const std::vector<QueryTrace::Span> spans = trace.spans();
+  ASSERT_EQ(spans.size(), 5u) << trace.Render();
+  std::set<std::string> phases;
+  for (const QueryTrace::Span& span : spans) {
+    // "rpc.shard3/<phase> node=1", the handle span then " skew<=X.XXXms".
+    ASSERT_EQ(span.name.rfind("rpc.shard3/", 0), 0u) << span.name;
+    const std::size_t phase_end = span.name.find(" node=1");
+    ASSERT_NE(phase_end, std::string::npos) << span.name;
+    phases.insert(span.name.substr(11, phase_end - 11));
+    EXPECT_GE(span.duration_seconds, 0.0) << span.name;
+    EXPECT_GE(span.start_seconds, lo) << span.name;
+    EXPECT_LE(span.start_seconds + span.duration_seconds, hi) << span.name;
+  }
+  std::string seen;
+  for (const std::string& phase : phases) seen.append(phase).append(" ");
+  EXPECT_EQ(seen, "decode encode handle kernel wait ") << trace.Render();
+}
+
+TEST(QueryTraceTest, NodeTimingExpandsIntoFiveNestedSpans) {
+  // In order: a 4 ms handle block inside a 6 ms round trip.
+  ExpectFiveNodeSpansInside({0.0005, 0.001, 0.003, 0.004}, 10000, 16000);
+  // Out of order: decoded after handled, kernel_end before kernel_start.
+  ExpectFiveNodeSpansInside({0.006, 0.002, 0.001, 0.003}, 10000, 16000);
+  // The node claims more time than the whole round trip took.
+  ExpectFiveNodeSpansInside({0.001, 0.002, 0.050, 0.090}, 10000, 16000);
+  // Zero-length round trip.
+  ExpectFiveNodeSpansInside({0.001, 0.002, 0.003, 0.004}, 10000, 10000);
+  // All-zero stamps, which is what the decoder leaves of garbage.
+  ExpectFiveNodeSpansInside(NodeTiming{}, 10000, 12000);
+}
+
+TEST(QueryTraceTest, NodeSpansFollowTheirParentInStartOrder) {
+  QueryTrace trace;
+  const auto t0 = trace.epoch() + std::chrono::milliseconds(2);
+  const auto t1 = t0 + std::chrono::milliseconds(6);
+  const auto slack = std::chrono::microseconds(10);
+  // Recorded out of order, as RunShardRemote does: the node timing lands
+  // before its enclosing rpc.shard span closes.
+  trace.AddNodeTiming(0, 0, t0, t1, {0.001, 0.001, 0.003, 0.004});
+  trace.AddSpan("rpc.shard0", t0 - slack, t1 + slack);
+  trace.AddSpan("queue", trace.epoch(), t0 - std::chrono::milliseconds(1));
+  trace.AddSpan("merge", t1 + slack, t1 + std::chrono::milliseconds(1));
+  const std::vector<QueryTrace::Span> spans = trace.spans();
+  ASSERT_EQ(spans.size(), 8u) << trace.Render();
+  EXPECT_EQ(spans[0].name, "queue");
+  EXPECT_EQ(spans[1].name, "rpc.shard0");
+  EXPECT_EQ(spans[2].name, "rpc.shard0/handle node=0 skew<=1.000ms");
+  EXPECT_EQ(spans[3].name, "rpc.shard0/decode node=0");
+  EXPECT_EQ(spans[4].name, "rpc.shard0/wait node=0");
+  EXPECT_EQ(spans[5].name, "rpc.shard0/kernel node=0");
+  EXPECT_EQ(spans[6].name, "rpc.shard0/encode node=0");
+  EXPECT_EQ(spans[7].name, "merge");
+  // The kernel span's duration is exact: 2 ms on the node's clock.
+  EXPECT_NEAR(spans[5].duration_seconds, 0.002, 1e-9);
+}
+
+TEST(QueryTraceTest, ConcurrentNodeTimingSpansAndReadsAreSafe) {
+  QueryTrace trace;
+  constexpr int kThreads = 4;
+  constexpr int kRecordsPerThread = 64;
+  std::atomic<bool> done{false};
+  std::thread reader([&trace, &done] {
+    while (!done.load()) {
+      const std::vector<QueryTrace::Span> spans = trace.spans();
+      for (std::size_t i = 1; i < spans.size(); ++i) {
+        ASSERT_LE(spans[i - 1].start_seconds, spans[i].start_seconds);
+      }
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&trace, t] {
+      for (int i = 0; i < kRecordsPerThread; ++i) {
+        const auto t0 = QueryTrace::Clock::now();
+        trace.AddNodeTiming(t, i, t0, QueryTrace::Clock::now(), NodeTiming{});
+        ScopedSpan span(&trace, std::string("t").append(std::to_string(t)));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(trace.spans().size(),
+            static_cast<std::size_t>(kThreads * kRecordsPerThread * 6));
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,9 @@
 // enum values must all be rejected, never crash or misparse.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -44,15 +46,11 @@ ShardQueryResponse RandomResponse(Rng& rng) {
   for (int& e : response.elements) e = rng.UniformInt(0, 10000);
   response.objective = rng.Uniform(-5.0, 50.0);
   response.steps = rng.UniformInt(0, 1 << 20);
-  // v3: traced responses carry a node-side span block; untraced ones an
-  // empty one. Exercise both.
-  const int spans = rng.Bernoulli(0.5) ? rng.UniformInt(1, 6) : 0;
-  for (int i = 0; i < spans; ++i) {
-    WireSpan span;
-    span.name = std::string(rng.UniformInt(1, 12), 'a' + i);
-    span.start_seconds = rng.Uniform(0.0, 1.0);
-    span.duration_seconds = rng.Uniform(0.0, 0.5);
-    response.spans.push_back(std::move(span));
+  // Traced responses carry a NodeTiming record; untraced ones none.
+  // Exercise both.
+  if (rng.Bernoulli(0.5)) {
+    response.timing = NodeTiming{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0),
+                                 rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
   }
   return response;
 }
@@ -99,6 +97,18 @@ CorpusUpdateBatch RandomBatch(Rng& rng) {
   return batch;
 }
 
+// Bit-for-bit stamp comparison: the wire carries IEEE-754 bit patterns.
+void ExpectSameStamps(const NodeTiming& a, const NodeTiming& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.decoded),
+            std::bit_cast<std::uint64_t>(b.decoded));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.kernel_start),
+            std::bit_cast<std::uint64_t>(b.kernel_start));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.kernel_end),
+            std::bit_cast<std::uint64_t>(b.kernel_end));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.handled),
+            std::bit_cast<std::uint64_t>(b.handled));
+}
+
 void ExpectEqual(const CorpusUpdate& a, const CorpusUpdate& b) {
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.u, b.u);
@@ -141,101 +151,100 @@ TEST(RpcWireTest, ResponseRoundTrip) {
     EXPECT_EQ(decoded.elements, original.elements);
     EXPECT_EQ(decoded.objective, original.objective);
     EXPECT_EQ(decoded.steps, original.steps);
-    ASSERT_EQ(decoded.spans.size(), original.spans.size());
-    for (std::size_t i = 0; i < original.spans.size(); ++i) {
-      EXPECT_EQ(decoded.spans[i].name, original.spans[i].name);
-      EXPECT_EQ(decoded.spans[i].start_seconds,
-                original.spans[i].start_seconds);
-      EXPECT_EQ(decoded.spans[i].duration_seconds,
-                original.spans[i].duration_seconds);
-    }
+    ASSERT_EQ(decoded.timing.has_value(), original.timing.has_value());
+    if (original.timing) ExpectSameStamps(*decoded.timing, *original.timing);
   }
 }
 
-// The span block must survive the same totality regime as the rest of
-// the wire: every strict prefix rejected, oversized counts and name
-// lengths rejected, garbage offsets clamped rather than trusted, and the
-// encoder must sanitize so Decode(Encode(x)) holds for ANY input spans.
-TEST(RpcWireTest, ResponseSpanBlockTotality) {
-  // Fixed spanned response: header(3) status(1) node_version(8)
-  // shard_index(4) elem_count(4) objective(8) steps(8) span_count@36
-  // name_len@40 name@44 start@45 dur@53, total 61 bytes.
+// Byte layout of a response with no elements: header(3) status(1)
+// node_version(8) shard_index(4) elem_count(4) objective(8) steps(8),
+// then the timing flag at kTimingFlagAt and its four f64 stamps.
+constexpr std::size_t kTimingFlagAt = 36;
+
+ShardQueryResponse TimedResponse() {
   ShardQueryResponse response;
   response.status = RpcStatus::kOk;
   response.node_version = 9;
   response.shard_index = 2;
   response.objective = 1.5;
   response.steps = 17;
-  response.spans.push_back({"x", 0.25, 0.125});
+  response.timing = NodeTiming{0.125, 0.25, 0.75, 1.0};
+  return response;
+}
+
+// The timing record survives the same totality regime as the rest of the
+// wire: every strict prefix rejected, a flag other than 0 or 1 rejected,
+// stamps round-tripped bit for bit.
+TEST(RpcWireTest, ResponseTimingRecordTotality) {
+  const ShardQueryResponse response = TimedResponse();
   const std::vector<std::uint8_t> payload = Encode(response);
-  ASSERT_EQ(payload.size(), 61u);
+  ASSERT_EQ(payload.size(), kTimingFlagAt + 1 + 4 * 8);
+  ASSERT_EQ(payload[kTimingFlagAt], 1);
+  ShardQueryResponse decoded;
   for (std::size_t len = 0; len < payload.size(); ++len) {
-    ShardQueryResponse decoded;
     EXPECT_FALSE(Decode(std::span(payload.data(), len), &decoded))
         << "prefix length " << len;
   }
+  ASSERT_TRUE(Decode(payload, &decoded));
+  ASSERT_TRUE(decoded.timing.has_value());
+  ExpectSameStamps(*decoded.timing, *response.timing);
 
-  // Span count bounded by the remaining bytes: 2^31-ish count fails fast.
-  std::vector<std::uint8_t> huge_count = payload;
-  huge_count[36] = 0xff;
-  huge_count[37] = 0xff;
-  huge_count[38] = 0xff;
-  huge_count[39] = 0x7f;
-  ShardQueryResponse decoded;
-  EXPECT_FALSE(Decode(huge_count, &decoded));
-
-  // Span count over the cap but with the bytes to back it: still
-  // rejected. 33 zero-named spans of 20 bytes each after a zero-span
-  // body.
-  ShardQueryResponse empty = response;
-  empty.spans.clear();
-  std::vector<std::uint8_t> over_cap = Encode(empty);
-  over_cap[over_cap.size() - 4] =
-      static_cast<std::uint8_t>(kMaxResponseSpans + 1);
-  over_cap.insert(over_cap.end(), 20 * (kMaxResponseSpans + 1), 0);
-  EXPECT_FALSE(Decode(over_cap, &decoded));
-
-  // Name length over the cap (but within the remaining bytes).
-  ShardQueryResponse long_name = empty;
-  long_name.spans.push_back(
-      {std::string(kMaxSpanNameBytes, 'n'), 0.0, 0.0});
-  std::vector<std::uint8_t> bad_name_len = Encode(long_name);
-  bad_name_len[40] = static_cast<std::uint8_t>(kMaxSpanNameBytes + 1);
-  EXPECT_FALSE(Decode(bad_name_len, &decoded));
-
-  // Non-finite and negative offsets clamp to 0 at decode (a hostile peer
-  // skips our sanitizing encoder).
-  std::vector<std::uint8_t> garbage_offsets = payload;
-  const std::uint64_t nan_bits = 0x7ff8000000000000ull;   // quiet NaN
-  const std::uint64_t neg_bits = 0xbff0000000000000ull;   // -1.0
-  for (int i = 0; i < 8; ++i) {
-    garbage_offsets[45 + i] =
-        static_cast<std::uint8_t>(nan_bits >> (8 * i));
-    garbage_offsets[53 + i] =
-        static_cast<std::uint8_t>(neg_bits >> (8 * i));
+  ShardQueryResponse untimed = response;
+  untimed.timing.reset();
+  const std::vector<std::uint8_t> bare = Encode(untimed);
+  ASSERT_EQ(bare.size(), kTimingFlagAt + 1);
+  ASSERT_EQ(bare[kTimingFlagAt], 0);
+  decoded.timing = NodeTiming{};
+  ASSERT_TRUE(Decode(bare, &decoded));
+  EXPECT_FALSE(decoded.timing.has_value());
+  for (std::size_t len = 0; len < bare.size(); ++len) {
+    EXPECT_FALSE(Decode(std::span(bare.data(), len), &decoded))
+        << "prefix length " << len;
   }
-  ASSERT_TRUE(Decode(garbage_offsets, &decoded));
-  ASSERT_EQ(decoded.spans.size(), 1u);
-  EXPECT_EQ(decoded.spans[0].start_seconds, 0.0);
-  EXPECT_EQ(decoded.spans[0].duration_seconds, 0.0);
 
-  // Encoder-side sanitizing: over-long names truncate, over-count spans
-  // drop, garbage offsets clamp — Decode(Encode(x)) is total.
-  ShardQueryResponse hostile = empty;
-  for (std::size_t i = 0; i < kMaxResponseSpans + 4; ++i) {
-    hostile.spans.push_back({std::string(kMaxSpanNameBytes + 7, 'z'),
-                             -3.0, std::numeric_limits<double>::quiet_NaN()});
+  // Flag bytes 2..255 are rejected, with or without stamps behind them.
+  for (int flag = 2; flag <= 255; ++flag) {
+    std::vector<std::uint8_t> corrupt = payload;
+    corrupt[kTimingFlagAt] = static_cast<std::uint8_t>(flag);
+    EXPECT_FALSE(Decode(corrupt, &decoded)) << "flag " << flag;
+    std::vector<std::uint8_t> corrupt_bare = bare;
+    corrupt_bare[kTimingFlagAt] = static_cast<std::uint8_t>(flag);
+    EXPECT_FALSE(Decode(corrupt_bare, &decoded)) << "flag " << flag;
   }
-  ASSERT_TRUE(Decode(Encode(hostile), &decoded));
-  ASSERT_EQ(decoded.spans.size(), kMaxResponseSpans);
-  EXPECT_EQ(decoded.spans[0].name.size(), kMaxSpanNameBytes);
-  EXPECT_EQ(decoded.spans[0].start_seconds, 0.0);
-  EXPECT_EQ(decoded.spans[0].duration_seconds, 0.0);
+  // A present flag without its stamps, and an absent flag with stamps
+  // behind it, are truncation and trailing garbage.
+  std::vector<std::uint8_t> flag_only = bare;
+  flag_only[kTimingFlagAt] = 1;
+  EXPECT_FALSE(Decode(flag_only, &decoded));
+  std::vector<std::uint8_t> absent_with_stamps = payload;
+  absent_with_stamps[kTimingFlagAt] = 0;
+  EXPECT_FALSE(Decode(absent_with_stamps, &decoded));
+}
+
+// The encoder sends stamps as they are; the decoder clamps NaN, negative
+// and infinite stamps to 0, so a hostile peer cannot corrupt the timeline.
+TEST(RpcWireTest, ResponseTimingGarbageStampsDecodeAsZero) {
+  const double garbage[] = {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < 4; ++i) {
+    for (const double bad : garbage) {
+      ShardQueryResponse response = TimedResponse();
+      NodeTiming& t = *response.timing;
+      double* slot[] = {&t.decoded, &t.kernel_start, &t.kernel_end, &t.handled};
+      *slot[i] = bad;
+      ShardQueryResponse decoded;
+      ASSERT_TRUE(Decode(Encode(response), &decoded));
+      ASSERT_TRUE(decoded.timing.has_value());
+      *slot[i] = 0.0;
+      ExpectSameStamps(*decoded.timing, t);
+    }
+  }
 }
 
 // Versioning is exact: a response in the pre-span v2 layout (same body
-// up through `steps`, no span block) is rejected, not read with empty
-// spans — every binary ships from one tree, so no peer speaks v2.
+// up through `steps`, no timing block) is rejected, not read as untimed —
+// every binary ships from one tree, so no peer speaks v2.
 TEST(RpcWireTest, ResponseV2HeaderRejected) {
   ShardQueryResponse response;
   response.status = RpcStatus::kOk;
@@ -244,18 +253,18 @@ TEST(RpcWireTest, ResponseV2HeaderRejected) {
   response.elements = {3, 1, 4};
   response.objective = 2.75;
   response.steps = 12;
-  // Build the v2 payload from the v3 one: drop the (empty) span block's
-  // count and rewrite the version header to 2.
-  const std::vector<std::uint8_t> v3 = Encode(response);
-  std::vector<std::uint8_t> v2 = v3;
-  v2.resize(v2.size() - 4);
+  // Build the v2 payload from the v4 one: drop the (absent) timing flag
+  // and rewrite the version header to 2.
+  const std::vector<std::uint8_t> v4 = Encode(response);
+  std::vector<std::uint8_t> v2 = v4;
+  v2.resize(v2.size() - 1);
   v2[0] = 2;
   v2[1] = 0;
   ShardQueryResponse decoded;
   EXPECT_FALSE(Decode(v2, &decoded));
-  // A v2 header on the full v3 body is rejected too: the version alone
+  // A v2 header on the full v4 body is rejected too: the version alone
   // decides, not whether the body happens to parse.
-  std::vector<std::uint8_t> v2_header = v3;
+  std::vector<std::uint8_t> v2_header = v4;
   v2_header[0] = 2;
   EXPECT_FALSE(Decode(v2_header, &decoded));
   // Every strict prefix of the v2 payload is still rejected.
@@ -263,16 +272,43 @@ TEST(RpcWireTest, ResponseV2HeaderRejected) {
     EXPECT_FALSE(Decode(std::span(v2.data(), len), &decoded))
         << "prefix length " << len;
   }
-  // No other version gets grace either: v1 and v4 are both rejected.
-  std::vector<std::uint8_t> v1 = v3;
+  // No other version gets grace either: v1 and v5 are both rejected.
+  std::vector<std::uint8_t> v1 = v4;
   v1[0] = 1;
   EXPECT_FALSE(Decode(v1, &decoded));
-  std::vector<std::uint8_t> v4 = v3;
-  v4[0] = 4;
-  EXPECT_FALSE(Decode(v4, &decoded));
-  // The unmodified v3 payload still decodes.
-  ASSERT_TRUE(Decode(v3, &decoded));
+  std::vector<std::uint8_t> v5 = v4;
+  v5[0] = 5;
+  EXPECT_FALSE(Decode(v5, &decoded));
+  // The unmodified v4 payload still decodes.
+  ASSERT_TRUE(Decode(v4, &decoded));
   EXPECT_EQ(decoded.elements, response.elements);
+}
+
+// A v3 frame (a u32 span count, then named spans) is rejected, whether it
+// carries zero spans or one: its version header alone decides.
+TEST(RpcWireTest, ResponseV3FrameRejected) {
+  ShardQueryResponse response = TimedResponse();
+  response.timing.reset();
+  const std::vector<std::uint8_t> v4 = Encode(response);
+  std::vector<std::uint8_t> v3 = v4;
+  v3.resize(kTimingFlagAt);
+  v3[0] = 3;
+  v3[1] = 0;
+  std::vector<std::uint8_t> zero_spans = v3;
+  zero_spans.insert(zero_spans.end(), 4, 0);
+  ShardQueryResponse decoded;
+  EXPECT_FALSE(Decode(zero_spans, &decoded));
+  // One span named "x": count 1, name length 1, the name, two f64s.
+  std::vector<std::uint8_t> one_span = v3;
+  const std::uint8_t span_block[] = {1, 0, 0, 0, 1, 0, 0, 0, 'x'};
+  one_span.insert(one_span.end(), std::begin(span_block), std::end(span_block));
+  one_span.insert(one_span.end(), 16, 0);
+  EXPECT_FALSE(Decode(one_span, &decoded));
+  // A v3 header on a well-formed v4 body is rejected as well.
+  std::vector<std::uint8_t> v3_header = Encode(TimedResponse());
+  v3_header[0] = 3;
+  EXPECT_FALSE(Decode(v3_header, &decoded));
+  EXPECT_FALSE(PeekType(v3_header).has_value());
 }
 
 TEST(RpcWireTest, UpdateBatchRoundTrip) {
