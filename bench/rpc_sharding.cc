@@ -1,6 +1,7 @@
 // RPC sharding bench: coordinator fan-out over InProcessTransport vs the
 // in-process sharded plan vs single-node greedy, at several shard counts,
-// plus the replica-sync publish path. Emits BENCH_rpc.json.
+// plus the replica-sync publish path, alone and (over loopback sockets)
+// under a stream of remote queries. Emits BENCH_rpc.json.
 //
 // The in-process transport isolates protocol cost (encode/decode, replica
 // snapshot, fan-out threads, merge) from network cost, so rpc_overhead_x
@@ -8,9 +9,12 @@
 // price of the wire, comparable across PRs. Every remote record also
 // re-checks bit-equality against the in-process plan (bit_equal field);
 // a 0 there is a correctness regression, not a perf one.
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -20,6 +24,7 @@
 #include "engine/workload.h"
 #include "rpc/coordinator.h"
 #include "rpc/shard_node.h"
+#include "rpc/socket_transport.h"
 #include "rpc/transport.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -45,6 +50,100 @@ Trace MakeTrace(int n, int queries, int p, int shards, std::uint64_t seed) {
     trace.queries.push_back(engine::MakeSyntheticQuery(config, rng));
   }
   return trace;
+}
+
+// Publish latency while queries are in flight: 2 shard nodes behind
+// loopback SocketServers, kQueryThreads threads streaming remote queries
+// (each re-checked against the in-process sharded plan on its snapshot)
+// while kEpochs epochs are applied and published, one per
+// kQueriesPerEpoch answered queries. publish_p50_ms is the median
+// PublishEpoch call.
+void RunPublishUnderLoad(const Dataset& data, int p, std::uint64_t seed,
+                         bench::BenchJson* json) {
+  constexpr int kNodes = 2;
+  constexpr int kQueryThreads = 3;
+  constexpr int kEpochs = 50;
+  constexpr long long kQueriesPerEpoch = 6;
+  const int n = data.size();
+  std::vector<std::unique_ptr<rpc::ShardNode>> nodes;
+  std::vector<std::unique_ptr<rpc::SocketServer>> servers;
+  std::vector<std::unique_ptr<rpc::SocketTransport>> transports;
+  std::vector<rpc::Transport*> raw;
+  for (int i = 0; i < kNodes; ++i) {
+    Dataset replica = data;
+    nodes.push_back(std::make_unique<rpc::ShardNode>(
+        replica.weights, std::move(replica.metric), 0.3));
+    servers.push_back(
+        std::make_unique<rpc::SocketServer>(nodes.back().get(), 0));
+    servers.back()->Start();
+    transports.push_back(std::make_unique<rpc::SocketTransport>(
+        "127.0.0.1", servers.back()->port()));
+    raw.push_back(transports.back().get());
+  }
+  rpc::Coordinator coordinator(raw);
+  engine::PlanDefaults defaults;
+  defaults.remote = &coordinator;
+  Dataset mine = data;
+  engine::Corpus corpus(mine.weights, std::move(mine.metric), 0.3);
+
+  std::atomic<bool> stop{false};
+  std::atomic<long long> answered{0};
+  std::atomic<long long> equal{1};
+  std::vector<std::thread> streams;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    streams.emplace_back([&, t] {
+      Rng rng(seed + 10 + static_cast<std::uint64_t>(t));
+      engine::SyntheticQueryConfig config;
+      config.p = p;
+      config.universe = n;
+      config.sharded = true;
+      config.remote = true;
+      config.num_shards = kNodes;
+      while (!stop.load(std::memory_order_relaxed)) {
+        engine::Query query = engine::MakeSyntheticQuery(config, rng);
+        const engine::SnapshotPtr snapshot = corpus.snapshot();
+        const engine::QueryResult remote =
+            engine::ExecuteQuery(*snapshot, query, defaults);
+        query.plan = engine::PlanKind::kSharded;
+        const engine::QueryResult local =
+            engine::ExecuteQuery(*snapshot, query, defaults);
+        if (remote.elements != local.elements ||
+            remote.objective != local.objective ||
+            remote.steps != local.steps) {
+          equal.store(0);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  Rng urng(seed + 3);
+  std::vector<double> publish_ms;
+  for (int e = 0; e < kEpochs; ++e) {
+    while (answered.load() < (e + 1) * kQueriesPerEpoch) {
+      std::this_thread::yield();
+    }
+    const std::vector<engine::CorpusUpdate> updates =
+        engine::MakeSyntheticEpoch(n, /*churn=*/false, e, urng);
+    const std::uint64_t version = corpus.Apply(updates);
+    WallTimer publish;
+    coordinator.PublishEpoch(version, updates);
+    publish_ms.push_back(publish.Seconds() * 1e3);
+  }
+  stop.store(true);
+  for (std::thread& stream : streams) stream.join();
+
+  std::nth_element(publish_ms.begin(),
+                   publish_ms.begin() + publish_ms.size() / 2,
+                   publish_ms.end());
+  json->NewRecord("publish_under_queries_s2")
+      .Add("n", static_cast<long long>(n))
+      .Add("shards", static_cast<long long>(kNodes))
+      .Add("query_threads", static_cast<long long>(kQueryThreads))
+      .Add("epochs", static_cast<long long>(kEpochs))
+      .Add("queries", answered.load())
+      .Add("local_fallbacks", coordinator.stats().local_fallbacks)
+      .Add("publish_p50_ms", publish_ms[publish_ms.size() / 2])
+      .Add("bit_equal", equal.load());
 }
 
 int Run(int n, int queries, int p, std::uint64_t seed) {
@@ -151,6 +250,8 @@ int Run(int n, int queries, int p, std::uint64_t seed) {
           .Add("epochs_per_second", epochs / publish_seconds);
     }
   }
+
+  RunPublishUnderLoad(data, p, seed, &json);
 
   json.WriteFile();
   return 0;

@@ -235,16 +235,22 @@ void DiversificationEngine::WorkerLoop() {
       queue_wait_hist_.Record(
           std::chrono::duration<double>(pickup - job.enqueued).count());
       // Sampling decision before the span sites below, so a sampled job
-      // records the same spans a caller-traced one would.
+      // records the same spans a caller-traced one would. Its timeline
+      // starts at the enqueue, where its queue span does.
       std::unique_ptr<obs::QueryTrace> sampled;
       if (job.query.trace == nullptr && sampler_ != nullptr &&
           sampler_->Sample()) {
-        sampled = std::make_unique<obs::QueryTrace>();
+        sampled = std::make_unique<obs::QueryTrace>(job.enqueued);
         job.query.trace = sampled.get();
       }
       if (job.query.trace != nullptr) {
         job.query.trace->AddSpan("queue", job.enqueued, pickup);
         job.query.trace->AddSpan("snapshot", pickup, acquired);
+        // The jobs ahead of this one in the batch ran in between.
+        if (&job != &batch.front()) {
+          job.query.trace->AddSpan("batch", acquired,
+                                   std::chrono::steady_clock::now());
+        }
       }
       QueryResult result = ExecuteQuery(*snapshot, job.query, plan_defaults_);
       result.latency_seconds = SecondsSince(job.enqueued);

@@ -18,7 +18,10 @@ double Seconds(QueryTrace::Clock::duration d) {
 }
 }  // namespace
 
-QueryTrace::QueryTrace() : id_(NextTraceId()), epoch_(Clock::now()) {}
+QueryTrace::QueryTrace() : QueryTrace(Clock::now()) {}
+
+QueryTrace::QueryTrace(Clock::time_point epoch)
+    : id_(NextTraceId()), epoch_(epoch) {}
 
 void QueryTrace::AddSpan(std::string name, Clock::time_point start,
                          Clock::time_point end) {

@@ -4,11 +4,12 @@
 //
 // A QueryTrace is attached to an engine::Query by pointer (null = not
 // traced, every recording site no-ops). Spans carry monotonic-clock
-// offsets relative to the trace's construction instant, so a rendered
-// trace reads as a timeline. Recording is mutex-protected because the
-// coordinator's fan-out records from one thread per busy node; everything
-// else about tracing is observation-only — no span ever influences an
-// answer, so traced and untraced runs of the same query are bit-equal.
+// offsets relative to the trace's epoch (its construction instant unless
+// given), so a rendered trace reads as a timeline. Recording is
+// mutex-protected because the coordinator's fan-out records from one
+// thread per busy node; everything else about tracing is observation-only
+// — no span ever influences an answer, so traced and untraced runs of the
+// same query are bit-equal.
 //
 // The trace id crosses the wire on ShardQueryRequest so a shard node
 // knows to stamp its NodeTiming on the response. The coordinator stores
@@ -45,11 +46,14 @@ class QueryTrace {
 
   struct Span {
     std::string name;
-    double start_seconds = 0.0;     // offset from trace construction
+    double start_seconds = 0.0;     // offset from the trace's epoch
     double duration_seconds = 0.0;  // >= 0
   };
 
   QueryTrace();
+  // A trace whose offsets count from `epoch` instead of construction —
+  // for a query whose life began earlier (an engine job at its enqueue).
+  explicit QueryTrace(Clock::time_point epoch);
   QueryTrace(const QueryTrace&) = delete;
   QueryTrace& operator=(const QueryTrace&) = delete;
 

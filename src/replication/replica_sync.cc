@@ -90,6 +90,11 @@ void ReplicaSyncService::SetAcked(int target, std::uint64_t version) {
   acked_[target] = version;
 }
 
+void ReplicaSyncService::RaiseAcked(int target, std::uint64_t version) {
+  std::lock_guard<std::mutex> lock(mu_);
+  acked_[target] = std::max(acked_[target], version);
+}
+
 std::uint64_t ReplicaSyncService::GetAcked(int target) const {
   std::lock_guard<std::mutex> lock(mu_);
   return acked_[target];

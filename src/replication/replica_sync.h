@@ -126,6 +126,10 @@ class ReplicaSyncService {
   bool CatchUpTarget(int target, std::uint64_t from, std::uint64_t to);
 
   void SetAcked(int target, std::uint64_t version);
+  // Raises the target's tracked version to `version` when that is higher:
+  // what a kOk query reply reports, which can arrive after the ack of an
+  // epoch that overtook the query on its way.
+  void RaiseAcked(int target, std::uint64_t version);
   std::uint64_t GetAcked(int target) const;
   // Minimum acked version over every target, mirrors included — a
   // standby pins log compaction exactly like a lagging node, keeping its
@@ -176,9 +180,9 @@ class ReplicaSyncService {
   std::unique_ptr<obs::TraceSampler> sampler_;  // iff replication_traces set
 
   mutable std::mutex mu_;
-  // Last authoritative replica version per target (acks + query replies);
-  // assigned, not maxed, so a silently restarted node corrects the
-  // tracking on first contact.
+  // Last authoritative replica version per target. Acks and mismatch
+  // replies assign it, not max it, so a silently restarted node corrects
+  // the tracking on first contact; kOk query replies only raise it.
   std::vector<std::uint64_t> acked_;
   std::vector<bool> needs_reimage_;
 

@@ -64,8 +64,9 @@ std::vector<std::uint8_t> StandbyCoordinator::Handle(
     std::span<const std::uint8_t> request_payload) {
   // One frame at a time, serialized against Promote: a frame that wins
   // the race past the fence must finish mutating the fold before
-  // Promote reads it. (Frames already arrive serialized per transport;
-  // this only matters at the promotion instant.)
+  // Promote reads it. (A mirror gets only replication-lane frames, which
+  // already arrive one at a time per transport; this only matters at the
+  // promotion instant.)
   std::lock_guard<std::mutex> lock(handle_mu_);
   if (promoted()) {
     // Fence: a zombie active that kept publishing past the promotion

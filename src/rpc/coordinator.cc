@@ -112,7 +112,11 @@ bool Coordinator::RunShardRemote(const engine::CorpusSnapshot& snapshot,
         trace->AddNodeTiming(request.shard_index, node_index, sent, received,
                              *response.timing);
       }
-      sync_.SetAcked(node_index, request.snapshot_version);
+      // The node's latest version, not the request's: a reply served from
+      // the node's ring comes from a node already one epoch further on.
+      // Raised, never lowered: the ack of a publish that overtook this
+      // query may already have recorded a newer one.
+      sync_.RaiseAcked(node_index, response.node_version);
       *elements = std::move(response.elements);
       *steps = response.steps;
       return true;
@@ -120,8 +124,10 @@ bool Coordinator::RunShardRemote(const engine::CorpusSnapshot& snapshot,
     if (response.status != RpcStatus::kVersionMismatch) return false;
     version_mismatches_.Inc();
     sync_.SetAcked(node_index, response.node_version);
-    // A replica ahead of this snapshot cannot rewind; one behind is
-    // brought up by snapshot transfer and/or epoch replay.
+    // A replica one epoch ahead would have answered from its ring, so one
+    // that refuses from ahead (or at) this snapshot no longer holds it and
+    // cannot rewind; one behind is brought up by snapshot transfer and/or
+    // epoch replay.
     if (response.node_version >= request.snapshot_version) return false;
     obs::ScopedSpan span(trace, catchup_span);
     if (!sync_.CatchUpTarget(node_index, response.node_version,
@@ -145,7 +151,7 @@ engine::QueryResult Coordinator::ExecuteSharded(
 
   // Round 1, remote: fan out in parallel, one worker thread per node
   // with work (shards on the same node would only serialize on its
-  // transport mutex, so more threads than nodes buys nothing); results
+  // query lane, so more threads than nodes buys nothing); results
   // land in shard-indexed slots, so completion order is irrelevant to
   // the merge below. The single-busy-node case runs inline. A shard left
   // without a solution runs locally inside RunShardRound: the identical

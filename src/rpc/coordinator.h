@@ -18,13 +18,19 @@
 //     parallel (one thread per busy node). When the tracked version says
 //     a node is behind the query's snapshot, it is caught up BEFORE the
 //     ask; the kVersionMismatch round-trip only fires when the tracking
-//     is stale (a silently restarted node). A node that cannot serve the
-//     exact version, is unreachable, or answers with something its shard
-//     could not produce has that shard's kernel run on the coordinator
-//     instead. Every scoring decision uses the coordinator's own problem
-//     view of the query's snapshot, so the answer is a pure function of
-//     (snapshot, query, num_shards), bit-equal to PlanKind::kSharded —
-//     the property tests/rpc_test.cc asserts.
+//     is stale (a silently restarted node). A node one epoch ahead still
+//     answers from its one-version ring (see shard_node.h), and every
+//     answer records the node's latest version as its tracked one. A node
+//     that cannot serve the exact version (further ahead, or re-imaged
+//     since), is unreachable, or answers with something its shard could
+//     not produce has that shard's kernel run on the coordinator instead.
+//     Over SocketTransport the kernel asks and the replication traffic
+//     (publishes, catch-ups) use separate connections per node, so a
+//     publish does not wait behind queries in flight. Every scoring
+//     decision uses the coordinator's own problem view of the query's
+//     snapshot, so the answer is a pure function of (snapshot, query,
+//     num_shards), bit-equal to PlanKind::kSharded — the property
+//     tests/rpc_test.cc asserts.
 //
 // Active/standby: construct with `mirrors` naming the standby
 // coordinators to keep in sync; a replication::StandbyCoordinator on the

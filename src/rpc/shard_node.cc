@@ -110,7 +110,7 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
     std::chrono::steady_clock::time_point received,
     std::chrono::steady_clock::time_point decoded) {
   queries_.Inc();
-  const engine::SnapshotPtr snapshot = replica_.snapshot();
+  engine::SnapshotPtr snapshot = replica_.snapshot();
   ShardQueryResponse response;
   response.shard_index = request.shard_index;
   response.node_version = snapshot->version();
@@ -137,13 +137,19 @@ std::vector<std::uint8_t> ShardNode::HandleQuery(
     response.status = RpcStatus::kVersionMismatch;
     return Encode(response);
   }
-  // Replicas ahead of the requested version cannot serve it either: the
-  // epoch protocol has no rewind. The coordinator resolves both directions
-  // (catch-up or local fallback) from node_version.
+  // A replica one epoch ahead serves the request from the ring. Further
+  // ahead it cannot (the epoch protocol has no rewind), and behind it must
+  // be caught up first; the coordinator resolves both from node_version,
+  // which always reports the current version.
   if (snapshot->version() != request.snapshot_version) {
-    version_mismatches_.Inc();
-    response.status = RpcStatus::kVersionMismatch;
-    return Encode(response);
+    std::lock_guard<std::mutex> lock(previous_mu_);
+    if (previous_ == nullptr ||
+        previous_->version() != request.snapshot_version) {
+      version_mismatches_.Inc();
+      response.status = RpcStatus::kVersionMismatch;
+      return Encode(response);
+    }
+    snapshot = previous_;
   }
 
   // This shard's candidate range through AssignShards' own partition
@@ -246,6 +252,14 @@ std::vector<std::uint8_t> ShardNode::HandleUpdates(
     }
   }
   for (std::uint64_t i = skip; i < batch.epochs.size(); ++i) {
+    // The ring takes the snapshot this epoch replaces before the new
+    // version publishes, so a query at the old version always finds one
+    // of the two. The entry it drops is freed outside the lock.
+    engine::SnapshotPtr dropped = replica_.snapshot();
+    {
+      std::lock_guard<std::mutex> ring(previous_mu_);
+      previous_.swap(dropped);
+    }
     replica_.Apply(batch.epochs[i]);
     epochs_applied_.Inc();
     ++epochs_since_checkpoint_;
@@ -366,6 +380,13 @@ std::vector<std::uint8_t> ShardNode::HandleChunk(const SnapshotChunk& chunk) {
   const auto image = std::make_shared<const std::vector<std::uint8_t>>(
       std::move(pending_->bytes));
   pending_.reset();
+  // The install replaces the replica's history wholesale, so the ring's
+  // snapshot (another lineage, for a re-imaged node) goes first.
+  engine::SnapshotPtr dropped;
+  {
+    std::lock_guard<std::mutex> ring(previous_mu_);
+    previous_.swap(dropped);
+  }
   ack.node_version = replica_.Restore(std::move(state));
   awaiting_bootstrap_.store(false, std::memory_order_release);
   snapshots_installed_.Inc();

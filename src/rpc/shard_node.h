@@ -7,10 +7,14 @@
 // whose from_version is ahead of the replica is refused with
 // kVersionMismatch (the coordinator then resends the gap), and epochs at
 // or below the replica's version are skipped, making replayed batches
-// idempotent. Kernel queries run only when the replica is exactly at the
-// requested snapshot version, which is what makes the coordinator's merged
-// answer bit-equal to the in-process ShardedGreedy plan. Kernels are
-// greedy-only and run the plain full scan.
+// idempotent. Kernel queries run only on the exact requested snapshot
+// version, which is what makes the coordinator's merged answer bit-equal
+// to the in-process ShardedGreedy plan: the replica's current snapshot,
+// or the one-version ring — the snapshot the latest applied epoch
+// replaced, kept so a query that a publish overtook on its way still
+// runs on its own version. A request older than that, or any request
+// after a snapshot install (which drops the ring), gets kVersionMismatch.
+// Kernels are greedy-only and run the plain full scan.
 //
 // Durability & bootstrap (src/snapshot): a node can also cold-start from a
 // decoded checkpoint (engine::CorpusState) at any version, or completely
@@ -167,6 +171,11 @@ class ShardNode : public Handler {
   std::mutex apply_mu_;  // serializes update batches (version-order gate)
                          // and snapshot transfers
   std::optional<PendingSnapshot> pending_;  // guarded by apply_mu_
+  // The one-version ring: the snapshot the latest applied epoch replaced
+  // (version() - 1), null until an epoch applies and after a snapshot
+  // install. Written under apply_mu_ as well; read by queries.
+  std::mutex previous_mu_;
+  engine::SnapshotPtr previous_;
   int epochs_since_checkpoint_ = 0;         // guarded by apply_mu_
   // Epochs applied since the last successful checkpoint — the delta
   // payload. pending_from_ is the replica version the chain extends.

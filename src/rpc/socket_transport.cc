@@ -74,50 +74,52 @@ SocketTransport::SocketTransport(std::string host, int port, int timeout_ms)
     : host_(std::move(host)), port_(port), timeout_ms_(timeout_ms) {}
 
 SocketTransport::~SocketTransport() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Disconnect();
+  for (Lane* lane : {&query_lane_, &replication_lane_}) {
+    std::lock_guard<std::mutex> lock(lane->mu);
+    if (lane->fd >= 0) ::close(lane->fd);
+  }
 }
 
-bool SocketTransport::EnsureConnected() {
-  if (fd_ >= 0) return true;
+int SocketTransport::Connect() const {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* results = nullptr;
   const std::string service = std::to_string(port_);
   if (::getaddrinfo(host_.c_str(), service.c_str(), &hints, &results) != 0) {
-    return false;
+    return -1;
   }
+  int connected = -1;
   for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
     const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) continue;
     if (ConnectWithTimeout(fd, ai->ai_addr, ai->ai_addrlen, timeout_ms_)) {
       net::ConfigureSocket(fd, timeout_ms_);
-      fd_ = fd;
+      connected = fd;
       break;
     }
     ::close(fd);
   }
   ::freeaddrinfo(results);
-  return fd_ >= 0;
-}
-
-void SocketTransport::Disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  return connected;
 }
 
 bool SocketTransport::Call(const std::vector<std::uint8_t>& request,
                            std::vector<std::uint8_t>* response) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!EnsureConnected()) return false;
-  if (!WriteFrame(fd_, request) ||
-      !ReadFrame(fd_, response, net::DeadlineIn(timeout_ms_), timeout_ms_)) {
-    // Connection is in an unknown state mid-protocol; drop it and let the
-    // next Call reconnect (the node may have restarted meanwhile).
-    Disconnect();
+  Lane& lane = PeekType(request) == MessageType::kShardQueryRequest
+                   ? query_lane_
+                   : replication_lane_;
+  std::lock_guard<std::mutex> lock(lane.mu);
+  if (lane.fd < 0) lane.fd = Connect();
+  if (lane.fd < 0) return false;
+  if (!WriteFrame(lane.fd, request) ||
+      !ReadFrame(lane.fd, response, net::DeadlineIn(timeout_ms_),
+                 timeout_ms_)) {
+    // This lane's connection is in an unknown state mid-protocol; drop it
+    // and let its next Call reconnect (the node may have restarted
+    // meanwhile). The other lane keeps its connection.
+    ::close(lane.fd);
+    lane.fd = -1;
     return false;
   }
   return true;

@@ -7,20 +7,28 @@
 // the connection: a corrupt prefix must not drive an allocation.
 //
 // SocketTransport is the client half the coordinator holds, one per shard
-// node. It connects lazily on the first Call, and on any I/O failure
-// reports false and tears the connection down; the next Call reconnects.
-// That makes a restarted shard_node_cli transparently reusable — the
-// replica it lost is re-synced by the coordinator's catch-up protocol.
+// node. It keeps two lanes to the node, each one connection with its own
+// lock, chosen by the request's message type: kernel queries go on the
+// query lane, and everything else (epoch batches, snapshot offers and
+// chunks, acked-table syncs, stats scrapes, version probes) on the
+// replication lane. Each lane carries one in-flight frame at a time, so a
+// publish never waits behind a query, while publishes and catch-ups still
+// serialize against each other. A lane connects lazily on its first Call,
+// and on any I/O failure reports false and tears down its own connection
+// only; its next Call reconnects. That makes a restarted shard_node_cli
+// transparently reusable — the replica it lost is re-synced by the
+// coordinator's catch-up protocol.
 //
 // SocketServer is the server half: the frame loop — read frame, Handler::
 // Handle (a ShardNode replica or a StandbyCoordinator mirror), write
 // frame — run per connection by the shared connection layer
 // (net/tcp_server.h), which serves up to net::kMaxConnections
-// connections at once, each on its own thread. Handlers are therefore
-// called concurrently. Deadlines keep silent peers from holding a slot:
-// a connection's first frame must start within net::kIoTimeoutMs of the
-// accept (port probes are dropped), and every frame, once started, must
-// arrive whole within the same deadline. Between completed frames a
+// connections at once, each on its own thread (a coordinator holds two
+// per node, one per lane). Handlers are therefore called concurrently.
+// Deadlines keep silent peers from holding a slot: a connection's first
+// frame must start within net::kIoTimeoutMs of the accept (port probes
+// are dropped), and every frame, once started, must arrive whole within
+// the same deadline. Between completed frames a
 // connection may idle indefinitely — the coordinator's persistent
 // transport does, between queries.
 #ifndef DIVERSE_RPC_SOCKET_TRANSPORT_H_
@@ -51,18 +59,26 @@ class SocketTransport : public Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
+  // Thread-safe. A kShardQueryRequest goes on the query lane, any other
+  // payload on the replication lane; calls on one lane serialize.
   bool Call(const std::vector<std::uint8_t>& request,
             std::vector<std::uint8_t>* response) override;
 
  private:
-  bool EnsureConnected();  // caller holds mu_
-  void Disconnect();       // caller holds mu_
+  // One connection and the lock that serializes its exchanges.
+  struct Lane {
+    std::mutex mu;
+    int fd = -1;  // guarded by mu; -1 until connected or after a failure
+  };
+
+  // A fresh connected socket, or -1.
+  int Connect() const;
 
   const std::string host_;
   const int port_;
   const int timeout_ms_;
-  std::mutex mu_;  // serializes calls: one in-flight frame per connection
-  int fd_ = -1;
+  Lane query_lane_;
+  Lane replication_lane_;
 };
 
 // One "host:port" endpoint of a node or standby list.

@@ -10,17 +10,22 @@
 // Two transport implementations ship:
 //
 //   * InProcessTransport (below) — calls straight into a Handler in this
-//     process. Deterministic and dependency-free; what the tests and
-//     bench/rpc_sharding drive, and the reference behavior SocketTransport
-//     must match. A `down` switch injects unreachable-node failures.
+//     process. Deterministic and dependency-free; what most tests and
+//     bench/rpc_sharding records drive, and the reference behavior
+//     SocketTransport must match. A `down` switch injects unreachable-node failures.
 //   * SocketTransport (socket_transport.h) — blocking TCP over POSIX
 //     sockets, length-prefixed frames, lazy reconnect.
 //
 // A transport addresses exactly one handler; the coordinator owns one per
-// node and round-robins shards across them. Call() is serialized per
-// transport (internally locked), so one connection carries one in-flight
-// request at a time — cross-node parallelism comes from the coordinator
-// fanning out over distinct transports.
+// node and round-robins shards across them. Call() is thread-safe. The
+// two-lane rule: kernel queries (kShardQueryRequest) and everything else
+// (replication, stats, probes) travel on separate lanes, each carrying
+// one in-flight request at a time, so a publish never queues behind a
+// query while publishes and catch-ups stay serialized with each other.
+// SocketTransport gives each lane its own connection; InProcessTransport
+// has no connection to share and runs every call directly. Cross-node
+// parallelism comes from the coordinator fanning out over distinct
+// transports.
 #ifndef DIVERSE_RPC_TRANSPORT_H_
 #define DIVERSE_RPC_TRANSPORT_H_
 

@@ -864,6 +864,56 @@ TEST(ObsIntegrationTest, SampledQueriesAreBitEqualAndFeedTheBuffer) {
   EXPECT_TRUE(saw_snapshot);
 }
 
+// Jobs of one worker batch run one after another on one snapshot. Each
+// sampled job's timeline starts at its own enqueue: its queue span sits
+// at offset 0 and nothing renders before it, however long the jobs ahead
+// of it in the batch ran. That time is the "batch" span of every job but
+// the first, starting where the snapshot span ends.
+TEST(ObsIntegrationTest, SampledBatchJobsStartTheirTimelineAtEnqueue) {
+  Rng data_rng(85);
+  const Dataset data = MakeUniformSynthetic(120, data_rng);
+  TraceBuffer buffer(32, 4);
+  engine::DiversificationEngine::Options options;
+  options.num_workers = 1;
+  options.max_batch = 4;
+  options.trace_buffer = &buffer;
+  options.trace_sample_every = 1;
+  Dataset mine = data;
+  auto engine = std::make_unique<engine::DiversificationEngine>(
+      mine.weights, std::move(mine.metric), 0.2, options);
+
+  Rng rng(86);
+  std::vector<engine::Query> queries;
+  for (int i = 0; i < 4; ++i) {
+    engine::SyntheticQueryConfig config;
+    config.p = 6;
+    config.universe = 120;
+    queries.push_back(engine::MakeSyntheticQuery(config, rng));
+  }
+  for (auto& future : engine->SubmitBatch(queries)) future.get();
+  EXPECT_EQ(engine->stats().batches, 1);
+  engine.reset();  // joins the worker: every trace is in the buffer
+
+  const std::vector<CompletedTrace> recent = buffer.Recent();
+  ASSERT_EQ(recent.size(), 4u);
+  int waited = 0;
+  for (const CompletedTrace& trace : recent) {
+    ASSERT_GE(trace.spans.size(), 2u);
+    EXPECT_EQ(trace.spans[0].name, "queue");
+    EXPECT_EQ(trace.spans[0].start_seconds, 0.0);
+    EXPECT_EQ(trace.spans[1].name, "snapshot");
+    const double snapshot_end =
+        trace.spans[1].start_seconds + trace.spans[1].duration_seconds;
+    for (const QueryTrace::Span& span : trace.spans) {
+      EXPECT_GE(span.start_seconds, 0.0) << span.name;
+      if (span.name != "batch") continue;
+      ++waited;
+      EXPECT_NEAR(span.start_seconds, snapshot_end, 1e-9);
+    }
+  }
+  EXPECT_EQ(waited, 3);
+}
+
 TEST(ObsIntegrationTest, EngineMetricsLandInTheRegistry) {
   MetricRegistry registry;
   Cluster cluster = MakeCluster(/*n=*/80, /*num_nodes=*/1, &registry,

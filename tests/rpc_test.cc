@@ -12,15 +12,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/distributed.h"
@@ -38,6 +45,7 @@
 #include "rpc/wire.h"
 #include "snapshot/checkpoint_store.h"
 #include "snapshot/snapshot_codec.h"
+#include "util/bytes.h"
 #include "util/random.h"
 
 namespace diverse {
@@ -788,6 +796,217 @@ TEST(RpcTest, InterruptedSnapshotTransferResumes) {
   EXPECT_GT(stats.remote_shards, 0);
 }
 
+// A valid whole-corpus kernel request at `version` (2 shards, shard 0,
+// corpus weights).
+ShardQueryRequest KernelRequestAt(std::uint64_t version) {
+  ShardQueryRequest request;
+  request.snapshot_version = version;
+  request.num_shards = 2;
+  request.p = 3;
+  request.per_shard = 3;
+  return request;
+}
+
+ShardQueryResponse AskNode(ShardNode& node, std::uint64_t version) {
+  ShardQueryResponse response;
+  EXPECT_TRUE(Decode(node.Handle(Encode(KernelRequestAt(version))),
+                     &response));
+  return response;
+}
+
+// Streams `image` (the encoded corpus at `version`) into `node` as one
+// offer and one chunk; true once the node reports the install.
+bool InstallImage(ShardNode& node, std::uint64_t version,
+                  const std::vector<std::uint8_t>& image) {
+  SnapshotOffer offer;
+  offer.snapshot_version = version;
+  offer.total_bytes = image.size();
+  offer.chunk_bytes = static_cast<std::uint32_t>(image.size());
+  offer.num_chunks = 1;
+  SnapshotAck ack;
+  if (!Decode(node.Handle(Encode(offer)), &ack) ||
+      ack.status != RpcStatus::kOk) {
+    return false;
+  }
+  SnapshotChunk chunk;
+  chunk.snapshot_version = version;
+  chunk.data = image;
+  return Decode(node.Handle(Encode(chunk)), &ack) &&
+         ack.status == RpcStatus::kOk && ack.node_version == version;
+}
+
+// Runs `query` at `snapshot` through the coordinator and through the
+// in-process sharded plan, and expects the two answers bit-equal.
+void ExpectRemoteBitEqualAt(Coordinator& coordinator,
+                            const engine::CorpusSnapshot& snapshot,
+                            Query query) {
+  engine::PlanDefaults defaults;
+  defaults.remote = &coordinator;
+  const QueryResult remote = engine::ExecuteQuery(snapshot, query, defaults);
+  query.plan = PlanKind::kSharded;
+  const QueryResult local =
+      engine::ExecuteQuery(snapshot, query, engine::PlanDefaults{});
+  EXPECT_EQ(remote.corpus_version, snapshot.version());
+  EXPECT_EQ(remote.elements, local.elements);
+  EXPECT_EQ(remote.objective, local.objective);
+  EXPECT_EQ(remote.steps, local.steps);
+}
+
+// A publish that overtakes a query on its way leaves every node one epoch
+// ahead of the query's snapshot. The nodes answer from their ring, bit-
+// equal to the reference at the query's version, with no mismatch, no
+// fallback and no catch-up; the tracked version is the nodes' own.
+TEST(RpcTest, NodeOneEpochAheadAnswersFromItsRingBitEqual) {
+  RemoteCluster cluster = MakeCluster(60, 2, 41, 0.3);
+  Rng rng(42);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    cluster.ApplyAndPublish(engine::MakeSyntheticEpoch(
+        cluster.engine->corpus().snapshot()->universe_size(),
+        /*churn=*/true, epoch, rng));
+  }
+  const engine::SnapshotPtr at_two = cluster.engine->corpus().snapshot();
+  cluster.ApplyAndPublish(engine::MakeSyntheticEpoch(
+      at_two->universe_size(), /*churn=*/true, 3, rng));  // inserts an id
+  ASSERT_NE(cluster.engine->corpus().snapshot()->universe_size(),
+            at_two->universe_size());
+  for (const auto& node : cluster.nodes) ASSERT_EQ(node->version(), 3u);
+  const Coordinator::Stats before = cluster.coordinator->stats();
+
+  for (int q = 0; q < 3; ++q) {
+    ExpectRemoteBitEqualAt(
+        *cluster.coordinator, *at_two,
+        MakeQuery(at_two->universe_size(), 8, 4, rng.NextSeed(), rng));
+  }
+  const Coordinator::Stats after = cluster.coordinator->stats();
+  EXPECT_GT(after.remote_shards, before.remote_shards);
+  EXPECT_EQ(after.local_fallbacks, 0);
+  EXPECT_EQ(after.version_mismatches, 0);
+  EXPECT_EQ(after.proactive_catchups, 0);
+  EXPECT_EQ(after.catchup_batches, before.catchup_batches);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(cluster.nodes[i]->stats().version_mismatches, 0);
+    EXPECT_EQ(cluster.coordinator->sync().GetAcked(i), 3u);
+  }
+}
+
+// Answers every frame from `node`; after a kernel query, runs
+// `after_query` once before handing the reply back, so an epoch it
+// publishes overtakes that reply.
+class OvertakingTransport : public Transport {
+ public:
+  explicit OvertakingTransport(ShardNode* node) : node_(node) {}
+
+  bool Call(const std::vector<std::uint8_t>& request,
+            std::vector<std::uint8_t>* response) override {
+    *response = node_->Handle(request);
+    if (PeekType(request) == MessageType::kShardQueryRequest &&
+        after_query) {
+      std::exchange(after_query, nullptr)();
+    }
+    return true;
+  }
+
+  std::function<void()> after_query;
+
+ private:
+  ShardNode* node_;
+};
+
+// A query reply that arrives after the ack of an epoch that overtook it
+// reports an older node version; the tracking keeps the newer one, so the
+// next query at the new version needs no catch-up.
+TEST(RpcTest, OvertakenQueryReplyDoesNotLowerTheTrackedVersion) {
+  Rng rng(51);
+  const Dataset data = MakeUniformSynthetic(40, rng);
+  Dataset replica = data;
+  ShardNode node(replica.weights, std::move(replica.metric), 0.3);
+  OvertakingTransport transport(&node);
+  Coordinator coordinator({&transport});
+  Dataset mine = data;
+  engine::Corpus corpus(mine.weights, std::move(mine.metric), 0.3);
+  const engine::SnapshotPtr at_zero = corpus.snapshot();
+  transport.after_query = [&] {
+    const std::vector<CorpusUpdate> updates =
+        engine::MakeSyntheticEpoch(40, /*churn=*/false, 0, rng);
+    coordinator.PublishEpoch(corpus.Apply(updates), updates);
+  };
+
+  ExpectRemoteBitEqualAt(coordinator, *at_zero,
+                         MakeQuery(40, 6, 1, rng.NextSeed(), rng));
+  ASSERT_EQ(node.version(), 1u);
+  EXPECT_EQ(coordinator.sync().GetAcked(0), 1u);
+
+  ExpectRemoteBitEqualAt(coordinator, *corpus.snapshot(),
+                         MakeQuery(40, 6, 1, rng.NextSeed(), rng));
+  const Coordinator::Stats stats = coordinator.stats();
+  EXPECT_EQ(stats.remote_shards, 2);
+  EXPECT_EQ(stats.proactive_catchups, 0);
+  EXPECT_EQ(stats.catchup_batches, 0);
+  EXPECT_EQ(stats.version_mismatches, 0);
+}
+
+// The ring holds one version: two epochs back is a mismatch at the node,
+// and the coordinator runs those shards on-box, still bit-equal.
+TEST(RpcTest, RequestTwoVersionsBackStillMismatches) {
+  RemoteCluster cluster = MakeCluster(50, 2, 43, 0.3);
+  Rng rng(44);
+  cluster.ApplyAndPublish(
+      engine::MakeSyntheticEpoch(50, /*churn=*/false, 0, rng));
+  const engine::SnapshotPtr at_one = cluster.engine->corpus().snapshot();
+  for (int epoch = 1; epoch < 3; ++epoch) {
+    cluster.ApplyAndPublish(
+        engine::MakeSyntheticEpoch(50, /*churn=*/false, epoch, rng));
+  }
+  ShardNode& node = *cluster.nodes[0];
+  ASSERT_EQ(node.version(), 3u);
+  EXPECT_EQ(AskNode(node, 2).status, RpcStatus::kOk);
+  const ShardQueryResponse stale = AskNode(node, 1);
+  EXPECT_EQ(stale.status, RpcStatus::kVersionMismatch);
+  EXPECT_EQ(stale.node_version, 3u);
+  EXPECT_EQ(AskNode(node, 0).status, RpcStatus::kVersionMismatch);
+
+  ExpectRemoteBitEqualAt(*cluster.coordinator, *at_one,
+                         MakeQuery(50, 7, 4, rng.NextSeed(), rng));
+  const Coordinator::Stats stats = cluster.coordinator->stats();
+  EXPECT_GT(stats.version_mismatches, 0);
+  EXPECT_GT(stats.local_fallbacks, 0);
+  EXPECT_EQ(stats.remote_shards, 0);
+}
+
+// A snapshot install replaces the replica wholesale and drops the ring:
+// neither the replaced current version nor the ring's version is served
+// afterwards, only the installed one.
+TEST(RpcTest, SnapshotInstallDropsTheRing) {
+  Rng rng(45);
+  const Dataset data = MakeUniformSynthetic(40, rng);
+  Dataset replica = data;
+  ShardNode node(replica.weights, std::move(replica.metric), 0.3);
+  Dataset mine = data;
+  engine::Corpus corpus(mine.weights, std::move(mine.metric), 0.3);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    const std::vector<CorpusUpdate> updates =
+        engine::MakeSyntheticEpoch(40, /*churn=*/false, epoch, rng);
+    CorpusUpdateBatch batch;
+    batch.from_version = corpus.version();
+    batch.epochs.push_back(updates);
+    corpus.Apply(updates);
+    ASSERT_EQ(SendBatch(node, batch).status, RpcStatus::kOk);
+  }
+  ASSERT_EQ(node.version(), 2u);
+  EXPECT_EQ(AskNode(node, 1).status, RpcStatus::kOk);  // the ring
+
+  corpus.Apply(engine::MakeSyntheticEpoch(40, /*churn=*/false, 2, rng));
+  ASSERT_TRUE(InstallImage(node, 3,
+                           snapshot::EncodeSnapshot(*corpus.snapshot())));
+  EXPECT_EQ(node.version(), 3u);
+  for (const std::uint64_t old_version : {1u, 2u}) {
+    const ShardQueryResponse response = AskNode(node, old_version);
+    EXPECT_EQ(response.status, RpcStatus::kVersionMismatch) << old_version;
+    EXPECT_EQ(response.node_version, 3u) << old_version;
+  }
+  EXPECT_EQ(AskNode(node, 3).status, RpcStatus::kOk);
+}
+
 // The acceptance path over real sockets: two shard nodes behind loopback
 // SocketServers, coordinator on SocketTransports — bit-equal before and
 // after replica-sync epochs, and after both nodes die (local fallback).
@@ -921,6 +1140,178 @@ TEST(RpcTest, SilentPeersDoNotWedgeSocketServer) {
   EXPECT_LT(steady_clock::now() - stop, milliseconds(1000));
   EXPECT_TRUE(ClosedByServer(late, 1000));
   ::close(late);
+}
+
+// Holds every kernel query until Release() (or 10 s), passing every
+// other frame straight through to `inner`.
+class LatchedHandler : public Handler {
+ public:
+  explicit LatchedHandler(Handler* inner) : inner_(inner) {}
+
+  std::vector<std::uint8_t> Handle(
+      std::span<const std::uint8_t> request) override {
+    if (PeekType(request) == MessageType::kShardQueryRequest) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(10), [this] { return open_; });
+    }
+    return inner_->Handle(request);
+  }
+
+  // True once a query is being held (waits up to 10 s).
+  bool WaitForHeldQuery() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return held_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  Handler* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int held_ = 0;
+  bool open_ = false;
+};
+
+// Epochs travel on their own connection: a publish completes while a
+// query to the same node is still in the node's handler, and the held
+// query, overtaken by the epoch, is then answered from the node's ring.
+TEST(RpcTest, PublishDoesNotWaitBehindAQueryInFlight) {
+  Rng rng(47);
+  const Dataset data = MakeUniformSynthetic(40, rng);
+  Dataset replica = data;
+  ShardNode node(replica.weights, std::move(replica.metric), 0.3);
+  LatchedHandler latched(&node);
+  SocketServer server(&latched, /*port=*/0);
+  server.Start();
+  SocketTransport transport("127.0.0.1", server.port());
+  Coordinator coordinator({&transport});
+
+  std::future<std::vector<std::uint8_t>> query =
+      std::async(std::launch::async, [&transport] {
+        std::vector<std::uint8_t> reply;
+        transport.Call(Encode(KernelRequestAt(0)), &reply);
+        return reply;
+      });
+  ASSERT_TRUE(latched.WaitForHeldQuery());
+  coordinator.PublishEpoch(
+      1, engine::MakeSyntheticEpoch(40, /*churn=*/false, 0, rng));
+  EXPECT_EQ(node.version(), 1u);
+  EXPECT_EQ(coordinator.sync().GetAcked(0), 1u);
+  EXPECT_EQ(query.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  latched.Release();
+  ShardQueryResponse response;
+  ASSERT_TRUE(Decode(query.get(), &response));
+  EXPECT_EQ(response.status, RpcStatus::kOk);
+  EXPECT_EQ(response.node_version, 1u);
+  server.Stop();
+}
+
+// A loopback frame server in front of `node` that counts the connections
+// it accepts, notes whether any one connection carried both query and
+// replication frames, and on request drops the connection that carries
+// the next frame of one kind without answering it.
+class LaneCountingServer {
+ public:
+  explicit LaneCountingServer(Handler* node)
+      : node_(node), server_(0, [this](int fd) { Serve(fd); }) {
+    server_.Start();
+  }
+
+  int port() const { return server_.port(); }
+  int accepted() const { return accepted_.load(); }
+  bool mixed() const { return mixed_.load(); }
+  void DropNextQuery() { drop_query_.store(true); }
+  void DropNextReplication() { drop_replication_.store(true); }
+
+ private:
+  void Serve(int fd) {
+    accepted_.fetch_add(1);
+    std::optional<bool> lane_is_query;
+    while (true) {
+      std::uint8_t header[4];
+      if (!net::RecvFull(fd, header, sizeof(header), net::kNoDeadline)) {
+        return;
+      }
+      std::uint32_t length = 0;
+      ByteReader(header).ReadU32(&length);
+      std::vector<std::uint8_t> request(length);
+      if (!net::RecvFull(fd, request.data(), length, net::kNoDeadline)) {
+        return;
+      }
+      const bool is_query =
+          PeekType(request) == MessageType::kShardQueryRequest;
+      if (lane_is_query.has_value() && *lane_is_query != is_query) {
+        mixed_.store(true);
+      }
+      lane_is_query = is_query;
+      if ((is_query ? drop_query_ : drop_replication_).exchange(false)) {
+        return;  // the layer closes the connection
+      }
+      const std::vector<std::uint8_t> reply = node_->Handle(request);
+      std::vector<std::uint8_t> frame;
+      AppendU32(&frame, static_cast<std::uint32_t>(reply.size()));
+      frame.insert(frame.end(), reply.begin(), reply.end());
+      if (!net::SendFull(fd, frame.data(), frame.size())) return;
+    }
+  }
+
+  Handler* node_;
+  std::atomic<int> accepted_{0};
+  std::atomic<bool> mixed_{false};
+  std::atomic<bool> drop_query_{false};
+  std::atomic<bool> drop_replication_{false};
+  net::TcpServer server_;  // last: stopped before the members it reads
+};
+
+// Each lane connects on its own first call and, after a failed exchange,
+// reconnects on its next one; the other lane's connection is untouched.
+TEST(RpcTest, EachLaneDropsAndReconnectsOnlyItsOwnConnection) {
+  Rng rng(49);
+  Dataset data = MakeUniformSynthetic(30, rng);
+  ShardNode node(data.weights, std::move(data.metric), 0.3);
+  LaneCountingServer server(&node);
+  SocketTransport transport("127.0.0.1", server.port());
+  const std::vector<std::uint8_t> query = Encode(KernelRequestAt(0));
+  const std::vector<std::uint8_t> probe = Encode(CorpusUpdateBatch{});
+  std::vector<std::uint8_t> reply;
+
+  ASSERT_TRUE(transport.Call(query, &reply));
+  EXPECT_EQ(server.accepted(), 1);
+  ASSERT_TRUE(transport.Call(probe, &reply));
+  EXPECT_EQ(server.accepted(), 2);
+  ASSERT_TRUE(transport.Call(query, &reply));
+  ASSERT_TRUE(transport.Call(probe, &reply));
+  EXPECT_EQ(server.accepted(), 2);
+
+  // A failed replication exchange leaves the query connection in place.
+  server.DropNextReplication();
+  EXPECT_FALSE(transport.Call(probe, &reply));
+  ASSERT_TRUE(transport.Call(query, &reply));
+  EXPECT_EQ(server.accepted(), 2);
+  ASSERT_TRUE(transport.Call(probe, &reply));
+  EXPECT_EQ(server.accepted(), 3);
+
+  // And the other way round.
+  server.DropNextQuery();
+  EXPECT_FALSE(transport.Call(query, &reply));
+  ASSERT_TRUE(transport.Call(probe, &reply));
+  EXPECT_EQ(server.accepted(), 3);
+  ASSERT_TRUE(transport.Call(query, &reply));
+  EXPECT_EQ(server.accepted(), 4);
+  ShardQueryResponse response;
+  ASSERT_TRUE(Decode(reply, &response));
+  EXPECT_EQ(response.status, RpcStatus::kOk);
+  EXPECT_FALSE(server.mixed());
 }
 
 }  // namespace

@@ -87,6 +87,9 @@ LOWER_IS_BETTER = {
     # Absolute promotion latency: advisory (machine-dependent), never in
     # --gate-fields; BENCH_failover's gated field is bit_equal.
     "promote_ms",
+    # Publish latency with remote queries in flight (bench/rpc_sharding.cc
+    # publish_under_queries_s2): absolute, so advisory like promote_ms.
+    "publish_p50_ms",
 }
 
 
