@@ -17,10 +17,12 @@ namespace {
 
 // Farthest-point pivot rows the pruned pair scan takes, 8 KB each at
 // n = 1000. On the serving benchmark's swap_vector shape (n = 1000 in 10
-// clusters, 64 dimensions) the scan took 2.1-2.4 ms with 12 pivots,
-// 2.7-3.0 ms with 16, 3.8-4.2 ms with 8 and 9-12 ms with 4 (4-core x86
-// host; the exhaustive scan takes about 42 ms).
+// clusters, 64 dimensions, a partition of 10, lambda = 0.2) the sorted
+// cell walk took 1.09 ms per scan with 12 pivots, 1.16-1.33 ms with 16 and
+// 1.81-1.85 ms with 8 (4-core x86 host with AVX2, fastest of three per
+// weighting over 300 weightings; the exhaustive scan takes 16-28 ms).
 constexpr int kPairScanPivots = 12;
+static_assert(kPairScanPivots % 4 == 0, "the pair bound takes four lanes");
 
 // Relative slack of the pruning test. A pair is skipped only when
 // ub + kBoundSlack * |ub| < best, strictly: the computed distances and f
@@ -54,33 +56,49 @@ std::vector<int> ExhaustiveBestPair(const DiversificationProblem& problem,
 }
 
 // Farthest-point pivots and the cells they induce: each element belongs to
-// the cell of its nearest pivot. Slots index `order`, which groups the ids
-// by cell so the bound loops over one cell read contiguously.
+// the cell of its nearest pivot p_c. Slots index `order`, which groups the
+// ids by cell and sorts each cell by descending
+//
+//   h(y) = f({y}) + lambda * d(p_c, y),
+//
+// ties by id, so a row's walk through a cell meets its partners in
+// descending pivot bound. Each slot's distances to every pivot sit
+// together in `dist`, so one pair's bound reads one short run.
 struct PivotCells {
-  std::vector<int> pivots;     // pivots[k] = p_k
-  std::vector<int> order;      // ids by cell, ascending within one
-  std::vector<int> slot;       // slot[order[t]] = t
-  std::vector<int> begin;      // cell c is order[begin[c] .. begin[c + 1])
-  std::vector<double> radius;  // radius[c] = max d(p_c, y) over cell c
-  std::vector<double> rows;    // rows[k * n + t] = d(p_k, order[t])
+  std::vector<int> pivots;   // pivots[k] = p_k
+  std::vector<int> order;    // ids by cell, by descending h within one
+  std::vector<int> slot;     // slot[order[t]] = t
+  std::vector<int> begin;    // cell c is order[begin[c] .. begin[c + 1])
+  std::vector<double> f;     // f[t] = f({order[t]})
+  std::vector<double> h;     // h[t] = h(order[t])
+  // dist[t * kPairScanPivots + k] = d(p_k, order[t]); +inf for k >= size(),
+  // which no minimum picks.
+  std::vector<double> dist;
 
   int size() const { return static_cast<int>(pivots.size()); }
+  // Slot t's distances to the pivots, p_k's at [k].
+  const double* ToPivots(int t) const {
+    return dist.data() + static_cast<std::size_t>(t) * kPairScanPivots;
+  }
 };
 
-// Up to kPairScanPivots pivots, the first `first`, each next one the
-// element farthest from all before it; one DistanceRow each.
-PivotCells BuildPivotCells(const MetricSpace& metric, int first) {
+// Up to kPairScanPivots pivots, the first the element of largest f({x}),
+// each next one the element farthest from all before it; one DistanceRow
+// each.
+PivotCells BuildPivotCells(const MetricSpace& metric,
+                           const std::vector<double>& f, double lambda) {
   const int n = metric.size();
   const int max_pivots = std::min(kPairScanPivots, n);
   PivotCells cells;
-  cells.rows.resize(static_cast<std::size_t>(max_pivots) * n);
+  std::vector<double> rows(static_cast<std::size_t>(max_pivots) * n);
   std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
   std::vector<int> cell_of(n, 0);
-  int next = first;
+  int next = static_cast<int>(std::max_element(f.begin(), f.end()) -
+                              f.begin());
   while (next >= 0 && cells.size() < max_pivots) {
     const int k = cells.size();
-    const std::span<double> row(
-        cells.rows.data() + static_cast<std::size_t>(k) * n, n);
+    const std::span<double> row(rows.data() + static_cast<std::size_t>(k) * n,
+                                n);
     metric.DistanceRow(next, row);
     cells.pivots.push_back(next);
     next = -1;  // stays -1 when every element sits on a pivot
@@ -98,26 +116,35 @@ PivotCells BuildPivotCells(const MetricSpace& metric, int first) {
   }
   const int num_cells = cells.size();
   cells.begin.assign(num_cells + 1, 0);
-  cells.radius.assign(num_cells, 0.0);
-  for (int j = 0; j < n; ++j) {
-    ++cells.begin[cell_of[j] + 1];
-    cells.radius[cell_of[j]] = std::max(cells.radius[cell_of[j]], nearest[j]);
-  }
+  for (int j = 0; j < n; ++j) ++cells.begin[cell_of[j] + 1];
   std::partial_sum(cells.begin.begin(), cells.begin.end(),
                    cells.begin.begin());
   cells.order.resize(n);
-  cells.slot.resize(n);
   std::vector<int> fill(cells.begin.begin(), cells.begin.end() - 1);
-  for (int j = 0; j < n; ++j) {
-    cells.slot[j] = fill[cell_of[j]]++;
-    cells.order[cells.slot[j]] = j;
+  for (int j = 0; j < n; ++j) cells.order[fill[cell_of[j]]++] = j;
+  // nearest[y] = d(p_c, y) for y in cell c.
+  std::vector<double> key(n);
+  for (int j = 0; j < n; ++j) key[j] = f[j] + lambda * nearest[j];
+  for (int c = 0; c < num_cells; ++c) {
+    std::sort(cells.order.begin() + cells.begin[c],
+              cells.order.begin() + cells.begin[c + 1], [&](int a, int b) {
+                return key[a] > key[b] || (key[a] == key[b] && a < b);
+              });
   }
-  cells.rows.resize(static_cast<std::size_t>(num_cells) * n);
-  std::vector<double> row(n);
-  for (int k = 0; k < num_cells; ++k) {
-    double* ordered = cells.rows.data() + static_cast<std::size_t>(k) * n;
-    std::copy(ordered, ordered + n, row.begin());
-    for (int t = 0; t < n; ++t) ordered[t] = row[cells.order[t]];
+  cells.slot.resize(n);
+  cells.f.resize(n);
+  cells.h.resize(n);
+  cells.dist.assign(static_cast<std::size_t>(n) * kPairScanPivots,
+                    std::numeric_limits<double>::infinity());
+  for (int t = 0; t < n; ++t) {
+    const int j = cells.order[t];
+    cells.slot[j] = t;
+    cells.f[t] = f[j];
+    cells.h[t] = key[j];
+    for (int k = 0; k < num_cells; ++k) {
+      cells.dist[static_cast<std::size_t>(t) * kPairScanPivots + k] =
+          rows[static_cast<std::size_t>(k) * n + j];
+    }
   }
   return cells;
 }
@@ -128,15 +155,17 @@ PivotCells BuildPivotCells(const MetricSpace& metric, int first) {
 //
 //   phi({x, y}) <= f({x}) + f({y}) + lambda * (d(x, p) + d(p, y)).
 //
-// The pairs through each pivot seed the best. Then each row x meets the
-// pivot cells after it: a cell whose bound f({x}) + max f + lambda *
-// (d(x, p_c) + radius_c) falls short is skipped whole; in the others each
-// partner y is bounded by the minimum over all pivots. Survivors get their
-// exact d(x, y) in one DistancesTo call per row and are bounded again with
-// it; only pairs still in reach pay the matroid oracle and the exact
-// problem.Objective(pair). A pair replaces the best when its value is
-// greater, or equal and earlier in (i, j) order, so the winner is the
-// exhaustive scan's pair with the same value bits.
+// The pairs through each pivot seed the best. Then each row x walks every
+// pivot cell c in descending h(y) order and stops at the first partner
+// whose pivot-c bound f({x}) + lambda * d(x, p_c) + h(y) falls short: h
+// only falls from there, so every later partner falls short too. A
+// partner y > x met before the stop is bounded by the minimum over all
+// pivots. Survivors get their exact d(x, y) in one DistancesTo call per
+// row and are bounded again with it; only pairs still in reach pay the
+// matroid oracle and the exact problem.Objective(pair). A pair replaces
+// the best when its value is greater, or equal and earlier in (i, j)
+// order, so the winner is the exhaustive scan's pair with the same value
+// bits.
 std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
                                 const Matroid& matroid) {
   const int n = problem.size();
@@ -154,19 +183,8 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
       independent[i] = matroid.CanAdd({}, i);
     }
   }
-  const PivotCells cells = BuildPivotCells(
-      problem.metric(),
-      static_cast<int>(std::max_element(f.begin(), f.end()) - f.begin()));
+  const PivotCells cells = BuildPivotCells(problem.metric(), f, lambda);
   const int num_cells = cells.size();
-  std::vector<double> cell_f(num_cells,
-                             -std::numeric_limits<double>::infinity());
-  std::vector<double> ordered_f(n);
-  for (int c = 0; c < num_cells; ++c) {
-    for (int t = cells.begin[c]; t < cells.begin[c + 1]; ++t) {
-      ordered_f[t] = f[cells.order[t]];
-      cell_f[c] = std::max(cell_f[c], ordered_f[t]);
-    }
-  }
 
   // -1.0 and the strict tests mirror the exhaustive scan's start.
   double best = -1.0;
@@ -191,7 +209,8 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
 
   // Seeds: the pairs through each pivot, whose bound uses the exact
   // d(p, y), verified in descending-bound order until the rest of that
-  // pivot's pairs are prunable.
+  // pivot's pairs are prunable. best only rises, so a pair prunable when
+  // its pivot's heap is filled stays out of it.
   struct Seed {
     double ub;
     int j;
@@ -201,11 +220,12 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
   seeds.reserve(n);
   for (int k = 0; k < num_cells; ++k) {
     const int p = cells.pivots[k];
-    const double* row = cells.rows.data() + static_cast<std::size_t>(k) * n;
     seeds.clear();
     for (int t = 0; t < n; ++t) {
       const int j = cells.order[t];
-      if (j != p) seeds.push_back({f[p] + ordered_f[t] + lambda * row[t], j});
+      if (j == p) continue;
+      const double ub = f[p] + cells.f[t] + lambda * cells.ToPivots(t)[k];
+      if (!Prunable(ub, best)) seeds.push_back({ub, j});
     }
     std::make_heap(seeds.begin(), seeds.end());
     while (!seeds.empty() && !Prunable(seeds.front().ub, best)) {
@@ -216,51 +236,39 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
     }
   }
 
-  // Every row x against its partners after it, cell by cell.
-  std::vector<double> to_pivot(num_cells);
-  std::vector<double> bound(n);
-  std::vector<int> survivors;
-  std::vector<double> survivor_dist;
-  // after[c]: cell c's first position past the current row (rows ascend).
-  std::vector<int> after(cells.begin.begin(), cells.begin.end() - 1);
+  // Every row x against its partners after it, by the sorted cell walk.
+  std::vector<int> survivors(n);
+  std::vector<double> survivor_dist(n);
   for (int i = 0; i + 1 < n; ++i) {
     if (!independent[i]) continue;
-    for (int k = 0; k < num_cells; ++k) {
-      to_pivot[k] =
-          cells.rows[static_cast<std::size_t>(k) * n + cells.slot[i]];
-    }
+    const double* to_pivot = cells.ToPivots(cells.slot[i]);
     const double fx = f[i];
-    survivors.clear();
+    int count = 0;
     for (int c = 0; c < num_cells; ++c) {
-      const int end = cells.begin[c + 1];
-      while (after[c] < end && cells.order[after[c]] <= i) ++after[c];
-      const int begin = after[c];
-      if (begin == end ||
-          Prunable(fx + cell_f[c] + lambda * (to_pivot[c] + cells.radius[c]),
-                   best)) {
-        continue;
-      }
-      // bound[t] = f({x}) + f({y}) + lambda * min_k (d(x, p_k) + d(p_k, y)).
-      const double* rows = cells.rows.data();
-      for (int t = begin; t < end; ++t) bound[t] = to_pivot[0] + rows[t];
-      for (int k = 1; k < num_cells; ++k) {
-        const double* row = rows + static_cast<std::size_t>(k) * n;
-        const double dx = to_pivot[k];
-        for (int t = begin; t < end; ++t) {
-          bound[t] = std::min(bound[t], dx + row[t]);
+      const double from_x = fx + lambda * to_pivot[c];
+      for (int t = cells.begin[c]; t < cells.begin[c + 1]; ++t) {
+        if (Prunable(from_x + cells.h[t], best)) break;
+        const int j = cells.order[t];
+        if (j <= i) continue;
+        // f({x}) + f({y}) + lambda * min_k (d(x, p_k) + d(p_k, y)), the
+        // minimum taken in four running lanes: min is exact, so the
+        // grouping leaves the bound's bits alone.
+        const double* to_y = cells.ToPivots(t);
+        double via[4];
+        for (int k = 0; k < 4; ++k) via[k] = to_pivot[k] + to_y[k];
+        for (int k = 4; k < kPairScanPivots; ++k) {
+          via[k % 4] = std::min(via[k % 4], to_pivot[k] + to_y[k]);
         }
-      }
-      for (int t = begin; t < end; ++t) {
-        bound[t] = fx + ordered_f[t] + lambda * bound[t];
-      }
-      for (int t = begin; t < end; ++t) {
-        if (Prunable(bound[t], best)) continue;
-        survivors.push_back(cells.order[t]);
+        const double shortest =
+            std::min(std::min(via[0], via[1]), std::min(via[2], via[3]));
+        survivors[count] = j;  // kept only when still in reach
+        count += !Prunable(fx + cells.f[t] + lambda * shortest, best);
       }
     }
-    survivor_dist.resize(survivors.size());
-    problem.metric().DistancesTo(i, survivors, survivor_dist);
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
+    problem.metric().DistancesTo(
+        i, std::span<const int>(survivors.data(), count),
+        std::span<double>(survivor_dist.data(), count));
+    for (int s = 0; s < count; ++s) {
       const int j = survivors[s];
       if (!Prunable(fx + f[j] + lambda * survivor_dist[s], best)) {
         consider(i, j);
@@ -299,26 +307,30 @@ std::vector<int> BestPair(const DiversificationProblem& problem,
   return best;
 }
 
-// Extends `state` to a basis of `matroid`, adding each pick by add(e).
+// Extends `state` to a basis of `matroid`, adding each pick by add(e). An
+// element that cannot join S cannot join any superset of S, so each round
+// tests only the elements the previous round found feasible, and the
+// arbitrary completion's single pass adds each element the moment it fits
+// (every element before it was rejected for a subset of the members).
 template <typename AddFn>
 void CompleteToBasis(const Matroid& matroid, bool greedy,
                      const SolutionState& state, const AddFn& add) {
+  if (!greedy) {
+    for (int e = 0; e < state.universe_size(); ++e) {
+      if (!state.Contains(e) && matroid.CanAdd(state.members(), e)) add(e);
+    }
+    return;
+  }
   std::vector<int> feasible;
   feasible.reserve(state.universe_size());
+  for (int e = 0; e < state.universe_size(); ++e) {
+    if (!state.Contains(e)) feasible.push_back(e);
+  }
   while (true) {
-    const std::vector<int>& members = state.members();
-    feasible.clear();
-    int pick = -1;
-    for (int e = 0; e < state.universe_size(); ++e) {
-      if (state.Contains(e)) continue;
-      if (!matroid.CanAdd(members, e)) continue;
-      if (!greedy) {
-        pick = e;  // first feasible element suffices
-        break;
-      }
-      feasible.push_back(e);
-    }
-    if (greedy) pick = state.BestAddOver(feasible).element;
+    std::erase_if(feasible, [&](int e) {
+      return state.Contains(e) || !matroid.CanAdd(state.members(), e);
+    });
+    const int pick = state.BestAddOver(feasible).element;
     if (pick < 0) break;
     add(pick);
   }

@@ -59,7 +59,7 @@ CorpusUpdate CorpusUpdate::FromPerturbation(const Perturbation& p) {
     case PerturbationType::kDistanceDecrease:
       return SetDistance(p.u, p.v, p.new_value);
   }
-  DIVERSE_CHECK_MSG(false, "unknown perturbation type");
+  DIVERSE_FAIL("unknown perturbation type");
 }
 
 bool ValidWeight(double value) {

@@ -13,6 +13,12 @@
 // holds them in one 256-bit register. Only subtract, multiply and add are
 // used, never a fused multiply-add, so no build setting can contract the
 // sums into a different rounding.
+//
+// VectorMetric's AVX2 rows (vector_metric.cc) run four pairs per pass:
+// each pair keeps its own register of lanes in the order above, the four
+// are combined as (l0 + l1) + (l2 + l3) by hadd and a 128-bit permute, and
+// one packed sqrt finishes them. The count % 4 leftover pairs take
+// SquaredDistanceAvx2 one at a time. Every path returns the same bits.
 #ifndef DIVERSE_METRIC_VECTOR_KERNEL_H_
 #define DIVERSE_METRIC_VECTOR_KERNEL_H_
 

@@ -89,13 +89,62 @@ namespace {
 }
 
 #if defined(__x86_64__)
+// Four rows per pass, row r in its own register s_r of four lanes: lane k
+// sums (a[i] - b_r[i])^2 over i = k (mod 4), and the dim % 4 tail goes
+// into lane 0 (adding +0.0 leaves the other lanes' bits alone; a lane
+// never holds -0.0). hadd then permute2f128 form (l0 + l1) + (l2 + l3) for
+// all four rows at once, and one packed sqrt finishes them: the same
+// operations in the same order as the portable kernel, so the same bits.
+// The count % 4 leftover rows take one row at a time.
 [[gnu::flatten]] __attribute__((target("avx2"))) void DistancesAvx2(
     const double* a, const double* data, int dim, const int* ids, int count,
     double* out) {
-  for (int i = 0; i < count; ++i) {
-    const double* b =
-        data + static_cast<std::size_t>(ids != nullptr ? ids[i] : i) * dim;
-    out[i] = std::sqrt(vector_kernel::SquaredDistanceAvx2(a, b, dim));
+  const auto row = [&](int i) {
+    return data + static_cast<std::size_t>(ids != nullptr ? ids[i] : i) * dim;
+  };
+  int r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const double* b0 = row(r);
+    const double* b1 = row(r + 1);
+    const double* b2 = row(r + 2);
+    const double* b3 = row(r + 3);
+    __m256d s0 = _mm256_setzero_pd();
+    __m256d s1 = _mm256_setzero_pd();
+    __m256d s2 = _mm256_setzero_pd();
+    __m256d s3 = _mm256_setzero_pd();
+    int i = 0;
+    for (; i + 4 <= dim; i += 4) {
+      const __m256d x = _mm256_loadu_pd(a + i);
+      const __m256d d0 = _mm256_sub_pd(x, _mm256_loadu_pd(b0 + i));
+      const __m256d d1 = _mm256_sub_pd(x, _mm256_loadu_pd(b1 + i));
+      const __m256d d2 = _mm256_sub_pd(x, _mm256_loadu_pd(b2 + i));
+      const __m256d d3 = _mm256_sub_pd(x, _mm256_loadu_pd(b3 + i));
+      s0 = _mm256_add_pd(s0, _mm256_mul_pd(d0, d0));
+      s1 = _mm256_add_pd(s1, _mm256_mul_pd(d1, d1));
+      s2 = _mm256_add_pd(s2, _mm256_mul_pd(d2, d2));
+      s3 = _mm256_add_pd(s3, _mm256_mul_pd(d3, d3));
+    }
+    for (; i < dim; ++i) {
+      const double e0 = a[i] - b0[i];
+      const double e1 = a[i] - b1[i];
+      const double e2 = a[i] - b2[i];
+      const double e3 = a[i] - b3[i];
+      s0 = _mm256_add_pd(s0, _mm256_set_pd(0.0, 0.0, 0.0, e0 * e0));
+      s1 = _mm256_add_pd(s1, _mm256_set_pd(0.0, 0.0, 0.0, e1 * e1));
+      s2 = _mm256_add_pd(s2, _mm256_set_pd(0.0, 0.0, 0.0, e2 * e2));
+      s3 = _mm256_add_pd(s3, _mm256_set_pd(0.0, 0.0, 0.0, e3 * e3));
+    }
+    // h01 = {row 0: l0 + l1, row 1: l0 + l1, row 0: l2 + l3, row 1: l2 + l3}
+    // and h23 likewise for rows 2 and 3.
+    const __m256d h01 = _mm256_hadd_pd(s0, s1);
+    const __m256d h23 = _mm256_hadd_pd(s2, s3);
+    const __m256d sums =
+        _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                      _mm256_permute2f128_pd(h01, h23, 0x31));
+    _mm256_storeu_pd(out + r, _mm256_sqrt_pd(sums));
+  }
+  for (; r < count; ++r) {
+    out[r] = std::sqrt(vector_kernel::SquaredDistanceAvx2(a, row(r), dim));
   }
 }
 #endif

@@ -36,6 +36,12 @@ namespace internal_check {
     }                                                                        \
   } while (0)
 
+// Unconditional failure, for a path that must not be reached (past a
+// switch over every enumerator, say). It is a plain call of a [[noreturn]]
+// function, so the compiler sees that control ends here in every build.
+#define DIVERSE_FAIL(msg) \
+  ::diverse::internal_check::CheckFail(__FILE__, __LINE__, "unreachable", msg)
+
 // Debug-only check; compiled out in NDEBUG builds for hot paths.
 #ifdef NDEBUG
 #define DIVERSE_DCHECK(expr) \

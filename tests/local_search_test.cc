@@ -10,6 +10,7 @@
 #include "algorithms/local_search.h"
 #include "core/diversification_problem.h"
 #include "core/restricted_problem.h"
+#include "core/solution_state.h"
 #include "data/synthetic.h"
 #include "matroid/graphic_matroid.h"
 #include "matroid/partition_matroid.h"
@@ -739,6 +740,170 @@ TEST(BestPairParityTest, SingletonFallbackAndTinyLists) {
     ExpectPairParity(problem, uniform, list);
   }
   ExpectPairParity(problem, UniformMatroid(n, 0), AllIds(n));
+}
+
+// The serving benchmark's swap_vector shape: 64 dimensions in 10
+// clusters, a partition of 10 blocks of capacity 1, and a candidate list
+// with gaps as after erasures. Every cell is large, so each row's sorted
+// walk stops partway through most of them.
+TEST(BestPairParityTest, ServingShapeOverGappedCandidates) {
+  for (int seed = 1; seed <= 2; ++seed) {
+    Rng rng(seed + 120);
+    const int n = 1000;
+    const VectorMetric metric = ClusteredVectors(n, 64, 10, 0.4, rng);
+    const ModularFunction weights(UniformWeights(n, rng));
+    const PartitionMatroid partition =
+        ModuloPartition(n, std::vector<int>(10, 1));
+    const std::vector<int> live = GappedIds(n, 0.9, rng);
+    for (double lambda : {0.1, 0.5}) {
+      const DiversificationProblem problem(&metric, &weights, lambda);
+      ExpectPairParity(problem, partition, live);
+    }
+  }
+}
+
+// A cell whose partners all tie on h(y) = f({y}) + lambda * d(p, y):
+// equal weights, and four copies each of (5, 0) and (-5, 0) around the
+// first pivot at the origin. Ten far points take the next pivots and Q =
+// (15, 0) the last; the origin and the far points sit in a block of
+// capacity 0. Every independent pair at the top, (5, -5) or (5, Q), is at
+// distance exactly 10, so they all tie, and Q's seeds find a (5, Q) pair
+// first. Q has the last id, so an earlier (5, -5) pair wins, and a row
+// reaches it only if its walk goes on while the bound merely ties the
+// best.
+TEST(BestPairParityTest, PartnersTiedOnTheWalkKey) {
+  const double pi = 3.14159265358979323846;
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 130);
+    std::vector<int> copies = AllIds(8);  // < 4: (5, 0); else (-5, 0)
+    rng.Shuffle(&copies);
+    std::vector<double> rows = {0.0, 0.0};  // 0: the origin
+    std::vector<int> block_of = {0};
+    for (int copy : copies) {  // 1..8
+      rows.push_back(copy < 4 ? 5.0 : -5.0);
+      rows.push_back(0.0);
+      block_of.push_back(copy < 4 ? 1 : 2);
+    }
+    for (int k = 0; k < 10; ++k) {  // 9..18
+      rows.push_back(1000.0 * std::cos(k * 2.0 * pi / 10.0));
+      rows.push_back(1000.0 * std::sin(k * 2.0 * pi / 10.0));
+      block_of.push_back(0);
+    }
+    rows.push_back(15.0);  // 19: Q
+    rows.push_back(0.0);
+    block_of.push_back(2);
+    const VectorMetric metric = VectorMetric::FromRows(2, std::move(rows));
+    const int n = metric.size();
+    const PartitionMatroid matroid(block_of, {0, 1, 1});
+    const ModularFunction equal(std::vector<double>(n, 0.5));
+    const ModularFunction zero(std::vector<double>(n, 0.0));
+    for (const ModularFunction* weights : {&equal, &zero}) {
+      for (double lambda : {0.25, 1.0}) {
+        const DiversificationProblem problem(&metric, weights, lambda);
+        const std::vector<int> pair =
+            BestIndependentPair(problem, matroid, AllIds(n));
+        ASSERT_EQ(pair.size(), 2u);
+        EXPECT_NE(pair[1], n - 1);
+        EXPECT_EQ(metric.Distance(pair[0], pair[1]), 10.0);
+        ExpectPairParity(problem, matroid, AllIds(n));
+      }
+    }
+  }
+}
+
+// The basis completion as a full rescan: every round tests every
+// non-member against the matroid, then adds the best gain (greedy) or the
+// first feasible element. Returns the state, its members in the order
+// they joined.
+SolutionState RescanCompletion(const DiversificationProblem& problem,
+                               const Matroid& matroid,
+                               const std::vector<int>& initial, bool greedy) {
+  SolutionState state(&problem);
+  for (int v : initial) state.Add(v);
+  while (true) {
+    std::vector<int> feasible;
+    for (int e = 0; e < problem.size(); ++e) {
+      if (!state.Contains(e) && matroid.CanAdd(state.members(), e)) {
+        feasible.push_back(e);
+      }
+    }
+    if (feasible.empty()) break;
+    state.Add(greedy ? state.BestAddOver(feasible).element : feasible[0]);
+  }
+  return state;
+}
+
+// LocalSearch's completion tests only the elements the previous round
+// found feasible. It must build the basis the full rescan builds, in the
+// same order, so the whole search then answers as it does when started
+// from the rescan's basis: elements, objective bits and swaps. Greedy and
+// first-feasible completions, from the best pair and from a singleton, on
+// partition, graphic and transversal matroids.
+TEST(LocalSearchTest, CompletionMatchesFullRescan) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 140);
+    const int n = 60;
+    const VectorMetric metric = ClusteredVectors(n, 4, 4, 0.6, rng);
+    const ModularFunction weights(UniformWeights(n, rng));
+    const DiversificationProblem problem(&metric, &weights, 0.3);
+    const PartitionMatroid partition = ModuloPartition(n, {2, 1, 0, 3});
+    std::vector<std::pair<int, int>> edges;
+    for (int e = 0; e < n; ++e) {
+      edges.emplace_back(rng.UniformInt(0, 9), rng.UniformInt(0, 9));
+    }
+    const GraphicMatroid graphic(10, edges);
+    std::vector<std::vector<int>> collections(7);
+    for (int e = 0; e < n; ++e) {
+      collections[rng.UniformInt(0, 6)].push_back(e);
+      if (rng.Bernoulli(0.3)) collections[rng.UniformInt(0, 6)].push_back(e);
+    }
+    for (std::vector<int>& set : collections) {
+      std::sort(set.begin(), set.end());
+      set.erase(std::unique(set.begin(), set.end()), set.end());
+    }
+    const TransversalMatroid transversal(n, collections);
+    for (const Matroid* matroid : std::initializer_list<const Matroid*>{
+             &partition, &graphic, &transversal}) {
+      std::vector<std::vector<int>> starts = {
+          BestIndependentPair(problem, *matroid, AllIds(n))};
+      for (int e = 0; e < n; ++e) {
+        if (matroid->CanAdd({}, e)) {
+          starts.push_back({e});
+          break;
+        }
+      }
+      for (const std::vector<int>& start : starts) {
+        for (const bool greedy : {true, false}) {
+          const SolutionState rescan =
+              RescanCompletion(problem, *matroid, start, greedy);
+          const std::vector<int>& basis = rescan.members();
+          ASSERT_TRUE(matroid->IsIndependent(basis));
+          LocalSearchOptions completion_only;
+          completion_only.initial = start;
+          completion_only.greedy_completion = greedy;
+          completion_only.max_swaps = 0;
+          const AlgorithmResult completed =
+              LocalSearch(problem, *matroid, completion_only);
+          std::vector<int> sorted = basis;
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(completed.elements, sorted);
+          EXPECT_EQ(completed.objective, rescan.objective());
+
+          LocalSearchOptions from_start = completion_only;
+          from_start.max_swaps = -1;
+          LocalSearchOptions from_basis;
+          from_basis.initial = basis;
+          const AlgorithmResult got =
+              LocalSearch(problem, *matroid, from_start);
+          const AlgorithmResult want =
+              LocalSearch(problem, *matroid, from_basis);
+          EXPECT_EQ(got.elements, want.elements);
+          EXPECT_EQ(got.objective, want.objective);
+          EXPECT_EQ(got.steps, want.steps);
+        }
+      }
+    }
+  }
 }
 
 TEST(LocalSearchTest, ImprovesOnGreedyInitialization) {

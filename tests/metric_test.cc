@@ -351,6 +351,54 @@ TEST(VectorKernelTest, MetricCallsAgreeWithPortableKernel) {
   }
 }
 
+// The AVX2 rows run four pairs per pass and take the count % 4 leftover
+// pairs one at a time. Rows of n = 1..9 points and id lists of 0..9 ids
+// reach every remainder mod 4, alone and behind one or two full passes,
+// over every tail length and both value pools (the huge one overflows to
+// +inf); every distance matches the portable kernel bit for bit.
+TEST(VectorKernelTest, RowsOfEveryRemainderMatchPortableKernel) {
+  Rng rng(93);
+  int infinite = 0;
+  for (int dim = 1; dim <= 67; ++dim) {
+    for (const bool huge : {false, true}) {
+      for (int n = 1; n <= 9; ++n) {
+        std::vector<std::vector<double>> rows(n + 1,
+                                              std::vector<double>(dim));
+        for (int u = 0; u < n; u += 2) {
+          FillStressPair(rng, huge, rows[u], rows[u + 1]);
+        }
+        rows.resize(n);
+        std::vector<double> data;
+        for (const std::vector<double>& row : rows) {
+          data.insert(data.end(), row.begin(), row.end());
+        }
+        const VectorMetric vectors = VectorMetric::FromRows(dim, data);
+        std::vector<double> row(n);
+        for (int u = 0; u < n; ++u) {
+          vectors.DistanceRow(u, row);
+          for (int v = 0; v < n; ++v) {
+            const double want = std::sqrt(Portable(rows[u], rows[v]));
+            EXPECT_EQ(Bits(row[v]), Bits(want))
+                << dim << "/" << n << ": " << u << "," << v;
+            if (std::isinf(want)) ++infinite;
+          }
+          const int count = (dim + n + u) % 10;  // 0..9 ids
+          std::vector<int> ids(count);
+          for (int& id : ids) id = rng.UniformInt(0, n - 1);
+          std::vector<double> to(count);
+          vectors.DistancesTo(u, ids, to);
+          for (int i = 0; i < count; ++i) {
+            EXPECT_EQ(Bits(to[i]),
+                      Bits(std::sqrt(Portable(rows[u], rows[ids[i]]))))
+                << dim << "/" << n << ": " << u << " to " << ids[i];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(infinite, 0);
+}
+
 TEST(EuclideanMetricTest, L1L2LInfDiffer) {
   const std::vector<std::vector<double>> pts = {{0.0, 0.0}, {3.0, 4.0}};
   EXPECT_DOUBLE_EQ(EuclideanMetric(pts, Norm::kL1).Distance(0, 1), 7.0);
