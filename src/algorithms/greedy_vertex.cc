@@ -45,21 +45,25 @@ AlgorithmResult GreedyVertex(const DiversificationProblem& problem,
 
   // Greedy B: each step adds the element the previous scan chose and, in
   // the same pass over U, scores the next one (SolutionState::
-  // AddThenBestPrimeAdd). The last step only adds.
+  // AddThenBestPrimeAdd). The last step only appends its element: its
+  // objective is phi(S) + AddGain(v), the sum Add itself would form, and
+  // the d(., S) refresh no later step reads is skipped.
   ScoredCandidate next;
   if (state.size() < p) next = state.BestPrimeAddOver(state.Universe());
-  while (state.size() < p) {
+  while (state.size() + 1 < p) {
     DIVERSE_CHECK(next.valid());
-    if (state.size() + 1 < p) {
-      next = state.AddThenBestPrimeAdd(next.element);
-    } else {
-      state.Add(next.element);
-    }
+    next = state.AddThenBestPrimeAdd(next.element);
     ++result.steps;
   }
 
   result.elements = state.members();
   result.objective = state.objective();
+  if (state.size() < p) {
+    DIVERSE_CHECK(next.valid());
+    result.elements.push_back(next.element);
+    result.objective += state.AddGain(next.element);
+    ++result.steps;
+  }
   result.elapsed_seconds = timer.Seconds();
   return result;
 }

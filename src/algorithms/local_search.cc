@@ -17,10 +17,12 @@ namespace {
 
 // Farthest-point pivot rows the pruned pair scan takes, 8 KB each at
 // n = 1000. On the serving benchmark's swap_vector shape (n = 1000 in 10
-// clusters, 64 dimensions, a partition of 10, lambda = 0.2) the sorted
-// cell walk took 1.09 ms per scan with 12 pivots, 1.16-1.33 ms with 16 and
-// 1.81-1.85 ms with 8 (4-core x86 host with AVX2, fastest of three per
-// weighting over 300 weightings; the exhaustive scan takes 16-28 ms).
+// clusters, 64 dimensions, a partition of 10, lambda = 0.2) the scan with
+// Ptolemy's bound took a median 0.32-0.35 ms with 12 pivots, 0.39-0.54 ms
+// with 16 and 0.74-0.85 ms with 8, where cells span two clusters and ~21k
+// pairs reach an exact distance instead of ~50 (4-core x86 host with AVX2,
+// fastest of three calls per weighting over 200 weightings; the
+// exhaustive scan takes 16-28 ms).
 constexpr int kPairScanPivots = 12;
 static_assert(kPairScanPivots % 4 == 0, "the pair bound takes four lanes");
 
@@ -67,13 +69,17 @@ std::vector<int> ExhaustiveBestPair(const DiversificationProblem& problem,
 struct PivotCells {
   std::vector<int> pivots;   // pivots[k] = p_k
   std::vector<int> order;    // ids by cell, by descending h within one
-  std::vector<int> slot;     // slot[order[t]] = t
   std::vector<int> begin;    // cell c is order[begin[c] .. begin[c + 1])
   std::vector<double> f;     // f[t] = f({order[t]})
   std::vector<double> h;     // h[t] = h(order[t])
   // dist[t * kPairScanPivots + k] = d(p_k, order[t]); +inf for k >= size(),
   // which no minimum picks.
   std::vector<double> dist;
+  // inv_gap[a * kPairScanPivots + b] = 1 / d(p_a, p_b), for Ptolemy's
+  // bound. A pivot is taken only at a positive distance from all before
+  // it, so the entries with a != b are finite, or +inf for a subnormal
+  // gap: a bound that comes out +inf or NaN never prunes.
+  std::vector<double> inv_gap;
 
   int size() const { return static_cast<int>(pivots.size()); }
   // Slot t's distances to the pivots, p_k's at [k].
@@ -119,31 +125,44 @@ PivotCells BuildPivotCells(const MetricSpace& metric,
   for (int j = 0; j < n; ++j) ++cells.begin[cell_of[j] + 1];
   std::partial_sum(cells.begin.begin(), cells.begin.end(),
                    cells.begin.begin());
-  cells.order.resize(n);
+  // Each cell's (h, id) entries by descending h, ties by id; nearest[y] =
+  // d(p_c, y) for y in cell c.
+  struct Entry {
+    double h;
+    int id;
+  };
+  std::vector<Entry> entries(n);
   std::vector<int> fill(cells.begin.begin(), cells.begin.end() - 1);
-  for (int j = 0; j < n; ++j) cells.order[fill[cell_of[j]]++] = j;
-  // nearest[y] = d(p_c, y) for y in cell c.
-  std::vector<double> key(n);
-  for (int j = 0; j < n; ++j) key[j] = f[j] + lambda * nearest[j];
+  for (int j = 0; j < n; ++j) {
+    entries[fill[cell_of[j]]++] = {f[j] + lambda * nearest[j], j};
+  }
   for (int c = 0; c < num_cells; ++c) {
-    std::sort(cells.order.begin() + cells.begin[c],
-              cells.order.begin() + cells.begin[c + 1], [&](int a, int b) {
-                return key[a] > key[b] || (key[a] == key[b] && a < b);
+    std::sort(entries.begin() + cells.begin[c],
+              entries.begin() + cells.begin[c + 1],
+              [](const Entry& a, const Entry& b) {
+                return a.h > b.h || (a.h == b.h && a.id < b.id);
               });
   }
-  cells.slot.resize(n);
+  cells.order.resize(n);
   cells.f.resize(n);
   cells.h.resize(n);
   cells.dist.assign(static_cast<std::size_t>(n) * kPairScanPivots,
                     std::numeric_limits<double>::infinity());
   for (int t = 0; t < n; ++t) {
-    const int j = cells.order[t];
-    cells.slot[j] = t;
+    const int j = entries[t].id;
+    cells.order[t] = j;
     cells.f[t] = f[j];
-    cells.h[t] = key[j];
+    cells.h[t] = entries[t].h;
     for (int k = 0; k < num_cells; ++k) {
       cells.dist[static_cast<std::size_t>(t) * kPairScanPivots + k] =
           rows[static_cast<std::size_t>(k) * n + j];
+    }
+  }
+  cells.inv_gap.resize(kPairScanPivots * kPairScanPivots);
+  for (int a = 0; a < num_cells; ++a) {
+    for (int b = 0; b < num_cells; ++b) {
+      cells.inv_gap[a * kPairScanPivots + b] =
+          1.0 / rows[static_cast<std::size_t>(a) * n + cells.pivots[b]];
     }
   }
   return cells;
@@ -155,17 +174,25 @@ PivotCells BuildPivotCells(const MetricSpace& metric,
 //
 //   phi({x, y}) <= f({x}) + f({y}) + lambda * (d(x, p) + d(p, y)).
 //
-// The pairs through each pivot seed the best. Then each row x walks every
-// pivot cell c in descending h(y) order and stops at the first partner
-// whose pivot-c bound f({x}) + lambda * d(x, p_c) + h(y) falls short: h
-// only falls from there, so every later partner falls short too. A
-// partner y > x met before the stop is bounded by the minimum over all
-// pivots. Survivors get their exact d(x, y) in one DistancesTo call per
-// row and are bounded again with it; only pairs still in reach pay the
-// matroid oracle and the exact problem.Objective(pair). A pair replaces
-// the best when its value is greater, or equal and earlier in (i, j)
-// order, so the winner is the exhaustive scan's pair with the same value
-// bits.
+// The pairs through each pivot seed the best. Then each row x, in slot
+// order, walks the rest of its own cell and every later cell c in
+// descending h(y) order, so each pair is met once, and stops at the first
+// partner whose pivot-c bound f({x}) + lambda * d(x, p_c) + h(y) falls
+// short: h only falls from there, so every later partner falls short too.
+// A partner met before the stop is bounded by the minimum over all
+// pivots. When the metric also obeys Ptolemy's inequality, a partner in a
+// cell other than x's own is first bounded through p = p_c and x's own
+// pivot q:
+//
+//   d(x, y) <= (d(x, p) * d(y, q) + d(x, q) * d(y, p)) / d(p, q),
+//
+// which on clustered data is far tighter than the triangle bound (the
+// latter overshoots by about two cell radii). Survivors get their exact
+// d(x, y) in one DistancesTo call per row and are bounded again with it;
+// only pairs still in reach pay the matroid oracle and the exact
+// problem.Objective(pair). A pair replaces the best when its value is
+// greater, or equal and earlier in (i, j) order, so the winner is the
+// exhaustive scan's pair with the same value bits.
 std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
                                 const Matroid& matroid) {
   const int n = problem.size();
@@ -185,6 +212,7 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
   }
   const PivotCells cells = BuildPivotCells(problem.metric(), f, lambda);
   const int num_cells = cells.size();
+  const bool ptolemaic = problem.metric().ObeysPtolemyInequality();
 
   // -1.0 and the strict tests mirror the exhaustive scan's start.
   double best = -1.0;
@@ -236,42 +264,76 @@ std::vector<int> PrunedBestPair(const DiversificationProblem& problem,
     }
   }
 
-  // Every row x against its partners after it, by the sorted cell walk.
+  // Each row x, in slot order, against the partners in later slots: the
+  // rest of its own cell (home) and every later cell. Every pair is met
+  // once, from the row of its earlier slot, and `consider` takes it in
+  // (i, j) order; its tie rule does not depend on the order pairs are met
+  // in. Slot order also meets the rows of large h first, which raises the
+  // best early.
   std::vector<int> survivors(n);
   std::vector<double> survivor_dist(n);
-  for (int i = 0; i + 1 < n; ++i) {
-    if (!independent[i]) continue;
-    const double* to_pivot = cells.ToPivots(cells.slot[i]);
-    const double fx = f[i];
-    int count = 0;
-    for (int c = 0; c < num_cells; ++c) {
-      const double from_x = fx + lambda * to_pivot[c];
-      for (int t = cells.begin[c]; t < cells.begin[c + 1]; ++t) {
-        if (Prunable(from_x + cells.h[t], best)) break;
-        const int j = cells.order[t];
-        if (j <= i) continue;
-        // f({x}) + f({y}) + lambda * min_k (d(x, p_k) + d(p_k, y)), the
-        // minimum taken in four running lanes: min is exact, so the
-        // grouping leaves the bound's bits alone.
-        const double* to_y = cells.ToPivots(t);
-        double via[4];
-        for (int k = 0; k < 4; ++k) via[k] = to_pivot[k] + to_y[k];
-        for (int k = 4; k < kPairScanPivots; ++k) {
-          via[k % 4] = std::min(via[k % 4], to_pivot[k] + to_y[k]);
+  for (int home = 0; home < num_cells; ++home) {  // q = p_home
+    for (int slot_x = cells.begin[home]; slot_x < cells.begin[home + 1];
+         ++slot_x) {
+      const int i = cells.order[slot_x];
+      if (!independent[i]) continue;
+      const double* to_pivot = cells.ToPivots(slot_x);
+      const double fx = f[i];
+      int count = 0;
+      for (int c = home; c < num_cells; ++c) {
+        const double from_x = fx + lambda * to_pivot[c];
+        // Ptolemy's bound with p = p_c, as d(x, y) <= to_q * d(y, q) +
+        // to_p * d(y, p). Each computed distance sits within a relative
+        // ~(dim + 2) ulps of the exact one (a sum of squares, then a
+        // square root, for distances above ~1e-154, whose squared sums
+        // stay normal doubles), and each of the bound's two terms takes
+        // four relative roundings of its own (the reciprocal, two
+        // products, the sum). Every part of the bound is non-negative, so
+        // it sits within ~1e-14 of exact, relative to itself, for dim =
+        // 64: far inside kBoundSlack, even where the inequality holds with
+        // equality (concyclic points) and the computed bound lands ulps
+        // below the computed distance. Pairs within x's own cell (p = q)
+        // keep the triangle bound alone.
+        const bool ptolemy = ptolemaic && c != home;
+        double to_q = 0.0;
+        double to_p = 0.0;
+        if (ptolemy) {
+          const double inv = cells.inv_gap[home * kPairScanPivots + c];
+          to_q = to_pivot[c] * inv;     // d(x, p) / d(p, q)
+          to_p = to_pivot[home] * inv;  // d(x, q) / d(p, q)
         }
-        const double shortest =
-            std::min(std::min(via[0], via[1]), std::min(via[2], via[3]));
-        survivors[count] = j;  // kept only when still in reach
-        count += !Prunable(fx + cells.f[t] + lambda * shortest, best);
+        for (int t = c == home ? slot_x + 1 : cells.begin[c];
+             t < cells.begin[c + 1]; ++t) {
+          if (Prunable(from_x + cells.h[t], best)) break;
+          const double* to_y = cells.ToPivots(t);
+          const double fxy = fx + cells.f[t];
+          if (ptolemy &&
+              Prunable(fxy + lambda * (to_q * to_y[home] + to_p * to_y[c]),
+                       best)) {
+            continue;
+          }
+          // f({x}) + f({y}) + lambda * min_k (d(x, p_k) + d(p_k, y)), the
+          // minimum taken in four running lanes: min is exact, so the
+          // grouping leaves the bound's bits alone.
+          double via[4];
+          for (int k = 0; k < 4; ++k) via[k] = to_pivot[k] + to_y[k];
+          for (int k = 4; k < kPairScanPivots; ++k) {
+            via[k % 4] = std::min(via[k % 4], to_pivot[k] + to_y[k]);
+          }
+          const double shortest =
+              std::min(std::min(via[0], via[1]), std::min(via[2], via[3]));
+          survivors[count] = cells.order[t];  // kept only when in reach
+          count += !Prunable(fxy + lambda * shortest, best);
+        }
       }
-    }
-    problem.metric().DistancesTo(
-        i, std::span<const int>(survivors.data(), count),
-        std::span<double>(survivor_dist.data(), count));
-    for (int s = 0; s < count; ++s) {
-      const int j = survivors[s];
-      if (!Prunable(fx + f[j] + lambda * survivor_dist[s], best)) {
-        consider(i, j);
+      problem.metric().DistancesTo(
+          i, std::span<const int>(survivors.data(), count),
+          std::span<double>(survivor_dist.data(), count));
+      for (int s = 0; s < count; ++s) {
+        const int j = survivors[s];
+        if (!Prunable(fx + f[j] + lambda * survivor_dist[s], best)) {
+          consider(std::min(i, j), std::max(i, j));
+        }
       }
     }
   }

@@ -16,13 +16,17 @@
 // (d(x, p) + d(p, y)) bounds phi({x, y}) for every pivot p of a few
 // farthest-point pivots. Each pivot's cell is sorted by descending
 // f({y}) + lambda * d(p, y), so a row x walks a cell only until that
-// pivot's bound falls short of the best; the partners it meets are bounded
-// by the minimum over all pivots, and only pairs whose bound can reach the
-// best pay an exact distance, the matroid oracle and phi. The pruned scan
-// returns the exhaustive scan's pair, with its earliest-(i, j) tie rule and
-// the same value bits; other metrics run the exhaustive scan. The basis
-// completion after it tests, each round, only the elements the round
-// before found feasible.
+// pivot's bound falls short of the best, and meets each partner in a
+// later slot once. The partners it meets are bounded by the minimum over
+// all pivots and, on a metric that also declares Ptolemy's inequality
+// (MetricSpace::ObeysPtolemyInequality: Euclidean distances), first by
+// (d(x, p) d(y, q) + d(x, q) d(y, p)) / d(p, q) through the two cells'
+// pivots. Only pairs whose bound can reach the best pay an exact
+// distance, the matroid oracle and phi. The pruned scan returns the
+// exhaustive scan's pair, with its earliest-(i, j) tie rule and the same
+// value bits; other metrics run the exhaustive scan. The basis completion
+// after it tests, each round, only the elements the round before found
+// feasible.
 //
 // As the paper notes, polynomial running time requires accepting only
 // swaps that improve phi by a relative epsilon; epsilon = 0 accepts any

@@ -46,6 +46,9 @@ class SubsetMetric : public MetricSpace {
   bool ObeysTriangleInequality() const override {
     return base_.ObeysTriangleInequality();
   }
+  bool ObeysPtolemyInequality() const override {
+    return base_.ObeysPtolemyInequality();
+  }
 
  private:
   const MetricSpace& base_;

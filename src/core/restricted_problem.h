@@ -13,7 +13,8 @@
 //   * the quality is SetFunction::Restrict's f over C, so gains and values
 //     are the base function's bits;
 //   * the matroid, when given, answers each query on the mapped set;
-//   * the metric declares ObeysTriangleInequality() exactly as its base.
+//   * the metric declares ObeysTriangleInequality() and
+//     ObeysPtolemyInequality() exactly as its base.
 //
 // Position in C is local id, so the algorithms' earliest-position tie
 // rules pick the same elements and every sum keeps its terms in the same

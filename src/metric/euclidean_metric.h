@@ -24,6 +24,8 @@ class EuclideanMetric : public MetricSpace {
   double Distance(int u, int v) const override;
   // L1, L2 and L-infinity are norms; rounding stays within ulps.
   bool ObeysTriangleInequality() const override { return true; }
+  // Only L2 comes from an inner product.
+  bool ObeysPtolemyInequality() const override { return norm_ == Norm::kL2; }
 
   int dimension() const { return dim_; }
   const std::vector<double>& point(int i) const { return points_[i]; }

@@ -22,12 +22,26 @@
 // promises d(x, y) <= d(x, z) + d(z, y) for every x, y, z up to a few ulps
 // of rounding, so bounds built from it may prune a search without changing
 // its answer (local search's best-pair scan, algorithms/local_search.cc).
-// VectorMetric and EuclideanMetric declare it: each computes a norm of the
-// difference. Restricted views (core/restricted_problem.h) forward their
-// base's answer. Everything else answers false, including DenseMetric (it
-// stores arbitrary matrices), CosineMetric's 1 - cos form and
-// PowerRelaxedMetric with beta > 1, which all may violate the inequality
-// outright.
+// VectorMetric and EuclideanMetric (every norm) declare it: each computes
+// a norm of the difference. So do JaccardMetric, CosineMetric's angular
+// form, and a DenseMetric materialized from a declaring metric until its
+// first SetDistance. Restricted views (core/restricted_problem.h) forward
+// their base's answer. Everything else answers false, including
+// DenseMetric built any other way (it stores arbitrary matrices),
+// CosineMetric's 1 - cos form and PowerRelaxedMetric with beta > 1, which
+// all may violate the inequality outright.
+//
+// ObeysPtolemyInequality() is a second declared property: true promises
+//
+//   d(x, y) * d(p, q) <= d(x, p) * d(y, q) + d(x, q) * d(y, p)
+//
+// for every x, y, p, q, each distance within a small relative error of
+// the exact one. A normed space obeys it exactly when its norm comes from
+// an inner product (Schoenberg, 1940), so only Euclidean distances
+// declare it: VectorMetric and EuclideanMetric with Norm::kL2, and
+// restricted views of them. L1, L-infinity, angular, Jaccard and every
+// DenseMetric answer false; the unit square under L1 already breaks it
+// (4 > 2).
 #ifndef DIVERSE_METRIC_METRIC_SPACE_H_
 #define DIVERSE_METRIC_METRIC_SPACE_H_
 
@@ -67,6 +81,10 @@ class MetricSpace {
   // True when the metric guarantees the triangle inequality (see the
   // file comment). Default false: callers then take their exhaustive path.
   virtual bool ObeysTriangleInequality() const { return false; }
+
+  // True when the metric guarantees Ptolemy's inequality (see the file
+  // comment). Default false.
+  virtual bool ObeysPtolemyInequality() const { return false; }
 };
 
 }  // namespace diverse

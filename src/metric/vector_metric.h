@@ -50,6 +50,8 @@ class VectorMetric : public MetricSpace {
                    std::span<double> out) const override;
   // Euclidean distance is a norm; the kernel's rounding stays within ulps.
   bool ObeysTriangleInequality() const override { return true; }
+  // The Euclidean norm comes from an inner product.
+  bool ObeysPtolemyInequality() const override { return true; }
 
   std::span<const double> row(int u) const;
   const std::vector<double>& data() const { return data_; }

@@ -811,6 +811,197 @@ TEST(BestPairParityTest, PartnersTiedOnTheWalkKey) {
   }
 }
 
+// ---- Ptolemy's bound on Euclidean metrics ------------------------------
+
+// The corners A = (0, 0) (id 0), C = (a, b) (id 1), B = (a, 0) (id 2) and
+// D = (0, b) (id 3) of an a x b rectangle, a <= b, then the heaviest point
+// H = D + 2 (D - B) (id 4) and nine far points 1000 from the origin (ids
+// 5..13). H is the first pivot and the far points the next nine; then B,
+// farthest from H, and D, farthest from H and B, take the last two pivot
+// rows. For a < b, A falls in B's cell and C in D's, so the row of A
+// bounds its partner C through p = D and q = B. A rectangle's corners are
+// concyclic, so under L2 that bound is Ptolemy's equality: it is d(A, C)
+// exactly and may round below it. `rotate` turns the plane by 45 degrees
+// and scales it by sqrt(2), which maps L-infinity distances onto the L1
+// distances of the unrotated points.
+std::vector<std::vector<double>> RectangleWithPivots(double a, double b,
+                                                     bool rotate) {
+  const double pi = 3.14159265358979323846;
+  std::vector<std::vector<double>> points = {
+      {0.0, 0.0}, {a, b}, {a, 0.0}, {0.0, b}, {-2.0 * a, 3.0 * b}};
+  for (int k = 0; k < 9; ++k) {
+    points.push_back({1000.0 * std::cos(k * 2.0 * pi / 9.0),
+                      1000.0 * std::sin(k * 2.0 * pi / 9.0)});
+  }
+  if (rotate) {
+    for (auto& point : points) {
+      point = {point[0] - point[1], point[0] + point[1]};
+    }
+  }
+  return points;
+}
+
+// The corners in a block of capacity 2, H and the far points in a block
+// of capacity 0.
+PartitionMatroid RectangleBlocks() {
+  std::vector<int> block_of(14, 0);
+  for (int corner = 0; corner < 4; ++corner) block_of[corner] = 1;
+  return PartitionMatroid(block_of, {0, 2});
+}
+
+// Weights 0 or 0.5 on the corners, 1 on H (the first pivot) and 0 on the
+// far points: {A, C} and {B, D} tie, both diagonals, and the seeds verify
+// {B, D} first. The earlier pair {A, C} wins only if its row keeps it.
+std::vector<ModularFunction> RectangleWeights() {
+  std::vector<ModularFunction> weightings;
+  for (double corner : {0.0, 0.5}) {
+    std::vector<double> weights(14, 0.0);
+    for (int c = 0; c < 4; ++c) weights[c] = corner;
+    weights[4] = 1.0;
+    weightings.emplace_back(std::move(weights));
+  }
+  return weightings;
+}
+
+std::vector<double> Flatten(const std::vector<std::vector<double>>& points) {
+  std::vector<double> rows;
+  for (const auto& point : points) {
+    rows.insert(rows.end(), point.begin(), point.end());
+  }
+  return rows;
+}
+
+// The rectangles under L2, both as VectorMetric and as EuclideanMetric.
+// In several of them the bound, computed as the scan computes it, lands a
+// few ulps below the computed d(A, C); only the bound's slack keeps {A, C}.
+// The unit square is among them: there A and C each sit as close to D as
+// to B and join B's cell, the first pivot's, so only the triangle bound
+// applies.
+TEST(BestPairParityTest, ConcyclicPartnersAtPtolemysEquality) {
+  const PartitionMatroid matroid = RectangleBlocks();
+  const std::vector<ModularFunction> weightings = RectangleWeights();
+  int below = 0;
+  for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+           {1.0, 1.0}, {3.0, 4.0}, {1.0, 3.0}, {2.5, 2.6}, {0.2, 0.9},
+           {1.1, 1.2}, {1.0, 1.5}}) {
+    const std::vector<std::vector<double>> points =
+        RectangleWithPivots(a, b, false);
+    const VectorMetric vectors = VectorMetric::FromRows(2, Flatten(points));
+    const EuclideanMetric euclidean(points, Norm::kL2);
+    const double inv = 1.0 / vectors.Distance(3, 2);
+    const double bound =
+        vectors.Distance(0, 3) * inv * vectors.Distance(1, 2) +
+        vectors.Distance(0, 2) * inv * vectors.Distance(1, 3);
+    below += bound < vectors.Distance(0, 1);
+    for (const MetricSpace* metric :
+         std::initializer_list<const MetricSpace*>{&vectors, &euclidean}) {
+      ASSERT_TRUE(metric->ObeysPtolemyInequality());
+      for (const ModularFunction& weights : weightings) {
+        for (double lambda : {0.25, 1.0}) {
+          const DiversificationProblem problem(metric, &weights, lambda);
+          EXPECT_EQ(BestIndependentPair(problem, matroid, AllIds(14)),
+                    (std::vector<int>{0, 1}));
+          ExpectPairParity(problem, matroid, AllIds(14));
+        }
+      }
+    }
+  }
+  EXPECT_GT(below, 0);
+}
+
+// The same rectangles under L1, and turned by 45 degrees under
+// L-infinity: d(A, C) d(B, D) = (a + b)^2 > a^2 + b^2 there (4 > 2 on the
+// unit square), so a bound built from Ptolemy's inequality would drop
+// {A, C}. Neither norm declares it, and the triangle bound keeps parity.
+TEST(BestPairParityTest, L1AndLInfinityDoNotDeclarePtolemy) {
+  const PartitionMatroid matroid = RectangleBlocks();
+  const std::vector<ModularFunction> weightings = RectangleWeights();
+  for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+           {1.0, 1.0}, {3.0, 4.0}, {1.0, 3.0}, {0.2, 0.9}}) {
+    for (Norm norm : {Norm::kL1, Norm::kLInf}) {
+      const EuclideanMetric metric(
+          RectangleWithPivots(a, b, norm == Norm::kLInf), norm);
+      ASSERT_TRUE(metric.ObeysTriangleInequality());
+      ASSERT_FALSE(metric.ObeysPtolemyInequality());
+      EXPECT_GT(metric.Distance(0, 1) * metric.Distance(2, 3),
+                metric.Distance(0, 2) * metric.Distance(1, 3) +
+                    metric.Distance(0, 3) * metric.Distance(1, 2));
+      for (const ModularFunction& weights : weightings) {
+        for (double lambda : {0.25, 1.0}) {
+          const DiversificationProblem problem(&metric, &weights, lambda);
+          EXPECT_EQ(BestIndependentPair(problem, matroid, AllIds(14)),
+                    (std::vector<int>{0, 1}));
+          ExpectPairParity(problem, matroid, AllIds(14));
+        }
+      }
+    }
+  }
+}
+
+// Answers cannot show whether a restricted view forwards the declaration
+// (the bound only prunes), so the view of a gapped list is asked directly.
+TEST(BestPairParityTest, RestrictedViewForwardsPtolemy) {
+  Rng rng(140);
+  const int n = 40;
+  const VectorMetric vectors = ClusteredVectors(n, 4, 3, 0.5, rng);
+  std::vector<std::vector<double>> points(n);
+  for (int i = 0; i < n; ++i) {
+    points[i].assign(vectors.row(i).begin(), vectors.row(i).end());
+  }
+  const EuclideanMetric l1(points, Norm::kL1);
+  const ModularFunction weights(UniformWeights(n, rng));
+  const std::vector<int> live = GappedIds(n, 0.6, rng);
+  for (const MetricSpace* metric :
+       std::initializer_list<const MetricSpace*>{&vectors, &l1}) {
+    const DiversificationProblem problem(metric, &weights, 0.3);
+    const RestrictedProblem view = Restrict(problem, live);
+    ASSERT_NE(&view.problem().metric(), metric);
+    EXPECT_TRUE(view.problem().metric().ObeysTriangleInequality());
+    EXPECT_EQ(view.problem().metric().ObeysPtolemyInequality(),
+              metric == &vectors);
+    ExpectPairParity(problem, ModuloPartition(n, {1, 1, 2}), live);
+  }
+}
+
+// Pivots a hair apart: five locations, each a base point and a twin
+// `hair` above it, then two copies of each. H, the heaviest, sits in a
+// block of capacity 0; it and the ten locations' first ids take eleven
+// pivot rows, and every copy lies on its own pivot, so a copy of a base
+// and a copy of its twin bound each other through pivots at d(p, q) =
+// hair. The heaviest pair is such a pair at the first location.
+TEST(BestPairParityTest, PivotsAHairApart) {
+  for (double hair : {1e-3, 1e-9, 1e-100, 1e-150}) {
+    Rng rng(150);
+    std::vector<double> rows = {50.0, 50.0, 0.0};  // 0: H
+    std::vector<double> weights = {2.0};
+    std::vector<int> block_of = {0};
+    for (int location = 0; location < 5; ++location) {
+      const double x = rng.Uniform(0.0, 10.0);
+      const double y = rng.Uniform(0.0, 10.0);
+      for (int copy = 0; copy < 3; ++copy) {
+        for (double z : {0.0, hair}) {
+          rows.insert(rows.end(), {x, y, z});
+          weights.push_back(copy == 0 ? 0.0 : rng.Uniform(0.0, 0.9));
+          block_of.push_back(1);
+        }
+      }
+    }
+    weights[3] = weights[4] = 1.0;  // copies of the first base and twin
+    const VectorMetric metric = VectorMetric::FromRows(3, std::move(rows));
+    const int n = metric.size();
+    ASSERT_GT(metric.Distance(1, 2), 0.0);
+    const ModularFunction quality(weights);
+    const PartitionMatroid matroid(block_of, {0, 2});
+    for (double lambda : {1e-3, 1.0, 1e3}) {
+      const DiversificationProblem problem(&metric, &quality, lambda);
+      ExpectPairParity(problem, matroid, AllIds(n));
+    }
+    const DiversificationProblem light(&metric, &quality, 1e-3);
+    EXPECT_EQ(BestIndependentPair(light, matroid, AllIds(n)),
+              (std::vector<int>{3, 4}));
+  }
+}
+
 // The basis completion as a full rescan: every round tests every
 // non-member against the matroid, then adds the best gain (greedy) or the
 // first feasible element. Returns the state, its members in the order

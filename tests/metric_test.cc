@@ -12,6 +12,7 @@
 #include "metric/cosine_metric.h"
 #include "metric/dense_metric.h"
 #include "metric/euclidean_metric.h"
+#include "metric/jaccard_metric.h"
 #include "metric/metric_utils.h"
 #include "metric/metric_validation.h"
 #include "metric/relaxed_metric.h"
@@ -416,6 +417,72 @@ TEST(EuclideanMetricTest, AllNormsAreMetrics) {
     const EuclideanMetric m(pts, norm);
     EXPECT_TRUE(ValidateMetric(m).IsMetric());
   }
+}
+
+// Ptolemy's excess d(0, 2) d(1, 3) - d(0, 1) d(2, 3) - d(0, 3) d(1, 2) of
+// the quadrilateral 0, 1, 2, 3: positive when the inequality fails.
+double PtolemyExcess(const MetricSpace& m) {
+  return m.Distance(0, 2) * m.Distance(1, 3) -
+         (m.Distance(0, 1) * m.Distance(2, 3) +
+          m.Distance(0, 3) * m.Distance(1, 2));
+}
+
+// Only Euclidean distances declare Ptolemy's inequality. The unit square's
+// corners are concyclic, so under L2 it holds with equality (2 = 1 + 1, up
+// to the rounding of sqrt(2) squared). Under L1 the square breaks it
+// (4 > 2), and under L-infinity the square turned by 45 degrees does.
+// Every norm keeps the triangle declaration.
+TEST(PtolemyDeclarationTest, OnlyTheL2NormDeclaresIt) {
+  const std::vector<std::vector<double>> square = {
+      {0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};
+  const std::vector<std::vector<double>> diamond = {
+      {0.0, 0.0}, {1.0, 1.0}, {0.0, 2.0}, {-1.0, 1.0}};
+  const EuclideanMetric l2(square, Norm::kL2);
+  const VectorMetric vectors =
+      VectorMetric::FromRows(2, {0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0});
+  EXPECT_TRUE(l2.ObeysPtolemyInequality());
+  EXPECT_TRUE(vectors.ObeysPtolemyInequality());
+  EXPECT_NEAR(PtolemyExcess(l2), 0.0, 1e-15);
+  EXPECT_NEAR(PtolemyExcess(vectors), 0.0, 1e-15);
+
+  const EuclideanMetric l1(square, Norm::kL1);
+  const EuclideanMetric linf(diamond, Norm::kLInf);
+  EXPECT_FALSE(l1.ObeysPtolemyInequality());
+  EXPECT_FALSE(linf.ObeysPtolemyInequality());
+  EXPECT_EQ(PtolemyExcess(l1), 2.0);
+  EXPECT_EQ(PtolemyExcess(linf), 2.0);
+  // The axis-aligned square happens to satisfy it under L-infinity; the
+  // declaration belongs to the norm, not to the points.
+  const EuclideanMetric linf_square(square, Norm::kLInf);
+  EXPECT_LT(PtolemyExcess(linf_square), 0.0);
+  EXPECT_FALSE(linf_square.ObeysPtolemyInequality());
+  for (const MetricSpace* m : std::initializer_list<const MetricSpace*>{
+           &l2, &vectors, &l1, &linf}) {
+    EXPECT_TRUE(m->ObeysTriangleInequality());
+  }
+}
+
+// Every other metric answers false: a dense matrix, even one materialized
+// from vectors (it carries only the triangle declaration), Jaccard, both
+// cosine forms and a power of a Euclidean distance.
+TEST(PtolemyDeclarationTest, OtherMetricsDoNotDeclareIt) {
+  Rng rng(11);
+  std::vector<double> rows(6 * 3);
+  for (double& x : rows) x = rng.Uniform(-1.0, 1.0);
+  const VectorMetric vectors = VectorMetric::FromRows(3, rows);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < vectors.size(); ++i) {
+    points.emplace_back(vectors.row(i).begin(), vectors.row(i).end());
+  }
+  const DenseMetric dense = DenseMetric::Materialize(vectors);
+  EXPECT_TRUE(dense.ObeysTriangleInequality());
+  EXPECT_FALSE(dense.ObeysPtolemyInequality());
+  EXPECT_FALSE(DenseMetric(4).ObeysPtolemyInequality());
+  EXPECT_FALSE(JaccardMetric({{0, 1}, {1, 2}, {2}}).ObeysPtolemyInequality());
+  EXPECT_FALSE(CosineMetric(points).ObeysPtolemyInequality());
+  EXPECT_FALSE(CosineMetric(points, CosineMetric::Form::kAngular)
+                   .ObeysPtolemyInequality());
+  EXPECT_FALSE(PowerRelaxedMetric(&vectors, 2.0).ObeysPtolemyInequality());
 }
 
 TEST(CosineMetricTest, IdenticalDirectionsHaveZeroDistance) {

@@ -283,6 +283,8 @@ TEST(RestrictTest, FullListServesTheProblemItself) {
     EXPECT_EQ(gapped.problem().size(), static_cast<int>(live.size()));
     EXPECT_EQ(gapped.problem().metric().ObeysTriangleInequality(),
               full.metric->ObeysTriangleInequality());
+    EXPECT_EQ(gapped.problem().metric().ObeysPtolemyInequality(),
+              full.metric->ObeysPtolemyInequality());
     const std::vector<int> local = {0, 2, 4};
     EXPECT_EQ(gapped.ToLocal(gapped.ToGlobal(local)), local);
   }
